@@ -2,8 +2,9 @@
 and Minkowski sums of ellipsoids, with certified Brunn-Minkowski checks.
 
 Capacity values are exact rational multiples of pi; floating point is
-confined to the numeric oracle, the boundary-curve samplers, and the
-Monte Carlo mean-width estimator.
+confined to the numeric oracle (``cross_check`` is the one verification
+path), the boundary-curve samplers, and the Monte Carlo mean-width
+estimator, all of which run on the numpy kernels in ``_kernels``.
 """
 
 from .exact import (
@@ -53,6 +54,7 @@ from .minkowski import (
 from .oracle import (
     OracleConfig,
     SignCheckReport,
+    cross_check,
     golden_max,
     s_derivative,
     s_derivative_signcheck,

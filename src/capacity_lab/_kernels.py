@@ -1,11 +1,5 @@
-"""Floating-point inner loops behind the numeric oracle and estimators.
-
-Two interchangeable backends live here.  The default compiles the scalar
-loops with numba's @njit; setting the environment variable
-CAPACITY_LAB_NO_NUMBA=1 (checked once, at import) selects the pure-numpy
-vectorized path instead, which is also used automatically when numba is
-not importable.  ``benchmarks/bench_kernels.py`` times one against the
-other.
+"""Numpy kernels behind the numeric oracle, the boundary samplers and the
+Monte Carlo mean-width estimator.
 
 All kernels take plain float radii (a, b, c, d) of a normalized ellipsoid
 pair and work on the boundary parameterization
@@ -13,25 +7,22 @@ pair and work on the boundary parameterization
     f(psi)^2 = (c/a)^2 cos^2 psi + (d/b)^2 sin^2 psi
     g(psi)   = cos psi * (a + c^2 / (a f))
     h(psi)   = sin psi * (b + d^2 / (b f))
+
+``gh_profiles`` is the one array form of these formulas; the only other
+copy is the scalar golden-section objective inside ``support_max``, where
+numpy on a single float costs several times more than ``math``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "USE_NUMBA",
+    "backend_name",
+    "gh_profiles",
+    "golden_max",
     "support_max",
     "omega_xy",
     "convexity_grid",
@@ -43,25 +34,52 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _HALF_PI = 0.5 * math.pi
 
 
-def _env_disables_numba() -> bool:
-    return os.environ.get("CAPACITY_LAB_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
+def backend_name() -> str:
+    return "numpy"
 
 
-USE_NUMBA = NUMBA_AVAILABLE and not _env_disables_numba()
+def gh_profiles(a: float, b: float, c: float, d: float, psis):
+    """(cos psi, sin psi, f, g, h) at the angles psis."""
+    cp = np.cos(psis)
+    sp = np.sin(psis)
+    f = np.sqrt((c * c) / (a * a) * cp * cp + (d * d) / (b * b) * sp * sp)
+    g = cp * (a + c * c / (a * f))
+    h = sp * (b + d * d / (b * f))
+    return cp, sp, f, g, h
 
 
-# --------------------------------------------------------------------------
-# Scalar sources. Written to compile under @njit unchanged.
-# --------------------------------------------------------------------------
+def golden_max(fn, lo: float, hi: float, iters: int) -> float:
+    """Golden-section maximum of a unimodal fn on [lo, hi], endpoints included."""
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    best = max(fn(lo), fn(hi))
+    for _ in range(iters):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = fn(x1)
+    return max(best, f1, f2)
 
 
-def _support_max_scalar(v1, v2, a, b, c, d, grid, iters):
-    # max over psi in [0, pi/2] of pi*(v1*g^2 + v2*h^2):
-    # dense scan, then golden-section ascent on the winning bracket.
+def support_max(v1: int, v2: int, a: float, b: float, c: float, d: float, grid: int, iters: int) -> float:
+    """Maximum of pi*(v1 g^2 + v2 h^2) over psi in [0, pi/2].
+
+    A dense scan over grid+1 angles, then golden-section ascent on the
+    bracket around the best grid point.
+    """
+    v1, v2 = float(v1), float(v2)
+    _, _, _, g, h = gh_profiles(a, b, c, d, _HALF_PI * np.arange(grid + 1) / grid)
+    vals = np.pi * (v1 * g * g + v2 * h * h)
+    besti = int(np.argmax(vals))
     r2 = (c * c) / (a * a)
     s2 = (d * d) / (b * b)
 
-    def F(psi):
+    def objective(psi: float) -> float:
         cp = math.cos(psi)
         sp = math.sin(psi)
         f = math.sqrt(r2 * cp * cp + s2 * sp * sp)
@@ -69,251 +87,46 @@ def _support_max_scalar(v1, v2, a, b, c, d, grid, iters):
         h = sp * (b + d * d / (b * f))
         return math.pi * (v1 * g * g + v2 * h * h)
 
-    best = F(0.0)
-    besti = 0
-    for i in range(1, grid + 1):
-        val = F(_HALF_PI * i / grid)
-        if val > best:
-            best = val
-            besti = i
-    lo = _HALF_PI * (besti - 1 if besti > 0 else 0) / grid
-    hi = _HALF_PI * (besti + 1 if besti < grid else grid) / grid
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1 = F(x1)
-    f2 = F(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo = x1
-            x1 = x2
-            f1 = f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = F(x2)
-        else:
-            hi = x2
-            x2 = x1
-            f2 = f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = F(x1)
-    refined = f1 if f1 > f2 else f2
-    return refined if refined > best else best
-
-
-def _omega_xy_scalar(a, b, c, d, psis, x1, x2):
-    r2 = (c * c) / (a * a)
-    s2 = (d * d) / (b * b)
-    for i in range(psis.shape[0]):
-        cp = math.cos(psis[i])
-        sp = math.sin(psis[i])
-        f = math.sqrt(r2 * cp * cp + s2 * sp * sp)
-        g = cp * (a + c * c / (a * f))
-        h = sp * (b + d * d / (b * f))
-        x1[i] = math.pi * g * g
-        x2[i] = math.pi * h * h
-
-
-def _convexity_scalar(a, b, c, d, psis, c1, c2, gp):
-    # Closed forms of the first and second derivative of the curve
-    # x2 = C(x1) traced by (pi g^2, pi h^2):
-    #   C'  = -(b^2 f + d^2) / (a^2 f + c^2)
-    #   C'' = a^2 b^2 (r2 - s2)^2 sin cos / (2 pi g g' f (a^2 f + c^2)^2)
-    # with g' = -sin*(a + c^2/(a f)) + cos^2 sin * (c^2/(a f^3)) * (r2 - s2).
-    r2 = (c * c) / (a * a)
-    s2 = (d * d) / (b * b)
-    for i in range(psis.shape[0]):
-        cp = math.cos(psis[i])
-        sp = math.sin(psis[i])
-        f = math.sqrt(r2 * cp * cp + s2 * sp * sp)
-        g = cp * (a + c * c / (a * f))
-        gprime = -sp * (a + c * c / (a * f)) + cp * cp * sp * (c * c / (a * f * f * f)) * (r2 - s2)
-        denom = a * a * f + c * c
-        c1[i] = -(b * b * f + d * d) / denom
-        c2[i] = (a * a * b * b * (r2 - s2) * (r2 - s2) * sp * cp) / (
-            2.0 * math.pi * g * gprime * f * denom * denom
-        )
-        gp[i] = gprime
-
-
-def _polydisk_split_scalar(p, a, b, out):
-    # support of P(a,b) on the unit sphere, via the plane-split fraction
-    # p = |(x1,x2)|^2: a*sqrt(p) + b*sqrt(1-p).
-    for i in range(p.shape[0]):
-        out[i] = a * math.sqrt(p[i]) + b * math.sqrt(1.0 - p[i])
-
-
-def _ellipsoid_split_scalar(p, a, b, out):
-    # support of E(a,b): sqrt(a^2 p + b^2 (1-p)), arranged so that a == b
-    # yields exactly b for every sample.
-    aa_bb = a * a - b * b
-    for i in range(p.shape[0]):
-        out[i] = math.sqrt(b * b + aa_bb * p[i])
-
-
-# --------------------------------------------------------------------------
-# Vectorized numpy backend.
-# --------------------------------------------------------------------------
-
-
-def _gh_profiles(a, b, c, d, psis):
-    r2 = (c * c) / (a * a)
-    s2 = (d * d) / (b * b)
-    cp = np.cos(psis)
-    sp = np.sin(psis)
-    f = np.sqrt(r2 * cp * cp + s2 * sp * sp)
-    g = cp * (a + c * c / (a * f))
-    h = sp * (b + d * d / (b * f))
-    return cp, sp, f, g, h, r2, s2
-
-
-def _support_objective(psi, v1, v2, a, b, c, d, r2, s2):
-    cp = math.cos(psi)
-    sp = math.sin(psi)
-    f = math.sqrt(r2 * cp * cp + s2 * sp * sp)
-    g = cp * (a + c * c / (a * f))
-    h = sp * (b + d * d / (b * f))
-    return math.pi * (v1 * g * g + v2 * h * h)
-
-
-def _support_max_numpy(v1, v2, a, b, c, d, grid, iters):
-    psis = _HALF_PI * np.arange(grid + 1) / grid
-    _, _, _, g, h, r2, s2 = _gh_profiles(a, b, c, d, psis)
-    vals = np.pi * (v1 * g * g + v2 * h * h)
-    besti = int(np.argmax(vals))
-    best = float(vals[besti])
     lo = _HALF_PI * max(besti - 1, 0) / grid
     hi = _HALF_PI * min(besti + 1, grid) / grid
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1 = _support_objective(x1, v1, v2, a, b, c, d, r2, s2)
-    f2 = _support_objective(x2, v1, v2, a, b, c, d, r2, s2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo = x1
-            x1 = x2
-            f1 = f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = _support_objective(x2, v1, v2, a, b, c, d, r2, s2)
-        else:
-            hi = x2
-            x2 = x1
-            f2 = f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = _support_objective(x1, v1, v2, a, b, c, d, r2, s2)
-    return max(best, f1, f2)
-
-
-def _omega_xy_numpy(a, b, c, d, psis, x1, x2):
-    _, _, _, g, h, _, _ = _gh_profiles(a, b, c, d, psis)
-    x1[:] = np.pi * g * g
-    x2[:] = np.pi * h * h
-
-
-def _convexity_numpy(a, b, c, d, psis, c1, c2, gp):
-    cp, sp, f, g, _, r2, s2 = _gh_profiles(a, b, c, d, psis)
-    gprime = -sp * (a + c * c / (a * f)) + cp * cp * sp * (c * c / (a * f ** 3)) * (r2 - s2)
-    denom = a * a * f + c * c
-    c1[:] = -(b * b * f + d * d) / denom
-    c2[:] = (a * a * b * b * (r2 - s2) ** 2 * sp * cp) / (2.0 * np.pi * g * gprime * f * denom ** 2)
-    gp[:] = gprime
-
-
-def _polydisk_split_numpy(p, a, b, out):
-    out[:] = a * np.sqrt(p) + b * np.sqrt(1.0 - p)
-
-
-def _ellipsoid_split_numpy(p, a, b, out):
-    out[:] = np.sqrt(b * b + (a * a - b * b) * p)
-
-
-# --------------------------------------------------------------------------
-# Backend selection.
-# --------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-    _support_max_numba = njit(cache=True)(_support_max_scalar)
-    _omega_xy_numba = njit(cache=True)(_omega_xy_scalar)
-    _convexity_numba = njit(cache=True)(_convexity_scalar)
-    _polydisk_split_numba = njit(cache=True)(_polydisk_split_scalar)
-    _ellipsoid_split_numba = njit(cache=True)(_ellipsoid_split_scalar)
-else:  # pragma: no cover
-    _support_max_numba = None
-    _omega_xy_numba = None
-    _convexity_numba = None
-    _polydisk_split_numba = None
-    _ellipsoid_split_numba = None
-
-_ACTIVE = "numba" if USE_NUMBA else "numpy"
-
-
-def backend_name() -> str:
-    return _ACTIVE
-
-
-def support_max(v1: int, v2: int, a: float, b: float, c: float, d: float, grid: int, iters: int) -> float:
-    """Maximum of pi*(v1 g^2 + v2 h^2) over psi in [0, pi/2]."""
-    if USE_NUMBA:
-        return _support_max_numba(float(v1), float(v2), a, b, c, d, grid, iters)
-    return _support_max_numpy(float(v1), float(v2), a, b, c, d, grid, iters)
+    return max(float(vals[besti]), golden_max(objective, lo, hi, iters))
 
 
 def omega_xy(a: float, b: float, c: float, d: float, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Moment-image coordinates (pi g^2, pi h^2) at the given angles."""
-    x1 = np.empty_like(psis)
-    x2 = np.empty_like(psis)
-    if USE_NUMBA:
-        _omega_xy_numba(a, b, c, d, psis, x1, x2)
-    else:
-        _omega_xy_numpy(a, b, c, d, psis, x1, x2)
-    return x1, x2
+    _, _, _, g, h = gh_profiles(a, b, c, d, psis)
+    return np.pi * g * g, np.pi * h * h
 
 
 def convexity_grid(a: float, b: float, c: float, d: float, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C', C'', g') arrays at the given interior angles."""
-    c1 = np.empty_like(psis)
-    c2 = np.empty_like(psis)
-    gp = np.empty_like(psis)
-    if USE_NUMBA:
-        _convexity_numba(a, b, c, d, psis, c1, c2, gp)
-    else:
-        _convexity_numpy(a, b, c, d, psis, c1, c2, gp)
-    return c1, c2, gp
+    """(C', C'', g') arrays at the given interior angles.
+
+    Closed forms of the first and second derivative of the curve
+    x2 = C(x1) traced by (pi g^2, pi h^2):
+
+        C'  = -(b^2 f + d^2) / (a^2 f + c^2)
+        C'' = a^2 b^2 (r2 - s2)^2 sin cos / (2 pi g g' f (a^2 f + c^2)^2)
+
+    with r2 = (c/a)^2, s2 = (d/b)^2 and
+    g' = -sin (a + c^2/(a f)) + cos^2 sin (c^2/(a f^3)) (r2 - s2).
+    """
+    cp, sp, f, g, _ = gh_profiles(a, b, c, d, psis)
+    r2 = (c * c) / (a * a)
+    s2 = (d * d) / (b * b)
+    gprime = -sp * (a + c * c / (a * f)) + cp * cp * sp * (c * c / (a * f ** 3)) * (r2 - s2)
+    denom = a * a * f + c * c
+    c1 = -(b * b * f + d * d) / denom
+    c2 = (a * a * b * b * (r2 - s2) ** 2 * sp * cp) / (2.0 * np.pi * g * gprime * f * denom ** 2)
+    return c1, c2, gprime
 
 
 def polydisk_support_split(p: np.ndarray, a: float, b: float) -> np.ndarray:
-    out = np.empty_like(p)
-    if USE_NUMBA:
-        _polydisk_split_numba(p, a, b, out)
-    else:
-        _polydisk_split_numpy(p, a, b, out)
-    return out
+    """Support of P(a,b) on the unit sphere from the plane-split fraction
+    p = |(x1,x2)|^2: a sqrt(p) + b sqrt(1-p)."""
+    return a * np.sqrt(p) + b * np.sqrt(1.0 - p)
 
 
 def ellipsoid_support_split(p: np.ndarray, a: float, b: float) -> np.ndarray:
-    out = np.empty_like(p)
-    if USE_NUMBA:
-        _ellipsoid_split_numba(p, a, b, out)
-    else:
-        _ellipsoid_split_numpy(p, a, b, out)
-    return out
-
-
-# Both backends, by name, for the benchmark and the backend-equivalence tests.
-NUMPY_IMPLS = {
-    "support_max": _support_max_numpy,
-    "omega_xy": _omega_xy_numpy,
-    "convexity_grid": _convexity_numpy,
-    "polydisk_support_split": _polydisk_split_numpy,
-    "ellipsoid_support_split": _ellipsoid_split_numpy,
-}
-
-NUMBA_IMPLS = (
-    {
-        "support_max": _support_max_numba,
-        "omega_xy": _omega_xy_numba,
-        "convexity_grid": _convexity_numba,
-        "polydisk_support_split": _polydisk_split_numba,
-        "ellipsoid_support_split": _ellipsoid_split_numba,
-    }
-    if NUMBA_AVAILABLE
-    else None
-)
+    """Support of E(a,b): sqrt(b^2 + (a^2 - b^2) p), so that a == b yields
+    exactly b for every sample."""
+    return np.sqrt(b * b + (a * a - b * b) * p)

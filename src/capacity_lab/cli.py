@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import click
@@ -34,55 +32,61 @@ from .domains import (
     Ellipsoid,
     EllipsoidPair,
     EllipsoidSum,
-    Polydisk,
-    ProductWithBall,
     capacity,
-    ellipsoid_capacity_bruteforce,
-    ellipsoid_norm_argmin,
     format_domain,
     parse_domain,
 )
 from .exact import PiRational, format_rational
-from .minkowski import omega_curve, sum_capacity_with_argmin
-from .oracle import OracleConfig, support_norm_numeric
+from .minkowski import omega_curve
+from .oracle import OracleConfig, cross_check
 
 K_CAP = 10**6
 
-_FULL_NUMERIC_K = 1024  # above this, --verify checks the argmin vector only
+
+class CliError(click.ClickException):
+    """A usage or computation error: one line on stderr, exit code 2."""
+
+    exit_code = 2
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
+format_option = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["json", "csv", "text"]),
+    default="json",
+    show_default=True,
+    help="Output format.",
+)
 
 
-def common_options(fn):
-    fn = click.option(
-        "--jobs",
-        type=int,
-        default=None,
-        envvar="CAPACITY_LAB_JOBS",
-        help="Worker tasks for sweeps [default: CAPACITY_LAB_JOBS or CPU count].",
-    )(fn)
-    fn = click.option("--seed", type=int, default=42, show_default=True, help="Seed for randomized estimators.")(fn)
+def verify_options(fn):
     fn = click.option("--tol", type=float, default=1e-9, show_default=True, help="Relative tolerance for --verify.")(fn)
     fn = click.option("--grid", type=int, default=4096, show_default=True, help="Numeric oracle scan grid.")(fn)
-    fn = click.option("--verify", is_flag=True, help="Cross-check exact values with the numeric oracle.")(fn)
-    fn = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "csv", "text"]),
-        default="json",
-        show_default=True,
-        help="Output format.",
-    )(fn)
-    return fn
+    return click.option("--verify", is_flag=True, help="Cross-check exact values with the numeric oracle.")(fn)
+
+
+def _oracle_config(verify: bool, grid: int, tol: float) -> OracleConfig | None:
+    """The --verify settings, validated before any work starts; None without --verify."""
+    if not verify:
+        return None
+    try:
+        return OracleConfig(grid=grid, tol=tol)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _cross_check(k: int, domain: DomainSpec, value: PiRational, cfg: OracleConfig) -> None:
+    try:
+        cross_check(k, domain, value, cfg)
+    except ValueError as exc:
+        raise CliError(f"verification failed: {exc}") from None
 
 
 def _check_k(k: int) -> int:
     if k < 1:
-        raise click.ClickException(f"k must be a positive integer, got {k}")
+        raise CliError(f"k must be a positive integer, got {k}")
     if k > K_CAP:
-        raise click.ClickException(f"k is capped at {K_CAP} on the command line, got {k}")
+        raise CliError(f"k is capped at {K_CAP} on the command line, got {k}")
     return k
 
 
@@ -90,7 +94,7 @@ def _parse_domain_arg(text: str) -> DomainSpec:
     try:
         return parse_domain(text)
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+        raise CliError(str(exc)) from None
 
 
 def _parse_krange(text: str) -> range:
@@ -101,9 +105,9 @@ def _parse_krange(text: str) -> range:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise click.ClickException(f"bad k range {text!r}; expected 'k' or 'lo..hi'") from None
+        raise CliError(f"bad k range {text!r}; expected 'k' or 'lo..hi'") from None
     if lo < 1 or hi < lo:
-        raise click.ClickException(f"bad k range {text!r}; need 1 <= lo <= hi")
+        raise CliError(f"bad k range {text!r}; need 1 <= lo <= hi")
     _check_k(hi)
     return range(lo, hi + 1)
 
@@ -116,52 +120,6 @@ def _emit_csv(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _relative_gap(exact: float, numeric: float) -> float:
-    scale = max(abs(exact), 1e-12)
-    return abs(exact - numeric) / scale
-
-
-def _verify_value(k: int, domain: DomainSpec, value: PiRational, grid: int, tol: float) -> None:
-    """Independent re-check of a capacity; raises ClickException on disagreement."""
-    if isinstance(domain, Ellipsoid):
-        against = ellipsoid_norm_argmin(k, domain)[0]
-        if against != value:
-            raise click.ClickException(f"verification failed: norm minimum {against} != {value}")
-        if k <= 4096 and ellipsoid_capacity_bruteforce(k, domain) != value:
-            raise click.ClickException("verification failed: sorted-multiples check disagrees")
-        return
-    if isinstance(domain, Polydisk):
-        a2, b2 = domain.a**2, domain.b**2
-        against = min(v1 * a2 + (k - v1) * b2 for v1 in range(k + 1))
-        if against != value.coeff:
-            raise click.ClickException(f"verification failed: rectangle norm minimum {against} != {value.coeff}")
-        return
-    if isinstance(domain, EllipsoidSum):
-        pair = domain.pair
-        if pair.proportional:
-            _verify_value(k, pair.outer_ellipsoid, value, grid, tol)
-            return
-        cfg = OracleConfig(grid=grid, tol=tol)
-        exact_float = float(value)
-        if k <= _FULL_NUMERIC_K:
-            from .domains import IndexVector
-
-            numeric = min(
-                support_norm_numeric(IndexVector(v1, k - v1), pair, cfg) for v1 in range(k + 1)
-            )
-        else:
-            _, argmin = sum_capacity_with_argmin(k, pair)
-            numeric = support_norm_numeric(argmin, pair, cfg)
-        if _relative_gap(exact_float, numeric) > tol:
-            raise click.ClickException(
-                f"verification failed: numeric oracle {numeric!r} vs exact {exact_float!r}"
-            )
-        return
-    if isinstance(domain, ProductWithBall):
-        _verify_value(k, domain.inner, value, grid, tol)
-        return
-
-
 @click.group()
 @click.version_option(package_name="capacity-lab")
 def main():
@@ -172,8 +130,9 @@ def main():
 @main.command("capacity")
 @click.argument("k", type=int)
 @click.argument("domain", type=str)
-@common_options
-def cmd_capacity(k, domain, fmt, verify, grid, tol, seed, jobs):
+@format_option
+@verify_options
+def cmd_capacity(k, domain, fmt, verify, grid, tol):
     """Print c_k(DOMAIN) exactly.
 
     DOMAIN is a literal like 'E(3/2,1)', 'P(1,1)', 'sum(E(3/2,1),E(1,3/2))'
@@ -181,12 +140,13 @@ def cmd_capacity(k, domain, fmt, verify, grid, tol, seed, jobs):
     """
     _check_k(k)
     dom = _parse_domain_arg(domain)
+    cfg = _oracle_config(verify, grid, tol)
     try:
         value = capacity(k, dom)
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+        raise CliError(str(exc)) from None
     if verify:
-        _verify_value(k, dom, value, grid, tol)
+        _cross_check(k, dom, value, cfg)
     payload = {
         "k": k,
         "domain": format_domain(dom),
@@ -208,7 +168,7 @@ def cmd_capacity(k, domain, fmt, verify, grid, tol, seed, jobs):
 
 def _require_ellipsoid(dom: DomainSpec, label: str) -> Ellipsoid:
     if not isinstance(dom, Ellipsoid):
-        raise click.ClickException(f"{label} must be an ellipsoid literal E(a,b), got {format_domain(dom)}")
+        raise CliError(f"{label} must be an ellipsoid literal E(a,b), got {format_domain(dom)}")
     return dom
 
 
@@ -259,42 +219,39 @@ def _emit_certificate(cert: BMCertificate, fmt: str) -> None:
     default=None,
     help="Re-validate a serialized certificate instead of computing a new one.",
 )
-@common_options
-def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify, grid, tol, seed, jobs):
+@format_option
+@verify_options
+def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify, grid, tol):
     """Compare sqrt(c_k(E1+E2)) against sqrt(c_k(E1)) + sqrt(c_k(E2))."""
     if cert_path is not None:
-        with open(cert_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
         try:
-            cert = BMCertificate.from_dict(data)
-        except (KeyError, ValueError) as exc:
-            raise click.ClickException(f"bad certificate file: {exc}") from None
+            with open(cert_path, "r", encoding="utf-8") as fh:
+                cert = BMCertificate.from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"bad certificate file: {exc}") from None
         ok = verify_certificate(cert)
         click.echo(json.dumps({"file": cert_path, "valid": ok}))
         if not ok:
             sys.exit(1)
         return
     if k is None or domain1 is None or domain2 is None:
-        raise click.ClickException("usage: bm-check K DOMAIN1 DOMAIN2 (or --check-certificate FILE)")
+        raise CliError("usage: bm-check K DOMAIN1 DOMAIN2 (or --check-certificate FILE)")
     _check_k(k)
     e1 = _require_ellipsoid(_parse_domain_arg(domain1), "domain1")
     e2 = _require_ellipsoid(_parse_domain_arg(domain2), "domain2")
+    cfg = _oracle_config(verify, grid, tol)
     pair = EllipsoidPair.normalized(e1, e2)
     cert = bm_check(k, pair)
-    if verify and not pair.proportional:
-        cfg = OracleConfig(grid=grid, tol=tol)
-        from .domains import IndexVector
-
-        numeric = min(support_norm_numeric(IndexVector(v1, k - v1), pair, cfg) for v1 in range(min(k, _FULL_NUMERIC_K) + 1))
-        if _relative_gap(float(cert.c_sum), numeric) > tol:
-            raise click.ClickException(f"verification failed: numeric {numeric!r} vs exact {float(cert.c_sum)!r}")
+    if verify:
+        _cross_check(k, EllipsoidSum(pair), cert.c_sum, cfg)
     _emit_certificate(cert, fmt)
 
 
 @main.command("reproduce")
 @click.argument("k_max", type=int)
-@common_options
-def cmd_reproduce(k_max, fmt, verify, grid, tol, seed, jobs):
+@format_option
+@verify_options
+def cmd_reproduce(k_max, fmt, verify, grid, tol):
     """One violating certificate for every k in 2..K_MAX.
 
     Even k uses the pair (E(1+1/k,1), E(1,1+1/k)); odd k uses
@@ -302,20 +259,19 @@ def cmd_reproduce(k_max, fmt, verify, grid, tol, seed, jobs):
     match its closed form.
     """
     _check_k(k_max)
-    jobs = jobs or _default_jobs()
+    cfg = _oracle_config(verify, grid, tol)
     try:
-        rows = reproduce_theorem(k_max, jobs=jobs)
+        rows = reproduce_theorem(k_max)
     except ReproductionError as exc:
         click.echo(f"reproduction FAILED: {exc}", err=True)
         sys.exit(3)
     if verify:
-        cfg = OracleConfig(grid=grid, tol=tol)
         for row in rows:
-            pair = EllipsoidPair.normalized(row.certificate.domain1, row.certificate.domain2)
-            _, argmin = sum_capacity_with_argmin(row.k, pair)
-            numeric = support_norm_numeric(argmin, pair, cfg)
-            if _relative_gap(float(row.certificate.c_sum), numeric) > tol:
-                click.echo(f"reproduction FAILED: oracle disagrees at k={row.k}", err=True)
+            cert = row.certificate
+            try:
+                cross_check(row.k, EllipsoidSum.of(cert.domain1, cert.domain2), cert.c_sum, cfg)
+            except ValueError as exc:
+                click.echo(f"reproduction FAILED: oracle disagrees at k={row.k}: {exc}", err=True)
                 sys.exit(3)
     table = [
         {
@@ -346,8 +302,8 @@ def cmd_reproduce(k_max, fmt, verify, grid, tol, seed, jobs):
 @click.argument("domain2", type=str)
 @click.option("--samples", type=int, default=256, show_default=True, help="Number of psi intervals.")
 @click.option("--out", type=str, default="-", show_default=True, help="Output path, '-' for stdout.")
-@common_options
-def cmd_omega(domain1, domain2, samples, out, fmt, verify, grid, tol, seed, jobs):
+@format_option
+def cmd_omega(domain1, domain2, samples, out, fmt):
     """Boundary curve of the moment image of E1 + E2 as psi,x1,x2 data."""
     e1 = _require_ellipsoid(_parse_domain_arg(domain1), "domain1")
     e2 = _require_ellipsoid(_parse_domain_arg(domain2), "domain2")
@@ -355,7 +311,7 @@ def cmd_omega(domain1, domain2, samples, out, fmt, verify, grid, tol, seed, jobs
     try:
         points = omega_curve(pair, samples)
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+        raise CliError(str(exc)) from None
     if fmt == "json":
         body = json.dumps([[p.psi, p.x1, p.x2] for p in points])
     else:
@@ -372,14 +328,15 @@ def cmd_omega(domain1, domain2, samples, out, fmt, verify, grid, tol, seed, jobs
 @main.command("mean-width")
 @click.argument("domain", type=str)
 @click.option("--samples", type=int, default=1_000_000, show_default=True, help="Monte Carlo sample count.")
-@common_options
-def cmd_mean_width(domain, samples, fmt, verify, grid, tol, seed, jobs):
+@click.option("--seed", type=int, default=42, show_default=True, help="Seed of the random generator.")
+@format_option
+def cmd_mean_width(domain, samples, seed, fmt):
     """Monte Carlo mean width of a 4-dimensional ellipsoid or polydisk."""
     dom = _parse_domain_arg(domain)
     try:
         est = mean_width_estimate(dom, samples, seed)
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+        raise CliError(str(exc)) from None
     payload = {
         "domain": format_domain(dom),
         "mean": est.mean,
@@ -400,8 +357,8 @@ def cmd_mean_width(domain, samples, fmt, verify, grid, tol, seed, jobs):
 
 @main.command("criterion")
 @click.argument("k_range", type=str)
-@common_options
-def cmd_criterion(k_range, fmt, verify, grid, tol, seed, jobs):
+@format_option
+def cmd_criterion(k_range, fmt):
     """Mean-width violation criterion k/floor((k+1)/2) > 16/9 over a k range.
 
     K_RANGE is 'k' or 'lo..hi'.
@@ -438,8 +395,8 @@ def _height_bounded_rationals(bound: int) -> list[Fraction]:
 @main.command("search")
 @click.argument("bound", type=int)
 @click.argument("k_range", type=str)
-@common_options
-def cmd_search(bound, k_range, fmt, verify, grid, tol, seed, jobs):
+@format_option
+def cmd_search(bound, k_range, fmt):
     """Exhaustive sweep for violations over rational radii p/q with p,q <= BOUND.
 
     Enumerates all unordered ellipsoid pairs with such radii and every k in
@@ -448,27 +405,16 @@ def cmd_search(bound, k_range, fmt, verify, grid, tol, seed, jobs):
     small.
     """
     if bound < 1:
-        raise click.ClickException(f"bound must be >= 1, got {bound}")
+        raise CliError(f"bound must be >= 1, got {bound}")
     ks = _parse_krange(k_range)
-    jobs = jobs or _default_jobs()
     radii = _height_bounded_rationals(bound)
     ellipsoids = [Ellipsoid(a, b) for a in radii for b in radii]
-    tasks = []
-    for i, e1 in enumerate(ellipsoids):
-        for e2 in ellipsoids[i:]:
-            pair = EllipsoidPair.normalized(e1, e2)
-            for k in ks:
-                tasks.append((k, pair))
-
-    def run(task):
-        k, pair = task
-        return bm_check(k, pair)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            certs = list(pool.map(run, tasks))
-    else:
-        certs = [run(t) for t in tasks]
+    certs = [
+        bm_check(k, EllipsoidPair.normalized(e1, e2))
+        for i, e1 in enumerate(ellipsoids)
+        for e2 in ellipsoids[i:]
+        for k in ks
+    ]
     violating = [c for c in certs if c.verdict is Verdict.VIOLATES]
     if fmt == "json":
         click.echo(json.dumps([c.to_dict() for c in violating], indent=2))
@@ -480,7 +426,7 @@ def cmd_search(bound, k_range, fmt, verify, grid, tol, seed, jobs):
                 f"k={c.k} {format_domain(c.domain1)} + {format_domain(c.domain2)}: "
                 f"c_sum={c.c_sum} c1={c.c_1} c2={c.c_2} margin={c.margin():.6g}"
             )
-        click.echo(f"{len(violating)} violating certificates among {len(tasks)} checks")
+        click.echo(f"{len(violating)} violating certificates among {len(certs)} checks")
 
 
 if __name__ == "__main__":

@@ -119,12 +119,8 @@ def cy_boundary_point(psi: float, pair: EllipsoidPair) -> BoundaryPoint:
         return BoundaryPoint(float(a + c), 0.0, 0.0)
     if psi == math.pi / 2:
         return BoundaryPoint(0.0, float(b + d), psi)
-    af, bf, cf, df = _float_radii(pair)
-    cp, sp = math.cos(psi), math.sin(psi)
-    f = math.sqrt((cf / af) ** 2 * cp * cp + (df / bf) ** 2 * sp * sp)
-    g = cp * (af + cf * cf / (af * f))
-    h = sp * (bf + df * df / (bf * f))
-    return BoundaryPoint(g, h, psi)
+    _, _, _, g, h = _kernels.gh_profiles(*_float_radii(pair), psi)
+    return BoundaryPoint(float(g), float(h), psi)
 
 
 def general_cy_map(a1, a2, x) -> np.ndarray:

@@ -14,7 +14,8 @@ S(c/a) = v1 pi (a+c)^2 and S(d/b) = v2 pi (b+d)^2, and its derivative is
 
 with D = v2 b^2 - v1 a^2 and N = v1 c^2 - v2 d^2, so the only possible
 interior critical point is f0 = N/D, a maximum exactly when D < 0.
-Disagreement with the exact engine is a test failure, never a fallback.
+Disagreement with the exact engine is a test failure, never a fallback;
+``cross_check`` is the one re-derivation behind the CLI's --verify.
 """
 
 from __future__ import annotations
@@ -23,7 +24,20 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .domains import EllipsoidPair, IndexVector
+from ._kernels import golden_max
+from .domains import (
+    DomainSpec,
+    Ellipsoid,
+    EllipsoidPair,
+    EllipsoidSum,
+    IndexVector,
+    Polydisk,
+    ProductWithBall,
+    ellipsoid_capacity_bruteforce,
+    ellipsoid_norm_argmin,
+)
+from .exact import PiRational
+from .minkowski import sum_capacity_with_argmin, support_norm
 
 __all__ = [
     "OracleConfig",
@@ -33,6 +47,7 @@ __all__ = [
     "s_derivative",
     "s_derivative_signcheck",
     "golden_max",
+    "cross_check",
 ]
 
 
@@ -53,26 +68,6 @@ class OracleConfig:
 
 DEFAULT_CONFIG = OracleConfig()
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_max(fn, lo: float, hi: float, iters: int) -> float:
-    """Golden-section maximum of a unimodal fn on [lo, hi]."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    best = max(fn(lo), fn(hi))
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = fn(x1)
-    return max(best, f1, f2)
-
 
 def support_norm_numeric(v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
     """Numeric maximum of pi (v1 g^2 + v2 h^2) over psi in [0, pi/2]."""
@@ -80,6 +75,60 @@ def support_norm_numeric(v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig 
         raise ValueError("support_norm_numeric requires a non-proportional pair")
     a, b, c, d = (float(x) for x in pair.radii)
     return _kernels.support_max(v.v1, v.v2, a, b, c, d, cfg.grid, cfg.refine_iters)
+
+
+def _relative_gap(exact: float, numeric: float) -> float:
+    return abs(exact - numeric) / max(abs(exact), 1e-12)
+
+
+def cross_check(k: int, domain: DomainSpec, value: PiRational, cfg: OracleConfig = DEFAULT_CONFIG) -> None:
+    """Re-derive c_k(domain) independently; raise ValueError unless it is value.
+
+    Ellipsoids: the minimum of the dual norms over v1 + v2 = k, and for
+    k <= 4096 the k-th sorted multiple.  Polydisks: the minimum of the
+    rectangle norms.  Proportional sums and stabilized products reduce to
+    their outer and inner domains.  Non-proportional sums: value must be
+    the exact norm at the argmin v1, the numeric oracle at v1 and at its
+    neighbours v1 +- 1 must match the exact norms within cfg.tol, and the
+    exact norms must satisfy h(v1-1) > h(v1) <= h(v1+1).  The norm is
+    convex in v1, so that local minimum is the global one, with ties
+    broken toward the smallest v1.
+    """
+    if isinstance(domain, Ellipsoid):
+        against = ellipsoid_norm_argmin(k, domain)[0]
+        if against != value:
+            raise ValueError(f"norm minimum {against} != {value}")
+        if k <= 4096 and ellipsoid_capacity_bruteforce(k, domain) != value:
+            raise ValueError("sorted-multiples check disagrees")
+    elif isinstance(domain, Polydisk):
+        a2, b2 = domain.a**2, domain.b**2
+        against = min(v1 * a2 + (k - v1) * b2 for v1 in range(k + 1))
+        if against != value.coeff:
+            raise ValueError(f"rectangle norm minimum {against} != {value.coeff}")
+    elif isinstance(domain, ProductWithBall):
+        cross_check(k, domain.inner, value, cfg)
+    elif isinstance(domain, EllipsoidSum):
+        if domain.pair.proportional:
+            cross_check(k, domain.pair.outer_ellipsoid, value, cfg)
+        else:
+            _cross_check_sum(k, domain.pair, value, cfg)
+    else:
+        raise TypeError(f"unsupported domain: {domain!r}")
+
+
+def _cross_check_sum(k: int, pair: EllipsoidPair, value: PiRational, cfg: OracleConfig) -> None:
+    v1 = sum_capacity_with_argmin(k, pair)[1].v1
+    norms = {u: support_norm(IndexVector(u, k - u), pair) for u in (v1 - 1, v1, v1 + 1) if 0 <= u <= k}
+    if norms[v1] != value:
+        raise ValueError(f"norm at the argmin v1 = {v1} is {norms[v1]}, not {value}")
+    for u, norm in norms.items():
+        numeric = support_norm_numeric(IndexVector(u, k - u), pair, cfg)
+        if _relative_gap(float(norm), numeric) > cfg.tol:
+            raise ValueError(f"numeric oracle {numeric!r} vs exact {float(norm)!r} at v1 = {u}")
+    if v1 - 1 in norms and not norms[v1 - 1] > norms[v1]:
+        raise ValueError(f"v1 = {v1} is not the smallest minimizer: h(v1-1) = {norms[v1 - 1]}")
+    if v1 + 1 in norms and not norms[v1 + 1] >= norms[v1]:
+        raise ValueError(f"v1 = {v1} is not a local minimum: h(v1+1) = {norms[v1 + 1]}")
 
 
 def _profile_params(pair: EllipsoidPair) -> tuple[float, float, float, float, float, float]:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from capacity_lab import cli
 from capacity_lab.cli import main
 
 
@@ -49,17 +50,22 @@ class TestCapacity:
 
     def test_parse_error_names_position(self, runner):
         res = runner.invoke(main, ["capacity", "2", "E(3/2;1)"])
-        assert res.exit_code != 0
+        assert res.exit_code == 2
         assert "position" in res.output
+
+    def test_k_below_one(self, runner):
+        res = runner.invoke(main, ["capacity", "0", "E(1,1)"])
+        assert res.exit_code == 2
+        assert "positive integer" in res.output
 
     def test_k_cap(self, runner):
         res = runner.invoke(main, ["capacity", "2000000", "E(1,1)"])
-        assert res.exit_code != 0
+        assert res.exit_code == 2
         assert "capped" in res.output
 
     def test_stabilization_error_reported(self, runner):
         res = runner.invoke(main, ["capacity", "2", "prod(E(1,1),2,1)"])
-        assert res.exit_code != 0
+        assert res.exit_code == 2
         assert "stabilization" in res.output
 
 
@@ -84,6 +90,14 @@ class TestBmCheck:
         res = invoke(runner, "bm-check", "2", "E(3/2,1)", "E(1,3/2)", "--verify")
         assert res.exit_code == 0
 
+    def test_verify_large_k_mid_range_argmin(self, runner):
+        # k = 4000 with the minimizing v1 = 2000 in the middle of 0..k
+        res = invoke(runner, "bm-check", "4000", "E(4001/4000,1)", "E(1,4001/4000)", "--verify")
+        assert res.exit_code == 0, res.output
+
+    def test_verify_proportional_pair(self, runner):
+        assert invoke(runner, "bm-check", "3", "E(1,2)", "E(2,4)", "--verify").exit_code == 0
+
     def test_json_round_trip_via_file(self, runner, tmp_path):
         res = invoke(runner, "bm-check", "2", "E(3/2,1)", "E(1,3/2)")
         cert_file = tmp_path / "cert.json"
@@ -102,13 +116,21 @@ class TestBmCheck:
         assert check.exit_code == 1
         assert json.loads(check.output.splitlines()[0])["valid"] is False
 
+    @pytest.mark.parametrize("content", ["not json", "[1]", '{"k": 2}'])
+    def test_malformed_certificate_file(self, runner, tmp_path, content):
+        cert_file = tmp_path / "bad.json"
+        cert_file.write_text(content)
+        res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output.startswith("Error: bad certificate file")
+
     def test_missing_args_reported(self, runner):
         res = runner.invoke(main, ["bm-check", "2", "E(1,1)"])
-        assert res.exit_code != 0
+        assert res.exit_code == 2
 
     def test_polydisk_rejected(self, runner):
         res = runner.invoke(main, ["bm-check", "2", "P(1,1)", "E(1,1)"])
-        assert res.exit_code != 0
+        assert res.exit_code == 2
         assert "ellipsoid" in res.output
 
 
@@ -123,16 +145,6 @@ class TestReproduce:
 
     def test_exit_zero_on_success(self, runner):
         assert invoke(runner, "reproduce", "4").exit_code == 0
-
-    def test_jobs_deterministic(self, runner):
-        one = invoke(runner, "reproduce", "9", "--jobs", "1").output
-        four = invoke(runner, "reproduce", "9", "--jobs", "4").output
-        assert one == four
-
-    def test_jobs_env_var(self, runner):
-        plain = invoke(runner, "reproduce", "8").output
-        via_env = runner.invoke(main, ["reproduce", "8"], env={"CAPACITY_LAB_JOBS": "3"}, catch_exceptions=False).output
-        assert plain == via_env
 
     def test_verify_mode(self, runner):
         assert invoke(runner, "reproduce", "5", "--verify").exit_code == 0
@@ -164,7 +176,7 @@ class TestOmega:
 
     def test_proportional_pair_rejected(self, runner):
         res = runner.invoke(main, ["omega", "E(1,1)", "E(2,2)"])
-        assert res.exit_code != 0
+        assert res.exit_code == 2
 
 
 class TestMeanWidth:
@@ -181,7 +193,7 @@ class TestMeanWidth:
 
     def test_sum_rejected(self, runner):
         res = runner.invoke(main, ["mean-width", "sum(E(1,1),E(2/3,1))", "--samples", "1000"])
-        assert res.exit_code != 0
+        assert res.exit_code == 2
 
 
 class TestCriterion:
@@ -198,7 +210,7 @@ class TestCriterion:
         assert len(rows) == 1 and rows[0]["violating"] is False
 
     def test_bad_range(self, runner):
-        assert runner.invoke(main, ["criterion", "5..2"]).exit_code != 0
+        assert runner.invoke(main, ["criterion", "5..2"]).exit_code == 2
 
     def test_byte_determinism(self, runner):
         a = invoke(runner, "criterion", "1..20").output
@@ -219,7 +231,49 @@ class TestSearch:
         found = {(c["domain1"], c["domain2"], c["k"]) for c in certs}
         assert ("E(1,1)", "E(1/2,1)", 3) in found or ("E(1/2,1)", "E(1,1)", 3) in found
 
-    def test_jobs_deterministic(self, runner):
-        one = invoke(runner, "search", "2", "2..3", "--jobs", "1").output
-        four = invoke(runner, "search", "2", "2..3", "--jobs", "3").output
-        assert one == four
+
+class TestOptionsAndErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["capacity", "3", "sum(E(3/2,1),E(1,3/2))", "--verify", "--grid", "10"],
+            ["bm-check", "3", "E(3/2,1)", "E(1,3/2)", "--verify", "--tol", "0"],
+            ["reproduce", "5", "--verify", "--grid", "10"],
+        ],
+    )
+    def test_invalid_oracle_settings(self, runner, args):
+        res = runner.invoke(main, args, catch_exceptions=False)
+        assert res.exit_code == 2
+        assert len(res.output.strip().splitlines()) == 1
+        assert res.output.startswith("Error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["capacity", "2", "E(1,1)", "--seed", "1"],
+            ["bm-check", "2", "E(1,1)", "E(1,2)", "--samples", "100"],
+            ["reproduce", "3", "--jobs", "1"],
+            ["omega", "E(1,1)", "E(2/3,1)", "--verify"],
+            ["mean-width", "P(1,1)", "--grid", "64"],
+            ["criterion", "1..3", "--tol", "1e-9"],
+            ["search", "1", "2", "--seed", "1"],
+        ],
+    )
+    def test_unread_option_rejected(self, runner, args):
+        res = runner.invoke(main, args, catch_exceptions=False)
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+
+    def test_verification_failure_exit_codes(self, runner, monkeypatch):
+        def disagree(*args):
+            raise ValueError("forged disagreement")
+
+        monkeypatch.setattr(cli, "cross_check", disagree)
+        res = runner.invoke(main, ["capacity", "2", "E(3/2,1)", "--verify"], catch_exceptions=False)
+        assert res.exit_code == 2
+        assert "verification failed: forged disagreement" in res.output
+        res = runner.invoke(main, ["bm-check", "2", "E(3/2,1)", "E(1,3/2)", "--verify"], catch_exceptions=False)
+        assert res.exit_code == 2
+        res = runner.invoke(main, ["reproduce", "4", "--verify"], catch_exceptions=False)
+        assert res.exit_code == 3
+        assert "oracle disagrees at k=2" in res.output

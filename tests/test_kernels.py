@@ -1,6 +1,4 @@
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
@@ -8,78 +6,72 @@ import pytest
 from capacity_lab import _kernels
 from conftest import random_nonprop_pair
 
-needs_numba = pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
+
+def _support_max_reference(v1, v2, a, b, c, d, grid, iters):
+    # Scalar loop the vectorized support_max replaced: dense scan, then
+    # golden-section ascent on the winning bracket.
+    def F(psi):
+        cp, sp = math.cos(psi), math.sin(psi)
+        f = math.sqrt((c / a) ** 2 * cp * cp + (d / b) ** 2 * sp * sp)
+        g = cp * (a + c * c / (a * f))
+        h = sp * (b + d * d / (b * f))
+        return math.pi * (v1 * g * g + v2 * h * h)
+
+    step = 0.5 * math.pi / grid
+    besti = max(range(grid + 1), key=lambda i: F(step * i))
+    lo, hi = step * max(besti - 1, 0), step * min(besti + 1, grid)
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(iters):
+        x1, x2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        if F(x1) < F(x2):
+            lo = x1
+        else:
+            hi = x2
+    return max(F(step * besti), F(lo), F(hi))
+
+
+def _cases(rng, n):
+    for _ in range(n):
+        pair = random_nonprop_pair(rng)
+        k = rng.randint(1, 10)
+        v1 = rng.randint(0, k)
+        yield v1, k - v1, *(float(x) for x in pair.radii)
 
 
 class TestSelection:
     def test_flag_consistency(self):
-        if _kernels.USE_NUMBA:
-            assert _kernels.NUMBA_AVAILABLE
-            assert _kernels.backend_name() == "numba"
-        else:
-            assert _kernels.backend_name() == "numpy"
-
-    def test_env_flag_switches_to_numpy(self):
-        env = dict(os.environ, CAPACITY_LAB_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from capacity_lab import _kernels; print(_kernels.backend_name())"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+        assert _kernels.backend_name() == "numpy"
 
 
-@needs_numba
-class TestBackendAgreement:
-    def _cases(self, rng, n=12):
-        for _ in range(n):
-            pair = random_nonprop_pair(rng)
-            a, b, c, d = (float(x) for x in pair.radii)
-            k = rng.randint(1, 10)
-            v1 = rng.randint(0, k)
-            yield v1, k - v1, a, b, c, d
+class TestAgainstScalarReference:
+    def test_gh_profiles(self, rng):
+        psis = 0.5 * np.pi * np.arange(1, 64) / 64
+        for _, _, a, b, c, d in _cases(rng, 6):
+            _, _, f, g, h = _kernels.gh_profiles(a, b, c, d, psis)
+            for psi, fi, gi, hi in zip(psis, f, g, h):
+                cp, sp = math.cos(psi), math.sin(psi)
+                want_f = math.sqrt((c / a) ** 2 * cp * cp + (d / b) ** 2 * sp * sp)
+                assert fi == pytest.approx(want_f, rel=1e-13)
+                assert gi == pytest.approx(cp * (a + c * c / (a * want_f)), rel=1e-13)
+                assert hi == pytest.approx(sp * (b + d * d / (b * want_f)), rel=1e-13)
 
     def test_support_max(self, rng):
-        jit = _kernels.NUMBA_IMPLS["support_max"]
-        ref = _kernels.NUMPY_IMPLS["support_max"]
-        for v1, v2, a, b, c, d in self._cases(rng):
-            got = jit(float(v1), float(v2), a, b, c, d, 512, 60)
-            want = ref(float(v1), float(v2), a, b, c, d, 512, 60)
-            assert got == pytest.approx(want, rel=1e-12)
+        for v1, v2, a, b, c, d in _cases(rng, 12):
+            got = _kernels.support_max(v1, v2, a, b, c, d, 512, 60)
+            assert got == pytest.approx(_support_max_reference(v1, v2, a, b, c, d, 512, 60), rel=1e-12)
 
-    def test_omega_xy(self, rng):
-        jit = _kernels.NUMBA_IMPLS["omega_xy"]
-        ref = _kernels.NUMPY_IMPLS["omega_xy"]
-        psis = 0.5 * np.pi * np.arange(1, 64) / 64
-        for _, _, a, b, c, d in self._cases(rng, n=6):
-            x1j, x2j = np.empty_like(psis), np.empty_like(psis)
-            x1n, x2n = np.empty_like(psis), np.empty_like(psis)
-            jit(a, b, c, d, psis, x1j, x2j)
-            ref(a, b, c, d, psis, x1n, x2n)
-            np.testing.assert_allclose(x1j, x1n, rtol=1e-13)
-            np.testing.assert_allclose(x2j, x2n, rtol=1e-13)
-
-    def test_convexity_grid(self, rng):
-        jit = _kernels.NUMBA_IMPLS["convexity_grid"]
-        ref = _kernels.NUMPY_IMPLS["convexity_grid"]
-        psis = 0.5 * np.pi * np.arange(1, 200) / 200
-        for _, _, a, b, c, d in self._cases(rng, n=6):
-            outs_j = [np.empty_like(psis) for _ in range(3)]
-            outs_n = [np.empty_like(psis) for _ in range(3)]
-            jit(a, b, c, d, psis, *outs_j)
-            ref(a, b, c, d, psis, *outs_n)
-            for oj, on in zip(outs_j, outs_n):
-                np.testing.assert_allclose(oj, on, rtol=1e-12)
-
-    def test_support_splits(self, rng):
+    def test_support_splits(self):
         p = np.linspace(0.0, 1.0, 1001)
-        for name in ["polydisk_support_split", "ellipsoid_support_split"]:
-            jit = _kernels.NUMBA_IMPLS[name]
-            ref = _kernels.NUMPY_IMPLS[name]
-            out_j = np.empty_like(p)
-            out_n = np.empty_like(p)
-            jit(p, 1.5, 0.5, out_j)
-            ref(p, 1.5, 0.5, out_n)
-            np.testing.assert_allclose(out_j, out_n, rtol=1e-15)
+        poly = _kernels.polydisk_support_split(p, 1.5, 0.5)
+        ell = _kernels.ellipsoid_support_split(p, 1.5, 0.5)
+        for pi, got_p, got_e in zip(p, poly, ell):
+            assert got_p == pytest.approx(1.5 * math.sqrt(pi) + 0.5 * math.sqrt(1.0 - pi), rel=1e-15)
+            assert got_e == pytest.approx(math.sqrt(0.25 + 2.0 * pi), rel=1e-15)
+
+
+class TestGoldenMax:
+    def test_interior_peak(self):
+        assert _kernels.golden_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 80) == pytest.approx(0.0, abs=1e-15)
+
+    def test_endpoint_peak(self):
+        assert _kernels.golden_max(lambda x: x, 0.0, 2.0, 5) == 2.0

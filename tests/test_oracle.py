@@ -6,8 +6,14 @@ import pytest
 from capacity_lab import (
     Ellipsoid,
     EllipsoidPair,
+    EllipsoidSum,
     IndexVector,
     OracleConfig,
+    PiRational,
+    Polydisk,
+    ProductWithBall,
+    capacity,
+    cross_check,
     even_family,
     golden_max,
     odd_family,
@@ -17,6 +23,7 @@ from capacity_lab import (
     support_norm,
     support_norm_numeric,
 )
+from capacity_lab import oracle
 from conftest import random_nonprop_pair
 
 F = Fraction
@@ -73,6 +80,48 @@ class TestSupportNormNumeric:
             exact = float(support_norm(v, pair))
             numeric = support_norm_numeric(v, pair)
             assert abs(exact - numeric) / exact <= 1e-9
+
+
+class TestCrossCheck:
+    DOMAINS = [
+        Ellipsoid(F(3, 2), 1),
+        Polydisk(2, 3),
+        EllipsoidSum(EVEN2),
+        EllipsoidSum(ODD3),
+        EllipsoidSum.of(Ellipsoid(1, 2), Ellipsoid(2, 4)),
+        ProductWithBall(Ellipsoid(1, 1), 2, 10),
+    ]
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_accepts_exact_values(self, domain):
+        for k in (1, 2, 3, 7, 40):
+            cross_check(k, domain, capacity(k, domain), FAST)
+
+    def test_accepts_random_sums(self, rng):
+        for _ in range(10):
+            domain = EllipsoidSum(random_nonprop_pair(rng))
+            k = rng.randint(1, 60)
+            cross_check(k, domain, capacity(k, domain), FAST)
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_rejects_forged_value(self, domain):
+        forged = PiRational(capacity(5, domain).coeff + F(1, 1000))
+        with pytest.raises(ValueError):
+            cross_check(5, domain, forged, FAST)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_rejects_a_shifted_argmin(self, monkeypatch, shift):
+        # v1 = 2000 is the unique minimizer at k = 4000 for this pair
+        k, pair = 4000, even_family(4000)
+        v1 = 2000 + shift
+        norm = support_norm(IndexVector(v1, k - v1), pair)
+        monkeypatch.setattr(oracle, "sum_capacity_with_argmin", lambda k, pair: (norm, IndexVector(v1, k - v1)))
+        with pytest.raises(ValueError, match="minimizer|local minimum"):
+            cross_check(k, EllipsoidSum(pair), norm, FAST)
+
+    def test_unsupported_domain(self):
+        with pytest.raises(TypeError):
+            cross_check(2, "E(1,1)", PiRational(1), FAST)
 
 
 class TestSProfile:
