@@ -224,6 +224,10 @@ def _emit_certificate(cert: BMCertificate, fmt: str) -> None:
 def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify, grid, tol):
     """Compare sqrt(c_k(E1+E2)) against sqrt(c_k(E1)) + sqrt(c_k(E2))."""
     if cert_path is not None:
+        given = {"K": k is not None, "DOMAIN1": domain1 is not None, "DOMAIN2": domain2 is not None,
+                 "--verify": verify, f"--format {fmt}": fmt != "json"}
+        if ignored := [name for name, used in given.items() if used]:
+            raise CliError(f"--check-certificate FILE does not take {', '.join(ignored)}")
         try:
             with open(cert_path, "r", encoding="utf-8") as fh:
                 cert = BMCertificate.from_dict(json.load(fh))

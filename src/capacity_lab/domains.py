@@ -14,9 +14,11 @@ N(t) = floor(t/a^2) + floor(t/b^2) rather than materializing a sorted list.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from functools import cache
+from typing import Callable, Union
 
 from .exact import Ordering, PiRational, cmp_rational_sqrt, format_rational, parse_rational
 
@@ -33,6 +35,7 @@ __all__ = [
     "ellipsoid_capacity",
     "ellipsoid_capacity_bruteforce",
     "ellipsoid_norm_argmin",
+    "convex_argmin",
     "polydisk_capacity",
     "product_with_ball_capacity",
     "ellipsoid_product_capacity",
@@ -189,23 +192,29 @@ def _require_positive_k(k: int) -> None:
         raise ValueError(f"capacity index k must be a positive integer, got {k!r}")
 
 
+def convex_argmin(h: Callable[[int], Fraction], k: int) -> tuple[Fraction, int]:
+    """Minimum of a discrete-convex h(0), ..., h(k) and its smallest minimizer.
+
+    Bisects for the first j with h(j+1) >= h(j) in O(log k) evaluations of h;
+    dual norms v1 -> |(v1, k - v1)|* are convex because support functions are.
+    """
+    h = cache(h)
+    j = bisect_left(range(k), True, key=lambda i: h(i + 1) >= h(i))
+    return h(j), j
+
+
 def _kth_merged_multiple(k: int, alpha: Fraction, beta: Fraction) -> Fraction:
     """k-th smallest element of {i*alpha : i >= 1} merged with {j*beta : j >= 1}.
 
-    Ties count twice.  For each progression, binary search the smallest
-    candidate whose count N(t) = floor(t/alpha) + floor(t/beta) reaches k;
-    the answer is the smaller of the two candidates.
+    Ties count twice.  For each progression, bisect for the smallest
+    multiplier m in 1..k whose count N(m*step) = m + floor(m*step/other)
+    reaches k (m = k always does); the answer is the smaller candidate.
     """
 
     def smallest_reaching(step: Fraction, other: Fraction) -> Fraction:
-        lo, hi = 1, k
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid + (mid * step) // other >= k:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo * step
+        p, q = step.numerator * other.denominator, step.denominator * other.numerator
+        i = bisect_left(range(1, k), True, key=lambda m: m + m * p // q >= k)
+        return (i + 1) * step
 
     return min(smallest_reaching(alpha, beta), smallest_reaching(beta, alpha))
 
@@ -227,20 +236,13 @@ def ellipsoid_capacity_bruteforce(k: int, e: Ellipsoid) -> PiRational:
 def ellipsoid_norm_argmin(k: int, e: Ellipsoid) -> tuple[PiRational, IndexVector]:
     """Minimum over v1 + v2 = k of max(v1 * pi a^2, v2 * pi b^2), with argmin.
 
-    Ties are broken toward the smallest v1.  The value always equals
-    ellipsoid_capacity(k, e); the argmin vector is what the strictness
-    criterion needs.
+    Ties go to the smallest v1 (``convex_argmin``).  The value always equals
+    ellipsoid_capacity(k, e); the argmin is what the strictness criterion needs.
     """
     _require_positive_k(k)
     alpha, beta = e.a * e.a, e.b * e.b
-    best = None
-    best_v1 = 0
-    for v1 in range(k + 1):
-        value = max(v1 * alpha, (k - v1) * beta)
-        if best is None or value < best:
-            best = value
-            best_v1 = v1
-    return PiRational(best), IndexVector(best_v1, k - best_v1)
+    value, v1 = convex_argmin(lambda j: max(j * alpha, (k - j) * beta), k)
+    return PiRational(value), IndexVector(v1, k - v1)
 
 
 def polydisk_capacity(k: int, p: Polydisk) -> PiRational:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,8 @@ from .domains import (
     Ellipsoid,
     EllipsoidPair,
     IndexVector,
-    ellipsoid_capacity,
+    _require_positive_k,
+    convex_argmin,
     ellipsoid_norm_argmin,
 )
 from .exact import PiRational
@@ -196,19 +198,27 @@ def support_norm(v: IndexVector, pair: EllipsoidPair) -> PiRational:
     docstring; every comparison is exact rational arithmetic.
     """
     _require_nonproportional(pair, "support_norm")
+    return PiRational(_norm_coeff(v.k, pair)(v.v1))
+
+
+def _norm_coeff(k: int, pair: EllipsoidPair) -> Callable[[int], Fraction]:
+    """v1 -> |(v1, k - v1)|* / pi; for D < 0 tests c/a < N/D < d/b as (c/a) D > N > (d/b) D."""
     a, b, c, d = pair.radii
-    return PiRational(_support_norm_coeff(v.v1, v.v2, a, b, c, d))
-
-
-def _support_norm_coeff(v1: int, v2: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     a2, b2, c2, d2 = a * a, b * b, c * c, d * d
-    D = v2 * b2 - v1 * a2
-    N = v1 * c2 - v2 * d2
-    if D != 0:
-        f0 = N / D
-        if D < 0 and c / a < f0 < d / b:
-            return (b2 * c2 - a2 * d2) * v1 * v2 * (Fraction(1) / N + Fraction(1) / D)
-    return max(v1 * (a + c) ** 2, v2 * (b + d) ** 2)
+    lo, hi = c / a, d / b
+    cross = b2 * c2 - a2 * d2
+    ac2, bd2 = (a + c) ** 2, (b + d) ** 2
+
+    def h(v1: int) -> Fraction:
+        v2 = k - v1
+        D = v2 * b2 - v1 * a2
+        if D < 0:
+            N = v1 * c2 - v2 * d2
+            if lo * D > N > hi * D:
+                return cross * v1 * v2 * (N + D) / (N * D)
+        return max(v1 * ac2, v2 * bd2)
+
+    return h
 
 
 def sum_capacity(k: int, pair: EllipsoidPair) -> PiRational:
@@ -220,27 +230,14 @@ def sum_capacity_with_argmin(k: int, pair: EllipsoidPair) -> tuple[PiRational, I
     """Capacity of the sum together with the minimizing index vector.
 
     Proportional pairs reduce to the ellipsoid E(a+c, b+d).  Otherwise the
-    minimum runs over v1 = 0..k with ties broken toward the smallest v1;
-    since every norm is at least v1 * pi (a+c)^2, the scan stops once that
-    lower bound passes the current best.
+    norm is convex in v1, so ``convex_argmin`` bisects over v1 = 0..k for
+    the smallest minimizer in O(log k) exact evaluations.
     """
-    if k < 1:
-        raise ValueError(f"capacity index k must be a positive integer, got {k!r}")
+    _require_positive_k(k)
     if pair.proportional:
-        _, argmin = ellipsoid_norm_argmin(k, pair.outer_ellipsoid)
-        return ellipsoid_capacity(k, pair.outer_ellipsoid), argmin
-    a, b, c, d = pair.radii
-    ac2 = (a + c) ** 2
-    best = None
-    best_v1 = 0
-    for v1 in range(k + 1):
-        if best is not None and v1 * ac2 >= best:
-            break
-        coeff = _support_norm_coeff(v1, k - v1, a, b, c, d)
-        if best is None or coeff < best:
-            best = coeff
-            best_v1 = v1
-    return PiRational(best), IndexVector(best_v1, k - best_v1)
+        return ellipsoid_norm_argmin(k, pair.outer_ellipsoid)
+    value, v1 = convex_argmin(_norm_coeff(k, pair), k)
+    return PiRational(value), IndexVector(v1, k - v1)
 
 
 def strictness_check(k: int, pair: EllipsoidPair) -> StrictnessReport:
@@ -252,21 +249,15 @@ def strictness_check(k: int, pair: EllipsoidPair) -> StrictnessReport:
     (v1 c^2 - (k-v1) d^2) / ((k-v1) b^2 - v1 a^2) lies in (c/a, d/b) and
     (k-v1) b^2 < v1 a^2.
     """
-    if k < 1:
-        raise ValueError(f"capacity index k must be a positive integer, got {k!r}")
+    _require_positive_k(k)
     a, b, c, d = pair.radii
-    inner = pair.outer_ellipsoid
-    c_inner = ellipsoid_capacity(k, inner)
-    _, argmin = ellipsoid_norm_argmin(k, inner)
+    c_inner, argmin = ellipsoid_norm_argmin(k, pair.outer_ellipsoid)
     c_sum = sum_capacity(k, pair)
     strict = c_sum.coeff > c_inner.coeff
     v1, v2 = argmin.v1, argmin.v2
     D = v2 * b * b - v1 * a * a
     N = v1 * c * c - v2 * d * d
-    criterion = False
-    if D < 0:
-        f0 = N / D
-        criterion = c / a < f0 < d / b
+    criterion = D < 0 and c / a < N / D < d / b
     return StrictnessReport(
         strict=strict,
         c_sum=c_sum,

@@ -33,6 +33,7 @@ from .domains import (
     IndexVector,
     Polydisk,
     ProductWithBall,
+    convex_argmin,
     ellipsoid_capacity_bruteforce,
     ellipsoid_norm_argmin,
 )
@@ -102,7 +103,7 @@ def cross_check(k: int, domain: DomainSpec, value: PiRational, cfg: OracleConfig
             raise ValueError("sorted-multiples check disagrees")
     elif isinstance(domain, Polydisk):
         a2, b2 = domain.a**2, domain.b**2
-        against = min(v1 * a2 + (k - v1) * b2 for v1 in range(k + 1))
+        against = convex_argmin(lambda v1: v1 * a2 + (k - v1) * b2, k)[0]
         if against != value.coeff:
             raise ValueError(f"rectangle norm minimum {against} != {value.coeff}")
     elif isinstance(domain, ProductWithBall):

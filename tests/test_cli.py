@@ -48,6 +48,11 @@ class TestCapacity:
             assert res.exit_code == 0, res.output
             assert json.loads(res.output)["verified"] is True
 
+    def test_verify_sum_at_the_cli_cap(self, runner):
+        res = invoke(runner, "capacity", "1000000", "sum(E(3/2,1),E(1,3/2))", "--verify")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["verified"] is True
+
     def test_parse_error_names_position(self, runner):
         res = runner.invoke(main, ["capacity", "2", "E(3/2;1)"])
         assert res.exit_code == 2
@@ -123,6 +128,20 @@ class TestBmCheck:
         res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
         assert res.exit_code == 2
         assert res.output.startswith("Error: bad certificate file")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["7"], ["7", "E(1,1)"], ["7", "E(1,1)", "E(9,9)"], ["--verify"], ["--format", "text"], ["--format", "csv"]],
+    )
+    def test_check_certificate_takes_no_other_input(self, runner, tmp_path, extra):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(invoke(runner, "bm-check", "2", "E(3/2,1)", "E(1,3/2)").output)
+        res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file), *extra], catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output.startswith("Error: --check-certificate FILE does not take")
+        assert len(res.output.strip().splitlines()) == 1
+        explicit_json = ["bm-check", "--check-certificate", str(cert_file), "--format", "json"]
+        assert json.loads(invoke(runner, *explicit_json).output)["valid"] is True
 
     def test_missing_args_reported(self, runner):
         res = runner.invoke(main, ["bm-check", "2", "E(1,1)"])

@@ -25,6 +25,7 @@ from capacity_lab import (
     product_with_ball_capacity,
     scale_domain,
 )
+from capacity_lab.domains import convex_argmin
 from conftest import ellipsoids_st, radii_st, random_ellipsoid
 
 F = Fraction
@@ -114,6 +115,97 @@ class TestEllipsoidCapacity:
         assert value == ellipsoid_capacity(k, e)
         assert argmin.k == k
         assert value.coeff == max(argmin.v1 * e.a**2, argmin.v2 * e.b**2)
+
+
+def reference_norm_argmin(k, e):
+    """The linear scan that ellipsoid_norm_argmin ran before it bisected."""
+    alpha, beta = e.a * e.a, e.b * e.b
+    best = None
+    best_v1 = 0
+    for v1 in range(k + 1):
+        value = max(v1 * alpha, (k - v1) * beta)
+        if best is None or value < best:
+            best = value
+            best_v1 = v1
+    return best, best_v1
+
+
+def reference_kth_merged_multiple(k, alpha, beta):
+    """The hand-written binary search that ellipsoid_capacity ran before it used bisect."""
+
+    def smallest_reaching(step, other):
+        lo, hi = 1, k
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid + (mid * step) // other >= k:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo * step
+
+    return min(smallest_reaching(alpha, beta), smallest_reaching(beta, alpha))
+
+
+def scan_argmin(values):
+    best = min(values)
+    return best, values.index(best)
+
+
+convex_sequences_st = st.tuples(
+    st.lists(st.integers(-50, 50), min_size=0, max_size=40), st.integers(-1000, 1000)
+).map(lambda t: [t[1] + sum(sorted(t[0])[:j]) for j in range(len(t[0]) + 1)])
+
+
+class TestConvexArgmin:
+    @given(convex_sequences_st)
+    @settings(max_examples=300)
+    def test_matches_scan_on_convex_sequences(self, values):
+        assert convex_argmin(lambda j: values[j], len(values) - 1) == scan_argmin(values)
+
+    def test_constant_sequence_picks_zero(self):
+        assert convex_argmin(lambda j: F(7, 3), 9) == (F(7, 3), 0)
+
+    def test_each_value_computed_once(self):
+        calls = []
+
+        def h(j):
+            calls.append(j)
+            return F((j - 600) ** 2)
+
+        assert convex_argmin(h, 10**6) == (0, 600)
+        assert len(calls) == len(set(calls)) <= 2 * 21
+
+    @given(ellipsoids_st, st.integers(1, 60))
+    @settings(max_examples=200)
+    def test_norm_argmin_matches_reference_scan(self, e, k):
+        value, argmin = ellipsoid_norm_argmin(k, e)
+        assert (value.coeff, argmin.v1) == reference_norm_argmin(k, e)
+
+    @given(st.builds(Polydisk, radii_st, radii_st), st.integers(1, 60))
+    def test_rectangle_norm_matches_reference_scan(self, p, k):
+        a2, b2 = p.a**2, p.b**2
+        values = [v1 * a2 + (k - v1) * b2 for v1 in range(k + 1)]
+        assert convex_argmin(lambda v1: v1 * a2 + (k - v1) * b2, k) == scan_argmin(values)
+
+    @given(ellipsoids_st, st.integers(1, 10**6))
+    @settings(max_examples=200)
+    def test_kth_merged_multiple_matches_reference_search(self, e, k):
+        expected = reference_kth_merged_multiple(k, e.a * e.a, e.b * e.b)
+        assert ellipsoid_capacity(k, e).coeff == expected
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 99, 10**6 + 1])
+    def test_ball_tie_breaks_to_smallest_v1(self, k):
+        # max(v1, k - v1) is smallest at v1 = (k-1)/2 and (k+1)/2 for odd k
+        value, argmin = ellipsoid_norm_argmin(k, Ellipsoid(1, 1))
+        assert (value.coeff, argmin.v1, argmin.v2) == ((k + 1) // 2, (k - 1) // 2, (k + 1) // 2)
+
+    def test_large_k_matches_capacity(self):
+        k = 10**6
+        e = Ellipsoid(F(3, 2), 1)
+        value, argmin = ellipsoid_norm_argmin(k, e)
+        assert value == ellipsoid_capacity(k, e)
+        assert value.coeff == max(argmin.v1 * e.a**2, argmin.v2 * e.b**2)
+        assert max((argmin.v1 - 1) * e.a**2, (argmin.v2 + 1) * e.b**2) > value.coeff
 
 
 class TestPolydiskCapacity:

@@ -272,8 +272,11 @@ class TestSumCapacity:
         assert sum_capacity(1, pair).coeff == 4
 
     def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            sum_capacity(0, EVEN2)
+        for k in (0, True, 2.5):
+            with pytest.raises(ValueError):
+                sum_capacity(k, EVEN2)
+            with pytest.raises(ValueError):
+                strictness_check(k, EVEN2)
 
     def test_argmin_reported(self):
         value, argmin = sum_capacity_with_argmin(2, EVEN2)
@@ -331,6 +334,76 @@ class TestSumCapacity:
         pair = EllipsoidPair.normalized(e, e.scaled(lam))
         expected = (1 + lam) ** 2 * ellipsoid_capacity(k, e).coeff
         assert sum_capacity(k, pair).coeff == expected
+
+
+def reference_support_norm_coeff(v1, v2, a, b, c, d):
+    """The branch formula as support_norm evaluated it before the per-pair constants were hoisted."""
+    a2, b2, c2, d2 = a * a, b * b, c * c, d * d
+    D = v2 * b2 - v1 * a2
+    N = v1 * c2 - v2 * d2
+    if D != 0:
+        f0 = N / D
+        if D < 0 and c / a < f0 < d / b:
+            return (b2 * c2 - a2 * d2) * v1 * v2 * (F(1) / N + F(1) / D)
+    return max(v1 * (a + c) ** 2, v2 * (b + d) ** 2)
+
+
+def reference_sum_argmin(k, pair):
+    """The early-stopping linear scan that sum_capacity_with_argmin ran before it bisected."""
+    a, b, c, d = pair.radii
+    ac2 = (a + c) ** 2
+    best = None
+    best_v1 = 0
+    for v1 in range(k + 1):
+        if best is not None and v1 * ac2 >= best:
+            break
+        coeff = reference_support_norm_coeff(v1, k - v1, a, b, c, d)
+        if best is None or coeff < best:
+            best = coeff
+            best_v1 = v1
+    return best, best_v1
+
+
+class TestBisection:
+    @given(nonprop_pairs_st, st.integers(1, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_norm_is_discrete_convex(self, pair, k):
+        h = [support_norm(IndexVector(v1, k - v1), pair).coeff for v1 in range(k + 1)]
+        assert all(h[j - 1] + h[j + 1] >= 2 * h[j] for j in range(1, k))
+
+    @given(nonprop_pairs_st, st.integers(1, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_support_norm_matches_reference_formula(self, pair, k):
+        a, b, c, d = pair.radii
+        for v1 in range(k + 1):
+            expected = reference_support_norm_coeff(v1, k - v1, a, b, c, d)
+            assert support_norm(IndexVector(v1, k - v1), pair).coeff == expected
+
+    @given(nonprop_pairs_st, st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_argmin_matches_reference_scan(self, pair, k):
+        value, argmin = sum_capacity_with_argmin(k, pair)
+        assert (value.coeff, argmin.v1) == reference_sum_argmin(k, pair)
+
+    def test_families_match_reference_scan(self):
+        for k in range(2, 61):
+            pair = even_family(k) if k % 2 == 0 else odd_family(k)
+            value, argmin = sum_capacity_with_argmin(k, pair)
+            assert (value.coeff, argmin.v1) == reference_sum_argmin(k, pair)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 99])
+    def test_proportional_ball_sum_ties(self, k):
+        # sum(E(1,1),E(1,1)) = E(2,2): ties at odd k break to v1 = (k-1)/2
+        pair = EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(1, 1))
+        value, argmin = sum_capacity_with_argmin(k, pair)
+        assert value.coeff == 4 * ((k + 1) // 2)
+        assert (argmin.v1, argmin.v2) == (k // 2, k - k // 2)
+
+    def test_even_family_at_the_cli_cap(self):
+        k = 10**6
+        value, argmin = sum_capacity_with_argmin(k, even_family(k))
+        assert value.coeff == 2 * k + 2 + F(1, k)
+        assert (argmin.v1, argmin.v2) == (k // 2, k // 2)
 
 
 class TestStrictness:

@@ -123,6 +123,17 @@ class TestCrossCheck:
         with pytest.raises(TypeError):
             cross_check(2, "E(1,1)", PiRational(1), FAST)
 
+    @pytest.mark.parametrize(
+        "domain",
+        [EllipsoidSum(even_family(10**6)), EllipsoidSum(EVEN2), Ellipsoid(F(3, 2), 1), Polydisk(F(3, 2), 1)],
+    )
+    def test_accepts_exact_values_at_the_cli_cap(self, domain):
+        k = 10**6
+        value = capacity(k, domain)
+        cross_check(k, domain, value)
+        with pytest.raises(ValueError):
+            cross_check(k, domain, PiRational(value.coeff + F(1, k)))
+
 
 class TestSProfile:
     def test_lower_endpoint(self, rng):
