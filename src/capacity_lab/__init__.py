@@ -4,7 +4,9 @@ and Minkowski sums of ellipsoids, with certified Brunn-Minkowski checks.
 Capacity values are exact rational multiples of pi; floating point is
 confined to the numeric oracle (``cross_check`` is the one verification
 path), the boundary-curve samplers, and the Monte Carlo mean-width
-estimator, all of which run on the numpy kernels in ``_kernels``.
+estimator, all of which run on the numpy kernels in ``_kernels``.  Those
+functions import numpy and ``_kernels`` when called, so importing
+this package, or running an exact computation, never loads numpy.
 """
 
 from .exact import (

@@ -11,6 +11,12 @@ pair and work on the boundary parameterization
 ``gh_profiles`` is the one array form of these formulas; the only other
 copy is the scalar golden-section objective inside ``support_max``, where
 numpy on a single float costs several times more than ``math``.
+
+This is the only module that imports numpy at import time.  The float
+functions of ``minkowski``, ``oracle`` and ``bm`` import it when
+called, so the exact path never loads numpy.  ``golden_max`` is pure
+Python and lives in ``oracle``; it is re-exported here for
+``support_max``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .oracle import golden_max
 
 __all__ = [
     "backend_name",
@@ -30,7 +38,6 @@ __all__ = [
     "ellipsoid_support_split",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _HALF_PI = 0.5 * math.pi
 
 
@@ -46,24 +53,6 @@ def gh_profiles(a: float, b: float, c: float, d: float, psis):
     g = cp * (a + c * c / (a * f))
     h = sp * (b + d * d / (b * f))
     return cp, sp, f, g, h
-
-
-def golden_max(fn, lo: float, hi: float, iters: int) -> float:
-    """Golden-section maximum of a unimodal fn on [lo, hi], endpoints included."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    best = max(fn(lo), fn(hi))
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = fn(x1)
-    return max(best, f1, f2)
 
 
 def support_max(v1: int, v2: int, a: float, b: float, c: float, d: float, grid: int, iters: int) -> float:

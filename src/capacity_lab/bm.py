@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels
 from .domains import (
     DomainSpec,
     Ellipsoid,
@@ -231,6 +228,10 @@ def mean_width_estimate(domain: DomainSpec, samples: int, seed: int) -> MeanWidt
     """
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
+    import numpy as np
+
+    from . import _kernels
+
     if isinstance(domain, Ellipsoid):
         split = _kernels.ellipsoid_support_split
     elif isinstance(domain, Polydisk):
@@ -261,8 +262,8 @@ def _chunk_moments(rng: np.random.Generator, n: int, split, a: float, b: float) 
     u = gauss[:, 0] ** 2 + gauss[:, 1] ** 2
     w = gauss[:, 2] ** 2 + gauss[:, 3] ** 2
     values = split(u / (u + w), a, b)
-    mean = float(np.mean(values))
-    return mean, float(np.sum((values - mean) ** 2))
+    mean = float(values.mean())
+    return mean, float(((values - mean) ** 2).sum())
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import click
 
+from . import __version__
 from .bm import (
     BMCertificate,
     ReproductionError,
@@ -41,6 +42,8 @@ from .minkowski import omega_curve
 from .oracle import OracleConfig, cross_check
 
 K_CAP = 10**6
+GRID_CAP = 2**20
+SAMPLES_CAP = 10**5
 
 
 class CliError(click.ClickException):
@@ -69,6 +72,8 @@ def _oracle_config(verify: bool, grid: int, tol: float) -> OracleConfig | None:
     """The --verify settings, validated before any work starts; None without --verify."""
     if not verify:
         return None
+    if grid > GRID_CAP:
+        raise CliError(f"--grid is capped at {GRID_CAP}, got {grid}")
     try:
         return OracleConfig(grid=grid, tol=tol)
     except ValueError as exc:
@@ -121,7 +126,7 @@ def _emit_csv(fieldnames: list[str], rows: list[dict]) -> str:
 
 
 @click.group()
-@click.version_option(package_name="capacity-lab")
+@click.version_option(version=__version__)
 def main():
     """Exact capacities of ellipsoids, polydisks and ellipsoid sums, with
     Brunn-Minkowski violation certificates."""
@@ -309,6 +314,8 @@ def cmd_reproduce(k_max, fmt, verify, grid, tol):
 @format_option
 def cmd_omega(domain1, domain2, samples, out, fmt):
     """Boundary curve of the moment image of E1 + E2 as psi,x1,x2 data."""
+    if samples > SAMPLES_CAP:
+        raise CliError(f"--samples is capped at {SAMPLES_CAP} for omega, got {samples}")
     e1 = _require_ellipsoid(_parse_domain_arg(domain1), "domain1")
     e2 = _require_ellipsoid(_parse_domain_arg(domain2), "domain2")
     pair = EllipsoidPair.normalized(e1, e2)

@@ -14,10 +14,13 @@ N(t) = floor(t/a^2) + floor(t/b^2) rather than materializing a sorted list.
 
 from __future__ import annotations
 
+import heapq
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from typing import Callable, Union
 
 from .exact import Ordering, PiRational, cmp_rational_sqrt, format_rational, parse_rational
@@ -226,11 +229,17 @@ def ellipsoid_capacity(k: int, e: Ellipsoid) -> PiRational:
 
 
 def ellipsoid_capacity_bruteforce(k: int, e: Ellipsoid) -> PiRational:
-    """Sorted-materialization reference for ellipsoid_capacity (testing aid)."""
+    """O(k) reference for ellipsoid_capacity, used by tests and ``oracle.cross_check``.
+
+    With a^2 = A/den and b^2 = B/den over a common denominator, the integer
+    progressions A, 2A, ... and B, 2B, ... are merged lazily up to the k-th.
+    """
     _require_positive_k(k)
     alpha, beta = e.a * e.a, e.b * e.b
-    merged = sorted([i * alpha for i in range(1, k + 1)] + [j * beta for j in range(1, k + 1)])
-    return PiRational(merged[k - 1])
+    den = math.lcm(alpha.denominator, beta.denominator)
+    A, B = int(alpha * den), int(beta * den)
+    kth = next(islice(heapq.merge(range(A, (k + 1) * A, A), range(B, (k + 1) * B, B)), k - 1, None))
+    return PiRational(Fraction(kth, den))
 
 
 def ellipsoid_norm_argmin(k: int, e: Ellipsoid) -> tuple[PiRational, IndexVector]:

@@ -28,9 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
-from . import _kernels
 from .domains import (
     Ellipsoid,
     EllipsoidPair,
@@ -121,6 +118,8 @@ def cy_boundary_point(psi: float, pair: EllipsoidPair) -> BoundaryPoint:
         return BoundaryPoint(float(a + c), 0.0, 0.0)
     if psi == math.pi / 2:
         return BoundaryPoint(0.0, float(b + d), psi)
+    from . import _kernels
+
     _, _, _, g, h = _kernels.gh_profiles(*_float_radii(pair), psi)
     return BoundaryPoint(float(g), float(h), psi)
 
@@ -132,6 +131,8 @@ def general_cy_map(a1, a2, x) -> np.ndarray:
     point.  Raises on a singular A1, a zero denominator vector, or a
     non-unit x (checked to 1e-12).
     """
+    import numpy as np
+
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -161,6 +162,10 @@ def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
     _require_nonproportional(pair, "omega_curve")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
+    import numpy as np
+
+    from . import _kernels
+
     a, b, c, d = pair.radii
     af, bf, cf, df = _float_radii(pair)
     psis = 0.5 * math.pi * np.arange(samples + 1) / samples
@@ -183,6 +188,10 @@ def convexity_check(pair: EllipsoidPair, grid: int) -> ConvexityReport:
     _require_nonproportional(pair, "convexity_check")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
+    import numpy as np
+
+    from . import _kernels
+
     af, bf, cf, df = _float_radii(pair)
     psis = 0.5 * math.pi * np.arange(1, grid + 1) / (grid + 1)
     c1, c2, gp = _kernels.convexity_grid(af, bf, cf, df, psis)

@@ -16,6 +16,8 @@ with D = v2 b^2 - v1 a^2 and N = v1 c^2 - v2 d^2, so the only possible
 interior critical point is f0 = N/D, a maximum exactly when D < 0.
 Disagreement with the exact engine is a test failure, never a fallback;
 ``cross_check`` is the one re-derivation behind the CLI's --verify.
+It loads the numpy kernels only for a non-proportional sum, through
+``support_norm_numeric``; ``golden_max`` is pure Python and defined here.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _kernels
-from ._kernels import golden_max
 from .domains import (
     DomainSpec,
     Ellipsoid,
@@ -69,11 +69,33 @@ class OracleConfig:
 
 DEFAULT_CONFIG = OracleConfig()
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(fn, lo: float, hi: float, iters: int) -> float:
+    """Golden-section maximum of a unimodal fn on [lo, hi], endpoints included."""
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    best = max(fn(lo), fn(hi))
+    for _ in range(iters):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = fn(x1)
+    return max(best, f1, f2)
+
 
 def support_norm_numeric(v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
     """Numeric maximum of pi (v1 g^2 + v2 h^2) over psi in [0, pi/2]."""
     if pair.proportional:
         raise ValueError("support_norm_numeric requires a non-proportional pair")
+    from . import _kernels
+
     a, b, c, d = (float(x) for x in pair.radii)
     return _kernels.support_max(v.v1, v.v2, a, b, c, d, cfg.grid, cfg.refine_iters)
 

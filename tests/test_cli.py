@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from capacity_lab import cli
+from capacity_lab import __version__, cli
 from capacity_lab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -283,6 +289,25 @@ class TestOptionsAndErrors:
         assert res.exit_code == 2
         assert "No such option" in res.output
 
+    def test_version(self, runner):
+        res = runner.invoke(main, ["--version"], catch_exceptions=False)
+        assert res.exit_code == 0
+        assert res.output.rstrip("\n").endswith(f"version {__version__}")
+
+    def test_grid_cap(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "capacity", lambda *args: pytest.fail("computed past the --grid cap"))
+        args = ["capacity", "3", "sum(E(3/2,1),E(1,3/2))", "--verify", "--grid", str(cli.GRID_CAP + 1)]
+        res = runner.invoke(main, args, catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output == f"Error: --grid is capped at {cli.GRID_CAP}, got {cli.GRID_CAP + 1}\n"
+
+    def test_omega_samples_cap(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "omega_curve", lambda *args: pytest.fail("sampled past the --samples cap"))
+        args = ["omega", "E(1,1)", "E(2/3,1)", "--samples", str(cli.SAMPLES_CAP + 1)]
+        res = runner.invoke(main, args, catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output == f"Error: --samples is capped at {cli.SAMPLES_CAP} for omega, got {cli.SAMPLES_CAP + 1}\n"
+
     def test_verification_failure_exit_codes(self, runner, monkeypatch):
         def disagree(*args):
             raise ValueError("forged disagreement")
@@ -296,3 +321,58 @@ class TestOptionsAndErrors:
         res = runner.invoke(main, ["reproduce", "4", "--verify"], catch_exceptions=False)
         assert res.exit_code == 3
         assert "oracle disagrees at k=2" in res.output
+
+
+def run_fresh(*args):
+    """Run python with ARGS in a fresh interpreter that imports capacity_lab from the checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_with_importtime(*args):
+    """Run the CLI in a fresh interpreter; stderr lists every module it imported."""
+    return run_fresh("-X", "importtime", "-m", "capacity_lab.cli", *args)
+
+
+def imports_numpy(res):
+    return "numpy" in res.stderr
+
+
+class TestExactPathImports:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["capacity", "7", "E(3/2,1)", "--verify"],
+            ["capacity", "5", "sum(E(3/2,1),E(1,3/2))"],
+            ["bm-check", "6", "E(3/2,1)", "E(1,2)"],
+            ["reproduce", "20"],
+            ["criterion", "1..20"],
+            ["search", "2", "2..4"],
+            ["--version"],
+        ],
+    )
+    def test_exact_subcommands_never_import_numpy(self, args):
+        res = run_with_importtime(*args)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout
+        assert not imports_numpy(res)
+
+    def test_package_import_leaves_float_modules_unloaded(self):
+        res = run_fresh("-c", "import json, sys, capacity_lab, capacity_lab.cli; print(json.dumps(list(sys.modules)))")
+        assert res.returncode == 0, res.stderr
+        loaded = set(json.loads(res.stdout))
+        assert "numpy" not in loaded and "capacity_lab._kernels" not in loaded
+
+    def test_check_certificate_never_imports_numpy(self, runner, tmp_path):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(invoke(runner, "bm-check", "6", "E(3/2,1)", "E(1,2)").output)
+        res = run_with_importtime("bm-check", "--check-certificate", str(cert_file))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["valid"] is True
+        assert not imports_numpy(res)
+
+    def test_sum_verify_loads_numpy_when_it_needs_it(self):
+        res = run_with_importtime("capacity", "5", "sum(E(3/2,1),E(1,3/2))", "--verify")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["verified"] is True
+        assert imports_numpy(res)

@@ -146,6 +146,24 @@ def reference_kth_merged_multiple(k, alpha, beta):
     return min(smallest_reaching(alpha, beta), smallest_reaching(beta, alpha))
 
 
+def reference_sorted_bruteforce(k, e):
+    """The sorted materialization that ellipsoid_capacity_bruteforce ran before it merged lazily."""
+    alpha, beta = e.a * e.a, e.b * e.b
+    merged = sorted([i * alpha for i in range(1, k + 1)] + [j * beta for j in range(1, k + 1)])
+    return merged[k - 1]
+
+
+class TestBruteforce:
+    @given(ellipsoids_st, st.integers(1, 300))
+    @settings(max_examples=300)
+    def test_matches_sorted_reference(self, e, k):
+        assert ellipsoid_capacity_bruteforce(k, e).coeff == reference_sorted_bruteforce(k, e)
+
+    @pytest.mark.parametrize("e", [Ellipsoid(1, 1), Ellipsoid(F(3, 2), 1), Ellipsoid(F(7, 5), F(2, 3))])
+    def test_matches_sorted_reference_at_the_cross_check_bound(self, e):
+        assert ellipsoid_capacity_bruteforce(4096, e).coeff == reference_sorted_bruteforce(4096, e)
+
+
 def scan_argmin(values):
     best = min(values)
     return best, values.index(best)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from capacity_lab import _kernels
+import capacity_lab
+from capacity_lab import _kernels, oracle
 from conftest import random_nonprop_pair
 
 
@@ -70,6 +71,9 @@ class TestAgainstScalarReference:
 
 
 class TestGoldenMax:
+    def test_one_definition_under_three_names(self):
+        assert _kernels.golden_max is oracle.golden_max is capacity_lab.golden_max
+
     def test_interior_peak(self):
         assert _kernels.golden_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 80) == pytest.approx(0.0, abs=1e-15)
 
