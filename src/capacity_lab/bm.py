@@ -213,13 +213,17 @@ _CHUNK = 1 << 20
 def mean_width_estimate(domain: DomainSpec, samples: int, seed: int) -> MeanWidthEstimate:
     """Monte Carlo mean width of a 4-dimensional ellipsoid or polydisk.
 
-    Averages the support function over uniform points of S^3, drawn as
-    normalized 4-dimensional Gaussians from a seeded generator.  Only the
+    Averages the support function over uniform points of S^3.  Only the
     squared plane-split p = |(x1,x2)|^2 of each point enters the support
-    function, so that is all that is computed:
+    function:
 
         P(a,b): a sqrt(p) + b sqrt(1-p)
         E(a,b): sqrt(b^2 + (a^2 - b^2) p)
+
+    For a uniform point of S^3 in C^2, the moment coordinate p = |z1|^2 is
+    itself uniform on [0, 1] (Archimedes' theorem in dimension 4: p is
+    u/(u+w) for independent chi-squared(2) u and w, which is Beta(1,1)).
+    So each sample is one uniform draw of p from a seeded generator.
 
     The samples are drawn in chunks of at most 2^20 points; the chunks'
     means and squared deviations are merged with Chan's pairwise update,
@@ -256,12 +260,10 @@ def mean_width_estimate(domain: DomainSpec, samples: int, seed: int) -> MeanWidt
 
 
 def _chunk_moments(rng: np.random.Generator, n: int, split, a: float, b: float) -> tuple[float, float]:
-    # Mean and sum of squared deviations of n support values; the arrays
-    # die on return, so memory stays at one chunk whatever the sample count.
-    gauss = rng.standard_normal((n, 4))
-    u = gauss[:, 0] ** 2 + gauss[:, 1] ** 2
-    w = gauss[:, 2] ** 2 + gauss[:, 3] ** 2
-    values = split(u / (u + w), a, b)
+    # Mean and sum of squared deviations of the support values at n uniform
+    # draws of p; the arrays die on return, so memory stays at one chunk
+    # whatever the sample count.
+    values = split(rng.random(n), a, b)
     mean = float(values.mean())
     return mean, float(((values - mean) ** 2).sum())
 

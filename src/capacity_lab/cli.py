@@ -44,6 +44,8 @@ from .oracle import OracleConfig, cross_check
 K_CAP = 10**6
 GRID_CAP = 2**20
 SAMPLES_CAP = 10**5
+MEAN_WIDTH_SAMPLES_CAP = 10**9
+SEARCH_CAP = 10**6
 
 
 class CliError(click.ClickException):
@@ -236,7 +238,9 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify, grid, tol):
         try:
             with open(cert_path, "r", encoding="utf-8") as fh:
                 cert = BMCertificate.from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
+            if not 1 <= cert.k <= K_CAP:
+                raise ValueError(f"k must be in 1..{K_CAP}, got {cert.k}")
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad certificate file: {exc}") from None
         ok = verify_certificate(cert)
         click.echo(json.dumps({"file": cert_path, "valid": ok}))
@@ -267,6 +271,8 @@ def cmd_reproduce(k_max, fmt, verify, grid, tol):
     (E(1,1), E(1-1/k,1)).  Exits nonzero if any k fails to violate or to
     match its closed form.
     """
+    if k_max < 2:
+        raise CliError(f"K_MAX must be >= 2, got {k_max}")
     _check_k(k_max)
     cfg = _oracle_config(verify, grid, tol)
     try:
@@ -343,6 +349,8 @@ def cmd_omega(domain1, domain2, samples, out, fmt):
 @format_option
 def cmd_mean_width(domain, samples, seed, fmt):
     """Monte Carlo mean width of a 4-dimensional ellipsoid or polydisk."""
+    if samples > MEAN_WIDTH_SAMPLES_CAP:
+        raise CliError(f"--samples is capped at {MEAN_WIDTH_SAMPLES_CAP} for mean-width, got {samples}")
     dom = _parse_domain_arg(domain)
     try:
         est = mean_width_estimate(dom, samples, seed)
@@ -403,6 +411,12 @@ def _height_bounded_rationals(bound: int) -> list[Fraction]:
     return sorted(values)
 
 
+def _search_checks(n_radii: int, n_ks: int) -> int:
+    """bm_check calls of a search: unordered pairs of the n_radii^2 ellipsoids, times the k count."""
+    n = n_radii * n_radii
+    return n * (n + 1) // 2 * n_ks
+
+
 @main.command("search")
 @click.argument("bound", type=int)
 @click.argument("k_range", type=str)
@@ -412,20 +426,25 @@ def cmd_search(bound, k_range, fmt):
 
     Enumerates all unordered ellipsoid pairs with such radii and every k in
     K_RANGE, reporting the violating certificates.  The pair count grows
-    like the fourth power of the number of admissible radii, so keep BOUND
-    small.
+    like the fourth power of the number of admissible radii, so the number
+    of checks is capped at SEARCH_CAP before any of them runs.
     """
     if bound < 1:
         raise CliError(f"bound must be >= 1, got {bound}")
     ks = _parse_krange(k_range)
+    # the integers 1..BOUND are among the radii, so this is a lower bound
+    if (checks := _search_checks(bound, len(ks))) > SEARCH_CAP:
+        raise CliError(f"search is capped at {SEARCH_CAP} checks, got at least {checks}")
     radii = _height_bounded_rationals(bound)
+    if (checks := _search_checks(len(radii), len(ks))) > SEARCH_CAP:
+        raise CliError(f"search is capped at {SEARCH_CAP} checks, got {checks}")
     ellipsoids = [Ellipsoid(a, b) for a in radii for b in radii]
-    certs = [
+    certs = (
         bm_check(k, EllipsoidPair.normalized(e1, e2))
         for i, e1 in enumerate(ellipsoids)
         for e2 in ellipsoids[i:]
         for k in ks
-    ]
+    )
     violating = [c for c in certs if c.verdict is Verdict.VIOLATES]
     if fmt == "json":
         click.echo(json.dumps([c.to_dict() for c in violating], indent=2))
@@ -437,7 +456,7 @@ def cmd_search(bound, k_range, fmt):
                 f"k={c.k} {format_domain(c.domain1)} + {format_domain(c.domain2)}: "
                 f"c_sum={c.c_sum} c1={c.c_1} c2={c.c_2} margin={c.margin():.6g}"
             )
-        click.echo(f"{len(violating)} violating certificates among {len(certs)} checks")
+        click.echo(f"{len(violating)} violating certificates among {checks} checks")
 
 
 if __name__ == "__main__":

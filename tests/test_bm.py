@@ -13,6 +13,7 @@ from capacity_lab import (
     BMCertificate,
     Ellipsoid,
     EllipsoidPair,
+    MeanWidthEstimate,
     Ordering,
     PiRational,
     Polydisk,
@@ -27,6 +28,7 @@ from capacity_lab import (
     reproduce_theorem,
     verify_certificate,
 )
+from capacity_lab import _kernels, bm
 from conftest import pairs_st
 
 F = Fraction
@@ -148,6 +150,33 @@ def _quadrature_mean_width(domain, n=200_000) -> float:
     return float(np.sum(vals * np.sin(2 * psi)) * (math.pi / 2) / n)
 
 
+def reference_gaussian_chunk_moments(rng, n, split, a, b):
+    # The per-chunk body before one uniform draw of p replaced it, kept verbatim.
+    gauss = rng.standard_normal((n, 4))
+    u = gauss[:, 0] ** 2 + gauss[:, 1] ** 2
+    w = gauss[:, 2] ** 2 + gauss[:, 3] ** 2
+    values = split(u / (u + w), a, b)
+    mean = float(values.mean())
+    return mean, float(((values - mean) ** 2).sum())
+
+
+def _ks_uniform_statistic(p) -> float:
+    # Kolmogorov-Smirnov distance between the empirical law of p and U[0, 1]
+    p = np.sort(p)
+    n = len(p)
+    return float(max((np.arange(1, n + 1) / n - p).max(), (p - np.arange(n) / n).max()))
+
+
+def _closed_form_mean_width(domain) -> float:
+    a, b = float(domain.a), float(domain.b)
+    if isinstance(domain, Polydisk):
+        return 2 * (a + b) / 3
+    return 2 * (a * a + a * b + b * b) / (3 * (a + b))
+
+
+MEAN_WIDTH_DOMAINS = [Polydisk(F(3, 2), F(1, 2)), Ellipsoid(2, F(1, 3)), Polydisk(1, 1)]
+
+
 class TestMeanWidth:
     def test_unit_polydisk_value(self):
         est = mean_width_estimate(Polydisk(1, 1), 200_000, seed=42)
@@ -183,6 +212,53 @@ class TestMeanWidth:
 
         # a buffer of every sample would add 8 bytes each: about 1.24x here
         assert peak(4 << 20) <= 1.1 * peak((1 << 20) + 1)
+
+    def test_peak_memory_of_one_uniform_chunk(self):
+        mean_width_estimate(Polydisk(1, 1), 100, seed=0)  # loads numpy and the kernels
+        tracemalloc.start()
+        try:
+            mean_width_estimate(Polydisk(1, 1), (1 << 20) + 1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # four Gaussians per sample peaked at 80 MB; one uniform at about 34 MB
+        assert peak <= 40e6
+
+    @pytest.mark.parametrize("dom", MEAN_WIDTH_DOMAINS)
+    def test_one_uniform_per_sample(self, dom):
+        n = 50_000
+        split = _kernels.polydisk_support_split if isinstance(dom, Polydisk) else _kernels.ellipsoid_support_split
+        values = split(np.random.default_rng(3).random(n), float(dom.a), float(dom.b))
+        mean = float(values.mean())
+        stderr = math.sqrt(float(((values - mean) ** 2).sum()) / (n - 1)) / math.sqrt(n)
+        assert mean_width_estimate(dom, n, seed=3) == MeanWidthEstimate(mean, stderr, n, 3)
+
+    @pytest.mark.parametrize("dom", MEAN_WIDTH_DOMAINS + [Ellipsoid(F(3, 2), 1), Polydisk(F(1, 4), 3)])
+    def test_closed_form_mean_width(self, dom):
+        est = mean_width_estimate(dom, 400_000, seed=5)
+        assert abs(est.mean - _closed_form_mean_width(dom)) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("dom", MEAN_WIDTH_DOMAINS)
+    def test_agrees_with_gaussian_reference(self, dom, monkeypatch):
+        new = mean_width_estimate(dom, 400_000, seed=13)
+        monkeypatch.setattr(bm, "_chunk_moments", reference_gaussian_chunk_moments)
+        old = mean_width_estimate(dom, 400_000, seed=13)
+        assert new != old
+        assert abs(new.mean - old.mean) <= 5 * math.hypot(new.stderr, old.stderr)
+
+    def test_gaussian_moment_coordinate_is_uniform(self):
+        n = 200_000
+        drawn = []
+
+        def record(p, a, b):
+            drawn.append(p)
+            return p
+
+        reference_gaussian_chunk_moments(np.random.default_rng(2024), n, record, 0.0, 0.0)
+        bound = 1.63 / math.sqrt(n)  # the 1% critical value
+        assert _ks_uniform_statistic(drawn[0]) < bound
+        # the statistic sees a law that is not uniform: p^2 is Beta(1/2, 1)
+        assert _ks_uniform_statistic(drawn[0] ** 2) > 10 * bound
 
     def test_seed_reproducible(self):
         a = mean_width_estimate(Polydisk(1, 1), 50_000, seed=7)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from capacity_lab import __version__, cli
+from capacity_lab import Ellipsoid, EllipsoidPair, Verdict, __version__, bm_check, cli
 from capacity_lab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -80,6 +80,21 @@ class TestCapacity:
         assert "stabilization" in res.output
 
 
+def certificate_text(**fields):
+    """The certificate of bm-check 2 "E(3/2,1)" "E(1,3/2)" as JSON, with FIELDS replaced."""
+    cert = {
+        "k": 2,
+        "domain1": "E(3/2,1)",
+        "domain2": "E(1,3/2)",
+        "c_sum": {"num": 13, "den": 2},
+        "c1": {"num": 2, "den": 1},
+        "c2": {"num": 2, "den": 1},
+        "verdict": "Violates",
+        "comparison": "LESS",
+    }
+    return json.dumps({**cert, **fields})
+
+
 class TestBmCheck:
     def test_even_violates(self, runner):
         res = invoke(runner, "bm-check", "2", "E(3/2,1)", "E(1,3/2)", "--format", "text")
@@ -109,6 +124,11 @@ class TestBmCheck:
     def test_verify_proportional_pair(self, runner):
         assert invoke(runner, "bm-check", "3", "E(1,2)", "E(2,4)", "--verify").exit_code == 0
 
+    def test_certificate_text_is_valid(self, runner, tmp_path):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(certificate_text())
+        assert json.loads(invoke(runner, "bm-check", "--check-certificate", str(cert_file)).output)["valid"] is True
+
     def test_json_round_trip_via_file(self, runner, tmp_path):
         res = invoke(runner, "bm-check", "2", "E(3/2,1)", "E(1,3/2)")
         cert_file = tmp_path / "cert.json"
@@ -127,13 +147,25 @@ class TestBmCheck:
         assert check.exit_code == 1
         assert json.loads(check.output.splitlines()[0])["valid"] is False
 
-    @pytest.mark.parametrize("content", ["not json", "[1]", '{"k": 2}'])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "not json",
+            "[1]",
+            '{"k": 2}',
+            pytest.param(certificate_text(k=0), id="k=0"),
+            pytest.param(certificate_text(k=-3), id="k=-3"),
+            pytest.param(certificate_text(k=10**30), id="k=10**30"),
+            pytest.param(certificate_text(c_sum={"num": 1, "den": 0}), id="den=0"),
+        ],
+    )
     def test_malformed_certificate_file(self, runner, tmp_path, content):
         cert_file = tmp_path / "bad.json"
         cert_file.write_text(content)
         res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
         assert res.exit_code == 2
         assert res.output.startswith("Error: bad certificate file")
+        assert len(res.output.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
         "extra",
@@ -243,7 +275,46 @@ class TestCriterion:
         assert a == b
 
 
+def reference_search(bound, ks):
+    # every certificate of the sweep, as the list-building search held them
+    radii = cli._height_bounded_rationals(bound)
+    ellipsoids = [Ellipsoid(a, b) for a in radii for b in radii]
+    return [
+        bm_check(k, EllipsoidPair.normalized(e1, e2))
+        for i, e1 in enumerate(ellipsoids)
+        for e2 in ellipsoids[i:]
+        for k in ks
+    ]
+
+
 class TestSearch:
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_output_matches_every_certificate_reference(self, runner, bound):
+        certs = reference_search(bound, range(2, 5))
+        violating = [c for c in certs if c.verdict is Verdict.VIOLATES]
+        as_json = invoke(runner, "search", str(bound), "2..4").output
+        assert as_json == json.dumps([c.to_dict() for c in violating], indent=2) + "\n"
+        as_csv = invoke(runner, "search", str(bound), "2..4", "--format", "csv").output.splitlines()
+        assert as_csv[0] == "k,domain1,domain2,c_sum,c1,c2,verdict"
+        assert [row.split(",")[0] for row in as_csv[1:]] == [str(c.k) for c in violating]
+        as_text = invoke(runner, "search", str(bound), "2..4", "--format", "text").output.splitlines()
+        assert len(as_text) == len(violating) + 1
+        assert as_text[-1] == f"{len(violating)} violating certificates among {len(certs)} checks"
+
+    @pytest.mark.parametrize("bound, k_range, checks", [("8", "1..1", 1_710_325), ("7", "1..2", 1_501_850)])
+    def test_check_cap(self, runner, monkeypatch, bound, k_range, checks):
+        monkeypatch.setattr(cli, "bm_check", lambda *args: pytest.fail("checked past the search cap"))
+        res = runner.invoke(main, ["search", bound, k_range], catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output == f"Error: search is capped at {cli.SEARCH_CAP} checks, got {checks}\n"
+
+    def test_huge_bound_refused_before_enumerating_radii(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "_height_bounded_rationals", lambda *args: pytest.fail("enumerated the radii"))
+        res = runner.invoke(main, ["search", "1000000000", "1..1"], catch_exceptions=False)
+        assert res.exit_code == 2
+        checks = 10**18 * (10**18 + 1) // 2
+        assert res.output == f"Error: search is capped at {cli.SEARCH_CAP} checks, got at least {checks}\n"
+
     def test_bound_one_finds_nothing(self, runner):
         res = invoke(runner, "search", "1", "2..2", "--format", "text")
         assert "0 violating" in res.output
@@ -307,6 +378,23 @@ class TestOptionsAndErrors:
         res = runner.invoke(main, args, catch_exceptions=False)
         assert res.exit_code == 2
         assert res.output == f"Error: --samples is capped at {cli.SAMPLES_CAP} for omega, got {cli.SAMPLES_CAP + 1}\n"
+
+    def test_mean_width_samples_cap(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "mean_width_estimate", lambda *args: pytest.fail("sampled past the --samples cap"))
+        args = ["mean-width", "P(1,1)", "--samples", str(cli.MEAN_WIDTH_SAMPLES_CAP + 1)]
+        res = runner.invoke(main, args, catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output == (
+            f"Error: --samples is capped at {cli.MEAN_WIDTH_SAMPLES_CAP} for mean-width, "
+            f"got {cli.MEAN_WIDTH_SAMPLES_CAP + 1}\n"
+        )
+
+    @pytest.mark.parametrize("k_max", ["1", "0"])
+    def test_reproduce_needs_two_indices(self, runner, monkeypatch, k_max):
+        monkeypatch.setattr(cli, "reproduce_theorem", lambda *args: pytest.fail("reproduced below K_MAX = 2"))
+        res = runner.invoke(main, ["reproduce", k_max], catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output == f"Error: K_MAX must be >= 2, got {k_max}\n"
 
     def test_verification_failure_exit_codes(self, runner, monkeypatch):
         def disagree(*args):
