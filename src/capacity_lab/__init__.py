@@ -1,12 +1,13 @@
 """Exact Gutt-Hutchings capacities of 4-dimensional ellipsoids, polydisks,
 and Minkowski sums of ellipsoids, with certified Brunn-Minkowski checks.
 
-Capacity values are exact rational multiples of pi; floating point is
-confined to the numeric oracle (``cross_check`` is the one verification
-path), the boundary-curve samplers, and the Monte Carlo mean-width
-estimator, all of which run on the numpy kernels in ``_kernels``.  Those
-functions import numpy and ``_kernels`` when called, so importing
-this package, or running an exact computation, never loads numpy.
+Capacity values are exact rational multiples of pi, and ``cross_check``,
+the one verification path, re-derives them exactly as well.  Floating
+point is confined to the numeric oracles, which are library
+cross-checks, the boundary-curve samplers, and the Monte Carlo
+mean-width estimator.  Those that need numpy import it and ``_kernels``
+when called, so importing this package, running an exact computation
+or verifying one never loads numpy.
 """
 
 from .exact import (

@@ -90,12 +90,15 @@ class BMCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BMCertificate":
+        # bool is an int subclass; int() would truncate a float and parse a string
+        if type(d["k"]) is not int:
+            raise ValueError(f"k must be an integer, got {d['k']!r}")
         domain1 = parse_domain(d["domain1"])
         domain2 = parse_domain(d["domain2"])
         if not isinstance(domain1, Ellipsoid) or not isinstance(domain2, Ellipsoid):
             raise ValueError("certificate domains must be ellipsoids")
         return cls(
-            k=int(d["k"]),
+            k=d["k"],
             domain1=domain1,
             domain2=domain2,
             c_sum=PiRational.from_dict(d["c_sum"]),
@@ -262,10 +265,13 @@ def mean_width_estimate(domain: DomainSpec, samples: int, seed: int) -> MeanWidt
 def _chunk_moments(rng: np.random.Generator, n: int, split, a: float, b: float) -> tuple[float, float]:
     # Mean and sum of squared deviations of the support values at n uniform
     # draws of p; the arrays die on return, so memory stays at one chunk
-    # whatever the sample count.
+    # whatever the sample count.  The deviations overwrite the values in
+    # place, which split allocated and nothing else holds.
     values = split(rng.random(n), a, b)
     mean = float(values.mean())
-    return mean, float(((values - mean) ** 2).sum())
+    values -= mean
+    values *= values
+    return mean, float(values.sum())
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,9 @@ from .domains import (
 )
 from .exact import PiRational, format_rational
 from .minkowski import omega_curve
-from .oracle import OracleConfig, cross_check
+from .oracle import cross_check
 
 K_CAP = 10**6
-GRID_CAP = 2**20
 SAMPLES_CAP = 10**5
 MEAN_WIDTH_SAMPLES_CAP = 10**9
 SEARCH_CAP = 10**6
@@ -64,27 +63,12 @@ format_option = click.option(
 )
 
 
-def verify_options(fn):
-    fn = click.option("--tol", type=float, default=1e-9, show_default=True, help="Relative tolerance for --verify.")(fn)
-    fn = click.option("--grid", type=int, default=4096, show_default=True, help="Numeric oracle scan grid.")(fn)
-    return click.option("--verify", is_flag=True, help="Cross-check exact values with the numeric oracle.")(fn)
+verify_option = click.option("--verify", is_flag=True, help="Re-derive exact values independently and exactly.")
 
 
-def _oracle_config(verify: bool, grid: int, tol: float) -> OracleConfig | None:
-    """The --verify settings, validated before any work starts; None without --verify."""
-    if not verify:
-        return None
-    if grid > GRID_CAP:
-        raise CliError(f"--grid is capped at {GRID_CAP}, got {grid}")
+def _cross_check(k: int, domain: DomainSpec, value: PiRational) -> None:
     try:
-        return OracleConfig(grid=grid, tol=tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _cross_check(k: int, domain: DomainSpec, value: PiRational, cfg: OracleConfig) -> None:
-    try:
-        cross_check(k, domain, value, cfg)
+        cross_check(k, domain, value)
     except ValueError as exc:
         raise CliError(f"verification failed: {exc}") from None
 
@@ -138,8 +122,8 @@ def main():
 @click.argument("k", type=int)
 @click.argument("domain", type=str)
 @format_option
-@verify_options
-def cmd_capacity(k, domain, fmt, verify, grid, tol):
+@verify_option
+def cmd_capacity(k, domain, fmt, verify):
     """Print c_k(DOMAIN) exactly.
 
     DOMAIN is a literal like 'E(3/2,1)', 'P(1,1)', 'sum(E(3/2,1),E(1,3/2))'
@@ -147,13 +131,12 @@ def cmd_capacity(k, domain, fmt, verify, grid, tol):
     """
     _check_k(k)
     dom = _parse_domain_arg(domain)
-    cfg = _oracle_config(verify, grid, tol)
     try:
         value = capacity(k, dom)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if verify:
-        _cross_check(k, dom, value, cfg)
+        _cross_check(k, dom, value)
     payload = {
         "k": k,
         "domain": format_domain(dom),
@@ -227,8 +210,8 @@ def _emit_certificate(cert: BMCertificate, fmt: str) -> None:
     help="Re-validate a serialized certificate instead of computing a new one.",
 )
 @format_option
-@verify_options
-def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify, grid, tol):
+@verify_option
+def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
     """Compare sqrt(c_k(E1+E2)) against sqrt(c_k(E1)) + sqrt(c_k(E2))."""
     if cert_path is not None:
         given = {"K": k is not None, "DOMAIN1": domain1 is not None, "DOMAIN2": domain2 is not None,
@@ -252,19 +235,18 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify, grid, tol):
     _check_k(k)
     e1 = _require_ellipsoid(_parse_domain_arg(domain1), "domain1")
     e2 = _require_ellipsoid(_parse_domain_arg(domain2), "domain2")
-    cfg = _oracle_config(verify, grid, tol)
     pair = EllipsoidPair.normalized(e1, e2)
     cert = bm_check(k, pair)
     if verify:
-        _cross_check(k, EllipsoidSum(pair), cert.c_sum, cfg)
+        _cross_check(k, EllipsoidSum(pair), cert.c_sum)
     _emit_certificate(cert, fmt)
 
 
 @main.command("reproduce")
 @click.argument("k_max", type=int)
 @format_option
-@verify_options
-def cmd_reproduce(k_max, fmt, verify, grid, tol):
+@verify_option
+def cmd_reproduce(k_max, fmt, verify):
     """One violating certificate for every k in 2..K_MAX.
 
     Even k uses the pair (E(1+1/k,1), E(1,1+1/k)); odd k uses
@@ -274,7 +256,6 @@ def cmd_reproduce(k_max, fmt, verify, grid, tol):
     if k_max < 2:
         raise CliError(f"K_MAX must be >= 2, got {k_max}")
     _check_k(k_max)
-    cfg = _oracle_config(verify, grid, tol)
     try:
         rows = reproduce_theorem(k_max)
     except ReproductionError as exc:
@@ -284,7 +265,7 @@ def cmd_reproduce(k_max, fmt, verify, grid, tol):
         for row in rows:
             cert = row.certificate
             try:
-                cross_check(row.k, EllipsoidSum.of(cert.domain1, cert.domain2), cert.c_sum, cfg)
+                cross_check(row.k, EllipsoidSum.of(cert.domain1, cert.domain2), cert.c_sum)
             except ValueError as exc:
                 click.echo(f"reproduction FAILED: oracle disagrees at k={row.k}: {exc}", err=True)
                 sys.exit(3)

@@ -1,29 +1,33 @@
-"""Independent floating-point oracles for the exact support norms.
+"""Exact and floating-point re-derivations of the exact support norms.
 
-Nothing in here feeds back into an exact result.  The oracle maximizes
-the boundary objective numerically (dense scan plus golden-section
-refinement) and analyzes the reparameterized profile
+Reparameterized by f in [c/a, d/b], the boundary objective of an
+ellipsoid sum at v = (v1, v2) is the profile
 
     S(f) = pi v1 a^2 (1/Dp) (d^2/b^2 - f^2) (1 + c^2/(a^2 f))^2
          + pi v2 b^2 (1/Dp) (f^2 - c^2/a^2) (1 + d^2/(b^2 f))^2
 
-for f in [c/a, d/b], where Dp = d^2/b^2 - c^2/a^2.  S satisfies
-S(c/a) = v1 pi (a+c)^2 and S(d/b) = v2 pi (b+d)^2, and its derivative is
+where Dp = d^2/b^2 - c^2/a^2 > 0.  S(c/a) = v1 pi (a+c)^2,
+S(d/b) = v2 pi (b+d)^2, and
 
     S'(f) = (2 pi / (Dp f^3)) (f^3 + c^2 d^2 / (a^2 b^2)) (D f - N)
 
 with D = v2 b^2 - v1 a^2 and N = v1 c^2 - v2 d^2, so the only possible
-interior critical point is f0 = N/D, a maximum exactly when D < 0.
-Disagreement with the exact engine is a test failure, never a fallback;
-``cross_check`` is the one re-derivation behind the CLI's --verify.
-It loads the numpy kernels only for a non-proportional sum, through
-``support_norm_numeric``; ``golden_max`` is pure Python and defined here.
+interior critical point is f0 = N/D, a maximum exactly when D < 0.  The
+norm of v, the maximum of S, is thus the largest of S(c/a), S(d/b) and,
+when D < 0 and f0 is interior, S(f0).  ``cross_check``, the one
+re-derivation behind the CLI's --verify, evaluates these in Fractions,
+with no float and without the branch formula of ``minkowski``.  The
+float oracles ``support_norm_numeric`` (dense scan plus golden-section
+refinement on the numpy kernels) and ``s_derivative_signcheck`` (finite
+differences) are library cross-checks.  Disagreement with the exact
+engine is a test failure, never a fallback.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .domains import (
     DomainSpec,
@@ -38,7 +42,7 @@ from .domains import (
     ellipsoid_norm_argmin,
 )
 from .exact import PiRational
-from .minkowski import sum_capacity_with_argmin, support_norm
+from .minkowski import sum_capacity_with_argmin
 
 __all__ = [
     "OracleConfig",
@@ -56,15 +60,12 @@ __all__ = [
 class OracleConfig:
     grid: int = 4096
     refine_iters: int = 80
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.grid < 64:
             raise ValueError(f"grid must be >= 64, got {self.grid}")
         if self.refine_iters < 1:
             raise ValueError(f"refine_iters must be >= 1, got {self.refine_iters}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 DEFAULT_CONFIG = OracleConfig()
@@ -92,30 +93,24 @@ def golden_max(fn, lo: float, hi: float, iters: int) -> float:
 
 def support_norm_numeric(v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
     """Numeric maximum of pi (v1 g^2 + v2 h^2) over psi in [0, pi/2]."""
-    if pair.proportional:
-        raise ValueError("support_norm_numeric requires a non-proportional pair")
+    a, b, c, d = _float_radii(pair, "support_norm_numeric")
     from . import _kernels
 
-    a, b, c, d = (float(x) for x in pair.radii)
     return _kernels.support_max(v.v1, v.v2, a, b, c, d, cfg.grid, cfg.refine_iters)
 
 
-def _relative_gap(exact: float, numeric: float) -> float:
-    return abs(exact - numeric) / max(abs(exact), 1e-12)
-
-
-def cross_check(k: int, domain: DomainSpec, value: PiRational, cfg: OracleConfig = DEFAULT_CONFIG) -> None:
-    """Re-derive c_k(domain) independently; raise ValueError unless it is value.
+def cross_check(k: int, domain: DomainSpec, value: PiRational) -> None:
+    """Re-derive c_k(domain) independently and exactly; raise ValueError unless it is value.
 
     Ellipsoids: the minimum of the dual norms over v1 + v2 = k, and for
     k <= 4096 the k-th sorted multiple.  Polydisks: the minimum of the
     rectangle norms.  Proportional sums and stabilized products reduce to
-    their outer and inner domains.  Non-proportional sums: value must be
-    the exact norm at the argmin v1, the numeric oracle at v1 and at its
-    neighbours v1 +- 1 must match the exact norms within cfg.tol, and the
-    exact norms must satisfy h(v1-1) > h(v1) <= h(v1+1).  The norm is
-    convex in v1, so that local minimum is the global one, with ties
-    broken toward the smallest v1.
+    their outer and inner domains.  Non-proportional sums: the norms h at
+    the argmin v1 and at its neighbours v1 +- 1 are the exact maxima of
+    the profile S (module docstring), value must be h(v1), and
+    h(v1-1) > h(v1) <= h(v1+1) must hold.  The norm is convex in v1, so
+    that local minimum is the global one, with ties broken toward the
+    smallest v1.  No float and no numpy is involved.
     """
     if isinstance(domain, Ellipsoid):
         against = ellipsoid_norm_argmin(k, domain)[0]
@@ -129,60 +124,77 @@ def cross_check(k: int, domain: DomainSpec, value: PiRational, cfg: OracleConfig
         if against != value.coeff:
             raise ValueError(f"rectangle norm minimum {against} != {value.coeff}")
     elif isinstance(domain, ProductWithBall):
-        cross_check(k, domain.inner, value, cfg)
+        cross_check(k, domain.inner, value)
     elif isinstance(domain, EllipsoidSum):
         if domain.pair.proportional:
-            cross_check(k, domain.pair.outer_ellipsoid, value, cfg)
+            cross_check(k, domain.pair.outer_ellipsoid, value)
         else:
-            _cross_check_sum(k, domain.pair, value, cfg)
+            _cross_check_sum(k, domain.pair, value)
     else:
         raise TypeError(f"unsupported domain: {domain!r}")
 
 
-def _cross_check_sum(k: int, pair: EllipsoidPair, value: PiRational, cfg: OracleConfig) -> None:
+def _cross_check_sum(k: int, pair: EllipsoidPair, value: PiRational) -> None:
     v1 = sum_capacity_with_argmin(k, pair)[1].v1
-    norms = {u: support_norm(IndexVector(u, k - u), pair) for u in (v1 - 1, v1, v1 + 1) if 0 <= u <= k}
+    norms = {u: PiRational(_s_max(u, k - u, pair)) for u in (v1 - 1, v1, v1 + 1) if 0 <= u <= k}
     if norms[v1] != value:
         raise ValueError(f"norm at the argmin v1 = {v1} is {norms[v1]}, not {value}")
-    for u, norm in norms.items():
-        numeric = support_norm_numeric(IndexVector(u, k - u), pair, cfg)
-        if _relative_gap(float(norm), numeric) > cfg.tol:
-            raise ValueError(f"numeric oracle {numeric!r} vs exact {float(norm)!r} at v1 = {u}")
     if v1 - 1 in norms and not norms[v1 - 1] > norms[v1]:
         raise ValueError(f"v1 = {v1} is not the smallest minimizer: h(v1-1) = {norms[v1 - 1]}")
     if v1 + 1 in norms and not norms[v1 + 1] >= norms[v1]:
         raise ValueError(f"v1 = {v1} is not a local minimum: h(v1+1) = {norms[v1 + 1]}")
 
 
-def _profile_params(pair: EllipsoidPair) -> tuple[float, float, float, float, float, float]:
-    a, b, c, d = (float(x) for x in pair.radii)
+def _critical(v1, v2, a, b, c, d):
+    """(D, N) of the module docstring; f0 = N/D."""
+    return v2 * b * b - v1 * a * a, v1 * c * c - v2 * d * d
+
+
+def _s_over_pi(v1, v2, a, b, c, d, f):
+    """S(f) / pi, exact for Fraction radii and f, float for floats."""
     r2 = (c / a) ** 2
     s2 = (d / b) ** 2
-    return a, b, c, d, r2, s2
+    term1 = v1 * a * a * (s2 - f * f) * (1 + c * c / (a * a * f)) ** 2
+    term2 = v2 * b * b * (f * f - r2) * (1 + d * d / (b * b * f)) ** 2
+    return (term1 + term2) / (s2 - r2)
+
+
+def _s_prime_over_pi(v1, v2, a, b, c, d, f):
+    """Closed-form S'(f) / pi, exact for Fraction radii and f, float for floats."""
+    D, N = _critical(v1, v2, a, b, c, d)
+    dp = (d / b) ** 2 - (c / a) ** 2
+    return 2 / (dp * f**3) * (f**3 + (c * c * d * d) / (a * a * b * b)) * (D * f - N)
+
+
+def _s_max(v1: int, v2: int, pair: EllipsoidPair) -> Fraction:
+    """|(v1, v2)|* / pi as the exact maximum of S: at c/a, at d/b, or at an interior maximum N/D."""
+    a, b, c, d = pair.radii
+    lo, hi = c / a, d / b
+    D, N = _critical(v1, v2, a, b, c, d)
+    candidates = [lo, hi]
+    if D < 0 and lo < N / D < hi:
+        candidates.append(N / D)
+    return max(_s_over_pi(v1, v2, a, b, c, d, f) for f in candidates)
+
+
+def _float_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, float]:
+    if pair.proportional:
+        raise ValueError(f"{op} requires a non-proportional pair")
+    a, b, c, d = pair.radii
+    return float(a), float(b), float(c), float(d)
 
 
 def s_profile(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
     """S(f) for f in [c/a, d/b] (see module docstring)."""
-    if pair.proportional:
-        raise ValueError("s_profile requires a non-proportional pair")
-    a, b, c, d, r2, s2 = _profile_params(pair)
-    if not (math.sqrt(r2) - 1e-12 <= f <= math.sqrt(s2) + 1e-12):
-        raise ValueError(f"f = {f} outside [c/a, d/b] = [{math.sqrt(r2)}, {math.sqrt(s2)}]")
-    dp = s2 - r2
-    term1 = v.v1 * a * a * (s2 - f * f) * (1.0 + c * c / (a * a * f)) ** 2
-    term2 = v.v2 * b * b * (f * f - r2) * (1.0 + d * d / (b * b * f)) ** 2
-    return math.pi * (term1 + term2) / dp
+    a, b, c, d = _float_radii(pair, "s_profile")
+    if not (c / a - 1e-12 <= f <= d / b + 1e-12):
+        raise ValueError(f"f = {f} outside [c/a, d/b] = [{c / a}, {d / b}]")
+    return math.pi * _s_over_pi(v.v1, v.v2, a, b, c, d, f)
 
 
 def s_derivative(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
     """Closed-form S'(f)."""
-    if pair.proportional:
-        raise ValueError("s_derivative requires a non-proportional pair")
-    a, b, c, d, r2, s2 = _profile_params(pair)
-    dp = s2 - r2
-    D = v.v2 * b * b - v.v1 * a * a
-    N = v.v1 * c * c - v.v2 * d * d
-    return (2.0 * math.pi / (dp * f ** 3)) * (f ** 3 + (c * c * d * d) / (a * a * b * b)) * (D * f - N)
+    return math.pi * _s_prime_over_pi(v.v1, v.v2, *_float_radii(pair, "s_derivative"), f)
 
 
 @dataclass(frozen=True)
@@ -212,18 +224,15 @@ def s_derivative_signcheck(
     max(1e-6, 1e-6 |S'|), and the signs must agree wherever |S'| > 1e-6.
     When f0 = N/D is interior with D < 0, also verifies S(f0) >= S(f0 +- eps).
     """
-    if pair.proportional:
-        raise ValueError("s_derivative_signcheck requires a non-proportional pair")
-    a, b, c, d = pair.radii
-    lo = float(c) / float(a)
-    hi = float(d) / float(b)
+    a, b, c, d = radii = _float_radii(pair, "s_derivative_signcheck")
+    lo, hi = c / a, d / b
     span = hi - lo
 
     def S(f: float) -> float:
-        return s_profile(v, pair, f)
+        return math.pi * _s_over_pi(v.v1, v.v2, *radii, f)
 
     def Sp(f: float) -> float:
-        return s_derivative(v, pair, f)
+        return math.pi * _s_prime_over_pi(v.v1, v.v2, *radii, f)
 
     sign_mismatches = 0
     max_abs_err = 0.0
@@ -249,8 +258,7 @@ def s_derivative_signcheck(
             sign_mismatches += 1
             ok = False
 
-    D = v.v2 * b * b - v.v1 * a * a
-    N = v.v1 * c * c - v.v2 * d * d
+    D, N = _critical(v.v1, v.v2, *pair.radii)
     f0 = float(N / D) if D != 0 else None
     f0_interior = f0 is not None and D < 0 and lo < f0 < hi
     f0_is_max = False

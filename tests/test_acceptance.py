@@ -88,7 +88,7 @@ def test_criterion_04_oracle_agreement():
     with criterion(4, "100 random pairs, all v with v1+v2 <= 12: |exact - numeric|/exact <= 1e-9, < 30 s"):
         start = time.perf_counter()
         rng = random.Random(424242)
-        cfg = OracleConfig(grid=4096, refine_iters=80, tol=1e-9)
+        cfg = OracleConfig(grid=4096, refine_iters=80)
         pairs = [random_nonprop_pair(rng, max_height=20) for _ in range(100)]
         checked = 0
         for pair in pairs:
@@ -97,7 +97,7 @@ def test_criterion_04_oracle_agreement():
                     v = IndexVector(v1, k - v1)
                     exact = float(support_norm(v, pair))
                     numeric = support_norm_numeric(v, pair, cfg)
-                    assert abs(exact - numeric) / exact <= cfg.tol, (pair.radii, (v1, k - v1))
+                    assert abs(exact - numeric) / exact <= 1e-9, (pair.radii, (v1, k - v1))
                     checked += 1
         elapsed = time.perf_counter() - start
         assert checked == 100 * 90

@@ -221,8 +221,9 @@ class TestMeanWidth:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # four Gaussians per sample peaked at 80 MB; one uniform at about 34 MB
-        assert peak <= 40e6
+        # four Gaussians per sample peaked at 80 MB, one uniform with
+        # out-of-place kernels at 34 MB; in place it is three chunks, 25 MB
+        assert peak <= 30e6
 
     @pytest.mark.parametrize("dom", MEAN_WIDTH_DOMAINS)
     def test_one_uniform_per_sample(self, dom):

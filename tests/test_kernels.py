@@ -69,6 +69,17 @@ class TestAgainstScalarReference:
             assert got_p == pytest.approx(1.5 * math.sqrt(pi) + 0.5 * math.sqrt(1.0 - pi), rel=1e-15)
             assert got_e == pytest.approx(math.sqrt(0.25 + 2.0 * pi), rel=1e-15)
 
+    def test_in_place_splits_match_the_expressions_and_leave_p(self):
+        p = np.random.default_rng(7).random(4099)
+        p[:3] = 0.0, 1.0, 0.5
+        before = p.copy()
+        for a, b in [(1.5, 0.5), (1.0, 1.0), (0.3, 7.0)]:
+            poly = _kernels.polydisk_support_split(p, a, b)
+            ell = _kernels.ellipsoid_support_split(p, a, b)
+            assert np.array_equal(poly, a * np.sqrt(p) + b * np.sqrt(1.0 - p))
+            assert np.array_equal(ell, np.sqrt(b * b + (a * a - b * b) * p))
+        assert np.array_equal(p, before)
+
 
 class TestGoldenMax:
     def test_one_definition_under_three_names(self):

@@ -15,6 +15,7 @@ from capacity_lab import (
     capacity,
     cross_check,
     even_family,
+    expected_family_coeff,
     golden_max,
     odd_family,
     s_derivative,
@@ -23,7 +24,7 @@ from capacity_lab import (
     support_norm,
     support_norm_numeric,
 )
-from capacity_lab import oracle
+from capacity_lab import minkowski, oracle
 from conftest import random_nonprop_pair
 
 F = Fraction
@@ -36,13 +37,11 @@ FAST = OracleConfig(grid=512, refine_iters=60)
 class TestConfig:
     def test_defaults(self):
         cfg = OracleConfig()
-        assert cfg.grid == 4096 and cfg.refine_iters == 80 and cfg.tol == 1e-9
+        assert cfg.grid == 4096 and cfg.refine_iters == 80
 
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(grid=32)
-        with pytest.raises(ValueError):
-            OracleConfig(tol=0)
         with pytest.raises(ValueError):
             OracleConfig(refine_iters=0)
 
@@ -95,19 +94,19 @@ class TestCrossCheck:
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_accepts_exact_values(self, domain):
         for k in (1, 2, 3, 7, 40):
-            cross_check(k, domain, capacity(k, domain), FAST)
+            cross_check(k, domain, capacity(k, domain))
 
     def test_accepts_random_sums(self, rng):
         for _ in range(10):
             domain = EllipsoidSum(random_nonprop_pair(rng))
             k = rng.randint(1, 60)
-            cross_check(k, domain, capacity(k, domain), FAST)
+            cross_check(k, domain, capacity(k, domain))
 
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_rejects_forged_value(self, domain):
         forged = PiRational(capacity(5, domain).coeff + F(1, 1000))
         with pytest.raises(ValueError):
-            cross_check(5, domain, forged, FAST)
+            cross_check(5, domain, forged)
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_rejects_a_shifted_argmin(self, monkeypatch, shift):
@@ -117,11 +116,26 @@ class TestCrossCheck:
         norm = support_norm(IndexVector(v1, k - v1), pair)
         monkeypatch.setattr(oracle, "sum_capacity_with_argmin", lambda k, pair: (norm, IndexVector(v1, k - v1)))
         with pytest.raises(ValueError, match="minimizer|local minimum"):
-            cross_check(k, EllipsoidSum(pair), norm, FAST)
+            cross_check(k, EllipsoidSum(pair), norm)
+
+    @pytest.mark.parametrize("k", [2, 40, 4000])
+    def test_rejects_a_wrong_branch_norm(self, monkeypatch, k):
+        # a _norm_coeff that always takes the corner branch; the even-family
+        # argmin v1 = k/2 is interior, so the engine's value comes out wrong
+        def corner_only(k, pair):
+            a, b, c, d = pair.radii
+            return lambda v1: max(v1 * (a + c) ** 2, (k - v1) * (b + d) ** 2)
+
+        domain = EllipsoidSum(even_family(k))
+        monkeypatch.setattr(minkowski, "_norm_coeff", corner_only)
+        forged = capacity(k, domain)
+        assert forged.coeff != expected_family_coeff(k)
+        with pytest.raises(ValueError):
+            cross_check(k, domain, forged)
 
     def test_unsupported_domain(self):
         with pytest.raises(TypeError):
-            cross_check(2, "E(1,1)", PiRational(1), FAST)
+            cross_check(2, "E(1,1)", PiRational(1))
 
     @pytest.mark.parametrize(
         "domain",
@@ -210,6 +224,75 @@ class TestSDerivative:
         prop = EllipsoidPair.normalized(Ellipsoid(2, 1), Ellipsoid(4, 2))
         with pytest.raises(ValueError):
             s_derivative_signcheck(IndexVector(1, 1), prop, FAST)
+
+
+def laurent_product(p, q):
+    out = {}
+    for i, x in p.items():
+        for j, y in q.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def laurent_s(v1, v2, a, b, c, d):
+    """S / pi expanded as {power of f: coefficient}, straight from its definition."""
+    r2, s2 = (c / a) ** 2, (d / b) ** 2
+    bump1 = {0: F(1), -1: c * c / (a * a)}
+    bump2 = {0: F(1), -1: d * d / (b * b)}
+    t1 = laurent_product({0: v1 * a * a * s2, 2: -v1 * a * a}, laurent_product(bump1, bump1))
+    t2 = laurent_product({2: v2 * b * b, 0: -v2 * b * b * r2}, laurent_product(bump2, bump2))
+    return {e: (t1.get(e, 0) + t2.get(e, 0)) / (s2 - r2) for e in t1.keys() | t2.keys()}
+
+
+def laurent_value(p, f):
+    return sum(x * f**e for e, x in p.items())
+
+
+def laurent_derivative(p):
+    return {e - 1: e * x for e, x in p.items() if e != 0}
+
+
+class TestExactProfile:
+    def test_derivative_factorisation_is_an_identity(self, rng):
+        # f^3 (S' - closed form) is a polynomial of degree <= 4 in f, so
+        # vanishing at 8 rational points makes the factorisation exact
+        for _ in range(25):
+            pair = random_nonprop_pair(rng)
+            a, b, c, d = pair.radii
+            k = rng.randint(1, 12)
+            v1 = rng.randint(0, k)
+            S = laurent_s(v1, k - v1, a, b, c, d)
+            dS = laurent_derivative(S)
+            lo, hi = c / a, d / b
+            for j in range(8):
+                f = lo + (hi - lo) * F(j, 7)
+                assert oracle._s_over_pi(v1, k - v1, a, b, c, d, f) == laurent_value(S, f)
+                closed = oracle._s_prime_over_pi(v1, k - v1, a, b, c, d, f)
+                assert closed == laurent_value(dS, f)
+                assert s_derivative(IndexVector(v1, k - v1), pair, float(f)) == pytest.approx(
+                    math.pi * float(closed), rel=1e-9, abs=1e-9
+                )
+
+    def test_endpoint_values_are_the_corner_norms(self, rng):
+        for _ in range(25):
+            pair = random_nonprop_pair(rng)
+            a, b, c, d = pair.radii
+            v1, v2 = rng.randint(0, 9), rng.randint(0, 9)
+            assert oracle._s_over_pi(v1, v2, a, b, c, d, c / a) == v1 * (a + c) ** 2
+            assert oracle._s_over_pi(v1, v2, a, b, c, d, d / b) == v2 * (b + d) ** 2
+
+    def test_exact_maximum_equals_support_norm(self, rng):
+        interior = 0
+        for _ in range(400):
+            pair = random_nonprop_pair(rng, max_height=12)
+            a, b, c, d = pair.radii
+            k = rng.randint(1, 300)
+            v1 = rng.randint(0, k)
+            norm = oracle._s_max(v1, k - v1, pair)
+            assert norm == support_norm(IndexVector(v1, k - v1), pair).coeff, (pair.radii, v1, k)
+            interior += norm > max(v1 * (a + c) ** 2, (k - v1) * (b + d) ** 2)
+        # both branches of the support-norm formula occur among the draws
+        assert 0 < interior < 400
 
 
 class TestUnimodality:
