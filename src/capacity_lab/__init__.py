@@ -31,7 +31,6 @@ from .domains import (
     StabilizationError,
     capacity,
     ellipsoid_capacity,
-    ellipsoid_capacity_bruteforce,
     ellipsoid_norm_argmin,
     ellipsoid_product_capacity,
     format_domain,

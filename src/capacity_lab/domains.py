@@ -14,13 +14,11 @@ N(t) = floor(t/a^2) + floor(t/b^2) rather than materializing a sorted list.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from typing import Callable, Union
 
 from .exact import Ordering, PiRational, cmp_rational_sqrt, format_rational, parse_rational
@@ -36,7 +34,6 @@ __all__ = [
     "DomainParseError",
     "StabilizationError",
     "ellipsoid_capacity",
-    "ellipsoid_capacity_bruteforce",
     "ellipsoid_norm_argmin",
     "convex_argmin",
     "polydisk_capacity",
@@ -195,15 +192,30 @@ def _require_positive_k(k: int) -> None:
         raise ValueError(f"capacity index k must be a positive integer, got {k!r}")
 
 
-def convex_argmin(h: Callable[[int], Fraction], k: int) -> tuple[Fraction, int]:
+def _common_denominator(*qs: Fraction) -> tuple[list[int], int]:
+    """Integers n_i and L > 0 with q_i = n_i / L, L the lcm of the denominators."""
+    L = math.lcm(*(q.denominator for q in qs))
+    return [q.numerator * (L // q.denominator) for q in qs], L
+
+
+def convex_argmin(h: Callable[[int], tuple[int, int]], k: int) -> tuple[Fraction, int]:
     """Minimum of a discrete-convex h(0), ..., h(k) and its smallest minimizer.
 
-    Bisects for the first j with h(j+1) >= h(j) in O(log k) evaluations of h;
-    dual norms v1 -> |(v1, k - v1)|* are convex because support functions are.
+    Each h(j) is an integer pair (num, den) with den > 0 standing for
+    num/den.  Bisects for the first j with h(j+1) >= h(j), compared by
+    cross-multiplication, in O(log k) evaluations of h; only the minimum
+    becomes a Fraction.  Dual norms v1 -> |(v1, k - v1)|* are convex
+    because support functions are.
     """
     h = cache(h)
-    j = bisect_left(range(k), True, key=lambda i: h(i + 1) >= h(i))
-    return h(j), j
+
+    def rises(i: int) -> bool:
+        n0, d0 = h(i)
+        n1, d1 = h(i + 1)
+        return n1 * d0 >= n0 * d1
+
+    j = bisect_left(range(k), True, key=rises)
+    return Fraction(*h(j)), j
 
 
 def _kth_merged_multiple(k: int, alpha: Fraction, beta: Fraction) -> Fraction:
@@ -228,29 +240,17 @@ def ellipsoid_capacity(k: int, e: Ellipsoid) -> PiRational:
     return PiRational(_kth_merged_multiple(k, e.a * e.a, e.b * e.b))
 
 
-def ellipsoid_capacity_bruteforce(k: int, e: Ellipsoid) -> PiRational:
-    """O(k) reference for ellipsoid_capacity, used by tests and ``oracle.cross_check``.
-
-    With a^2 = A/den and b^2 = B/den over a common denominator, the integer
-    progressions A, 2A, ... and B, 2B, ... are merged lazily up to the k-th.
-    """
-    _require_positive_k(k)
-    alpha, beta = e.a * e.a, e.b * e.b
-    den = math.lcm(alpha.denominator, beta.denominator)
-    A, B = int(alpha * den), int(beta * den)
-    kth = next(islice(heapq.merge(range(A, (k + 1) * A, A), range(B, (k + 1) * B, B)), k - 1, None))
-    return PiRational(Fraction(kth, den))
-
-
 def ellipsoid_norm_argmin(k: int, e: Ellipsoid) -> tuple[PiRational, IndexVector]:
     """Minimum over v1 + v2 = k of max(v1 * pi a^2, v2 * pi b^2), with argmin.
 
-    Ties go to the smallest v1 (``convex_argmin``).  The value always equals
-    ellipsoid_capacity(k, e); the argmin is what the strictness criterion needs.
+    a^2 = A/L and b^2 = B/L over one common denominator, so the norms are
+    the integer pairs (max(v1 A, v2 B), L).  Ties go to the smallest v1
+    (``convex_argmin``).  The value always equals ellipsoid_capacity(k, e);
+    the argmin is what the strictness criterion needs.
     """
     _require_positive_k(k)
-    alpha, beta = e.a * e.a, e.b * e.b
-    value, v1 = convex_argmin(lambda j: max(j * alpha, (k - j) * beta), k)
+    (A, B), L = _common_denominator(e.a * e.a, e.b * e.b)
+    value, v1 = convex_argmin(lambda j: (max(j * A, (k - j) * B), L), k)
     return PiRational(value), IndexVector(v1, k - v1)
 
 

@@ -32,6 +32,7 @@ from .domains import (
     Ellipsoid,
     EllipsoidPair,
     IndexVector,
+    _common_denominator,
     _require_positive_k,
     convex_argmin,
     ellipsoid_norm_argmin,
@@ -204,28 +205,37 @@ def support_norm(v: IndexVector, pair: EllipsoidPair) -> PiRational:
     """Exact dual norm of v over the moment image of the sum.
 
     Branches on the critical point f0 = N/D described in the module
-    docstring; every comparison is exact rational arithmetic.
+    docstring; every comparison is exact integer arithmetic.
     """
     _require_nonproportional(pair, "support_norm")
-    return PiRational(_norm_coeff(v.k, pair)(v.v1))
+    return PiRational(Fraction(*_norm_coeff(v.k, pair)(v.v1)))
 
 
-def _norm_coeff(k: int, pair: EllipsoidPair) -> Callable[[int], Fraction]:
-    """v1 -> |(v1, k - v1)|* / pi; for D < 0 tests c/a < N/D < d/b as (c/a) D > N > (d/b) D."""
+def _norm_coeff(k: int, pair: EllipsoidPair) -> Callable[[int], tuple[int, int]]:
+    """v1 -> |(v1, k - v1)|* / pi as an integer pair (num, den) with den > 0.
+
+    a^2, b^2, c^2, d^2, (a+c)^2 and (b+d)^2 are A2/L, ..., BD2/L over one
+    common denominator L, and c/a, d/b are lo_num/lo_den, hi_num/hi_den.
+    Then D = v2 B2 - v1 A2 and N = v1 C2 - v2 D2 are L times the D and N
+    of the module docstring.  The interior branch, D < 0 and
+    c/a < N/D < d/b, is lo_num D > lo_den N and hi_den N > hi_num D; its
+    value is X v1 v2 (N + D) / (L N D) with X = B2 C2 - A2 D2.  Otherwise
+    the value is max(v1 AC2, v2 BD2) / L.
+    """
     a, b, c, d = pair.radii
-    a2, b2, c2, d2 = a * a, b * b, c * c, d * d
+    (A2, B2, C2, D2, AC2, BD2), L = _common_denominator(a * a, b * b, c * c, d * d, (a + c) ** 2, (b + d) ** 2)
     lo, hi = c / a, d / b
-    cross = b2 * c2 - a2 * d2
-    ac2, bd2 = (a + c) ** 2, (b + d) ** 2
+    lo_num, lo_den, hi_num, hi_den = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    X = B2 * C2 - A2 * D2
 
-    def h(v1: int) -> Fraction:
+    def h(v1: int) -> tuple[int, int]:
         v2 = k - v1
-        D = v2 * b2 - v1 * a2
+        D = v2 * B2 - v1 * A2
         if D < 0:
-            N = v1 * c2 - v2 * d2
-            if lo * D > N > hi * D:
-                return cross * v1 * v2 * (N + D) / (N * D)
-        return max(v1 * ac2, v2 * bd2)
+            N = v1 * C2 - v2 * D2
+            if lo_num * D > lo_den * N and hi_den * N > hi_num * D:
+                return X * v1 * v2 * (N + D), L * N * D
+        return max(v1 * AC2, v2 * BD2), L
 
     return h
 

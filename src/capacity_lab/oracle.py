@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .domains import (
     DomainSpec,
@@ -37,9 +38,8 @@ from .domains import (
     IndexVector,
     Polydisk,
     ProductWithBall,
+    _common_denominator,
     convex_argmin,
-    ellipsoid_capacity_bruteforce,
-    ellipsoid_norm_argmin,
 )
 from .exact import PiRational
 from .minkowski import sum_capacity_with_argmin
@@ -102,25 +102,26 @@ def support_norm_numeric(v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig 
 def cross_check(k: int, domain: DomainSpec, value: PiRational) -> None:
     """Re-derive c_k(domain) independently and exactly; raise ValueError unless it is value.
 
-    Ellipsoids: the minimum of the dual norms over v1 + v2 = k, and for
-    k <= 4096 the k-th sorted multiple.  Polydisks: the minimum of the
-    rectangle norms.  Proportional sums and stabilized products reduce to
-    their outer and inner domains.  Non-proportional sums: the norms h at
-    the argmin v1 and at its neighbours v1 +- 1 are the exact maxima of
-    the profile S (module docstring), value must be h(v1), and
-    h(v1-1) > h(v1) <= h(v1+1) must hold.  The norm is convex in v1, so
-    that local minimum is the global one, with ties broken toward the
-    smallest v1.  No float and no numpy is involved.
+    Ellipsoids: value / pi = c is the k-th merged multiple of a^2 and b^2
+    exactly when floor(c/a^2) + floor(c/b^2) >= k and
+    (ceil(c/a^2) - 1) + (ceil(c/b^2) - 1) < k, that is, when at least k
+    multiples are <= c and fewer than k are < c: four integer floor
+    divisions.  Polydisks: the minimum of the rectangle norms, as integer
+    pairs over the common denominator of a^2 and b^2.  Proportional sums
+    and stabilized products reduce to their outer and inner domains.
+    Non-proportional sums: the norms h at the argmin v1 and at its
+    neighbours v1 +- 1 are the exact maxima of the profile S (module
+    docstring), value must be h(v1), and h(v1-1) > h(v1) <= h(v1+1) must
+    hold.  The norm is convex in v1, so that local minimum is the global
+    one, with ties broken toward the smallest v1.  No float and no numpy
+    is involved.
     """
     if isinstance(domain, Ellipsoid):
-        against = ellipsoid_norm_argmin(k, domain)[0]
-        if against != value:
-            raise ValueError(f"norm minimum {against} != {value}")
-        if k <= 4096 and ellipsoid_capacity_bruteforce(k, domain) != value:
-            raise ValueError("sorted-multiples check disagrees")
+        if not _is_kth_merged_multiple(k, value.coeff, domain.a**2, domain.b**2):
+            raise ValueError(f"{value} is not the {k}-th merged multiple of pi a^2 and pi b^2")
     elif isinstance(domain, Polydisk):
-        a2, b2 = domain.a**2, domain.b**2
-        against = convex_argmin(lambda v1: v1 * a2 + (k - v1) * b2, k)[0]
+        (A, B), L = _common_denominator(domain.a**2, domain.b**2)
+        against = convex_argmin(lambda v1: (v1 * A + (k - v1) * B, L), k)[0]
         if against != value.coeff:
             raise ValueError(f"rectangle norm minimum {against} != {value.coeff}")
     elif isinstance(domain, ProductWithBall):
@@ -134,9 +135,20 @@ def cross_check(k: int, domain: DomainSpec, value: PiRational) -> None:
         raise TypeError(f"unsupported domain: {domain!r}")
 
 
+def _is_kth_merged_multiple(k: int, c: Fraction, alpha: Fraction, beta: Fraction) -> bool:
+    """Is c the k-th smallest of {i alpha : i >= 1} merged with {j beta : j >= 1}, ties counted twice?"""
+    at_most = below = 0
+    for step in (alpha, beta):
+        n, m = c.numerator * step.denominator, c.denominator * step.numerator  # c / step = n / m, m > 0
+        at_most += n // m
+        below += -(-n // m) - 1
+    return at_most >= k > below
+
+
 def _cross_check_sum(k: int, pair: EllipsoidPair, value: PiRational) -> None:
     v1 = sum_capacity_with_argmin(k, pair)[1].v1
-    norms = {u: PiRational(_s_max(u, k - u, pair)) for u in (v1 - 1, v1, v1 + 1) if 0 <= u <= k}
+    h = _s_max(pair)
+    norms = {u: PiRational(h(u, k - u)) for u in (v1 - 1, v1, v1 + 1) if 0 <= u <= k}
     if norms[v1] != value:
         raise ValueError(f"norm at the argmin v1 = {v1} is {norms[v1]}, not {value}")
     if v1 - 1 in norms and not norms[v1 - 1] > norms[v1]:
@@ -150,31 +162,49 @@ def _critical(v1, v2, a, b, c, d):
     return v2 * b * b - v1 * a * a, v1 * c * c - v2 * d * d
 
 
-def _s_over_pi(v1, v2, a, b, c, d, f):
-    """S(f) / pi, exact for Fraction radii and f, float for floats."""
-    r2 = (c / a) ** 2
-    s2 = (d / b) ** 2
-    term1 = v1 * a * a * (s2 - f * f) * (1 + c * c / (a * a * f)) ** 2
-    term2 = v2 * b * b * (f * f - r2) * (1 + d * d / (b * b * f)) ** 2
-    return (term1 + term2) / (s2 - r2)
+def _s_over_pi(a, b, c, d) -> Callable:
+    """(v1, v2, f) -> S(f) / pi for the radii a, b, c, d; exact for Fractions, float for floats.
+
+    a^2, b^2, r2 = (c/a)^2, s2 = (d/b)^2 and Dp = s2 - r2 are computed
+    once; c^2 / (a^2 f) is r2 / f and d^2 / (b^2 f) is s2 / f.
+    """
+    a2, b2 = a * a, b * b
+    r2, s2 = c * c / a2, d * d / b2
+    dp = s2 - r2
+
+    def S(v1, v2, f):
+        f2 = f * f
+        return (v1 * a2 * (s2 - f2) * (1 + r2 / f) ** 2 + v2 * b2 * (f2 - r2) * (1 + s2 / f) ** 2) / dp
+
+    return S
 
 
-def _s_prime_over_pi(v1, v2, a, b, c, d, f):
-    """Closed-form S'(f) / pi, exact for Fraction radii and f, float for floats."""
-    D, N = _critical(v1, v2, a, b, c, d)
+def _s_prime_over_pi(a, b, c, d) -> Callable:
+    """(v1, v2, f) -> closed-form S'(f) / pi, built like ``_s_over_pi``."""
     dp = (d / b) ** 2 - (c / a) ** 2
-    return 2 / (dp * f**3) * (f**3 + (c * c * d * d) / (a * a * b * b)) * (D * f - N)
+    K = (c * c * d * d) / (a * a * b * b)
+
+    def Sp(v1, v2, f):
+        D, N = _critical(v1, v2, a, b, c, d)
+        return 2 / (dp * f**3) * (f**3 + K) * (D * f - N)
+
+    return Sp
 
 
-def _s_max(v1: int, v2: int, pair: EllipsoidPair) -> Fraction:
-    """|(v1, v2)|* / pi as the exact maximum of S: at c/a, at d/b, or at an interior maximum N/D."""
-    a, b, c, d = pair.radii
+def _s_max(pair: EllipsoidPair) -> Callable[[int, int], Fraction]:
+    """(v1, v2) -> |(v1, v2)|* / pi as the exact maximum of S: at c/a, at d/b, or at an interior maximum N/D."""
+    a, b, c, d = radii = pair.radii
+    S = _s_over_pi(*radii)
     lo, hi = c / a, d / b
-    D, N = _critical(v1, v2, a, b, c, d)
-    candidates = [lo, hi]
-    if D < 0 and lo < N / D < hi:
-        candidates.append(N / D)
-    return max(_s_over_pi(v1, v2, a, b, c, d, f) for f in candidates)
+
+    def norm(v1: int, v2: int) -> Fraction:
+        D, N = _critical(v1, v2, *radii)
+        candidates = [lo, hi]
+        if D < 0 and lo < N / D < hi:
+            candidates.append(N / D)
+        return max(S(v1, v2, f) for f in candidates)
+
+    return norm
 
 
 def _float_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, float]:
@@ -189,12 +219,12 @@ def s_profile(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
     a, b, c, d = _float_radii(pair, "s_profile")
     if not (c / a - 1e-12 <= f <= d / b + 1e-12):
         raise ValueError(f"f = {f} outside [c/a, d/b] = [{c / a}, {d / b}]")
-    return math.pi * _s_over_pi(v.v1, v.v2, a, b, c, d, f)
+    return math.pi * _s_over_pi(a, b, c, d)(v.v1, v.v2, f)
 
 
 def s_derivative(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
     """Closed-form S'(f)."""
-    return math.pi * _s_prime_over_pi(v.v1, v.v2, *_float_radii(pair, "s_derivative"), f)
+    return math.pi * _s_prime_over_pi(*_float_radii(pair, "s_derivative"))(v.v1, v.v2, f)
 
 
 @dataclass(frozen=True)
@@ -227,12 +257,13 @@ def s_derivative_signcheck(
     a, b, c, d = radii = _float_radii(pair, "s_derivative_signcheck")
     lo, hi = c / a, d / b
     span = hi - lo
+    s_over_pi, s_prime_over_pi = _s_over_pi(*radii), _s_prime_over_pi(*radii)
 
     def S(f: float) -> float:
-        return math.pi * _s_over_pi(v.v1, v.v2, *radii, f)
+        return math.pi * s_over_pi(v.v1, v.v2, f)
 
     def Sp(f: float) -> float:
-        return math.pi * _s_prime_over_pi(v.v1, v.v2, *radii, f)
+        return math.pi * s_prime_over_pi(v.v1, v.v2, f)
 
     sign_mismatches = 0
     max_abs_err = 0.0

@@ -1,4 +1,7 @@
+import heapq
+import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +13,12 @@ from capacity_lab import (
     EllipsoidPair,
     EllipsoidSum,
     IndexVector,
+    PiRational,
     Polydisk,
     ProductWithBall,
     StabilizationError,
     capacity,
     ellipsoid_capacity,
-    ellipsoid_capacity_bruteforce,
     ellipsoid_norm_argmin,
     ellipsoid_product_capacity,
     format_domain,
@@ -25,7 +28,8 @@ from capacity_lab import (
     product_with_ball_capacity,
     scale_domain,
 )
-from capacity_lab.domains import convex_argmin
+from capacity_lab.domains import _require_positive_k, convex_argmin
+from capacity_lab.oracle import _is_kth_merged_multiple
 from conftest import ellipsoids_st, radii_st, random_ellipsoid
 
 F = Fraction
@@ -117,6 +121,20 @@ class TestEllipsoidCapacity:
         assert value.coeff == max(argmin.v1 * e.a**2, argmin.v2 * e.b**2)
 
 
+def ellipsoid_capacity_bruteforce(k: int, e: Ellipsoid) -> PiRational:
+    """O(k) reference for ellipsoid_capacity and for the counting check in ``oracle.cross_check``.
+
+    With a^2 = A/den and b^2 = B/den over a common denominator, the integer
+    progressions A, 2A, ... and B, 2B, ... are merged lazily up to the k-th.
+    """
+    _require_positive_k(k)
+    alpha, beta = e.a * e.a, e.b * e.b
+    den = math.lcm(alpha.denominator, beta.denominator)
+    A, B = int(alpha * den), int(beta * den)
+    kth = next(islice(heapq.merge(range(A, (k + 1) * A, A), range(B, (k + 1) * B, B)), k - 1, None))
+    return PiRational(Fraction(kth, den))
+
+
 def reference_norm_argmin(k, e):
     """The linear scan that ellipsoid_norm_argmin ran before it bisected."""
     alpha, beta = e.a * e.a, e.b * e.b
@@ -164,6 +182,30 @@ class TestBruteforce:
         assert ellipsoid_capacity_bruteforce(4096, e).coeff == reference_sorted_bruteforce(4096, e)
 
 
+class TestCountingCheck:
+    """``oracle._is_kth_merged_multiple``, the O(1) test behind ``cross_check`` on ellipsoids."""
+
+    @given(ellipsoids_st, st.integers(1, 400))
+    @settings(max_examples=300)
+    def test_accepts_the_capacity_and_rejects_its_neighbours(self, e, k):
+        alpha, beta = e.a**2, e.b**2
+        c = ellipsoid_capacity(k, e).coeff
+        assert _is_kth_merged_multiple(k, c, alpha, beta)
+        assert _is_kth_merged_multiple(k, ellipsoid_capacity_bruteforce(k, e).coeff, alpha, beta)
+        for forged in (c + min(alpha, beta) / 7, c - min(alpha, beta) / 7, c - alpha, c + beta):
+            assert not _is_kth_merged_multiple(k, forged, alpha, beta)
+
+    def test_ties_count_twice(self):
+        # E(1,1): the multiples 1, 1, 2, 2, ... so c_3 = c_4 = 2 and c_2 = 1
+        one = F(1)
+        assert [_is_kth_merged_multiple(k, F(2), one, one) for k in range(1, 6)] == [False, False, True, True, False]
+        assert _is_kth_merged_multiple(2, one, one, one)
+
+    def test_nonpositive_values_rejected(self):
+        for c in (F(0), F(-1), F(-1, 2)):
+            assert not _is_kth_merged_multiple(1, c, F(1), F(2))
+
+
 def scan_argmin(values):
     best = min(values)
     return best, values.index(best)
@@ -178,17 +220,28 @@ class TestConvexArgmin:
     @given(convex_sequences_st)
     @settings(max_examples=300)
     def test_matches_scan_on_convex_sequences(self, values):
-        assert convex_argmin(lambda j: values[j], len(values) - 1) == scan_argmin(values)
+        assert convex_argmin(lambda j: (values[j], 1), len(values) - 1) == scan_argmin(values)
 
     def test_constant_sequence_picks_zero(self):
-        assert convex_argmin(lambda j: F(7, 3), 9) == (F(7, 3), 0)
+        assert convex_argmin(lambda j: (7, 3), 9) == (F(7, 3), 0)
+
+    @pytest.mark.parametrize(
+        "pairs, expected",
+        [
+            ([(3, 1), (1, 2), (2, 4), (5, 1)], (F(1, 2), 1)),
+            ([(1, 2), (2, 4), (9, 1)], (F(1, 2), 0)),
+            ([(9, 1), (4, 8), (3, 6), (1, 1)], (F(1, 2), 1)),
+        ],
+    )
+    def test_ties_across_unequal_denominators_go_to_the_smaller_index(self, pairs, expected):
+        assert convex_argmin(lambda j: pairs[j], len(pairs) - 1) == expected
 
     def test_each_value_computed_once(self):
         calls = []
 
         def h(j):
             calls.append(j)
-            return F((j - 600) ** 2)
+            return (j - 600) ** 2, 1
 
         assert convex_argmin(h, 10**6) == (0, 600)
         assert len(calls) == len(set(calls)) <= 2 * 21
@@ -203,7 +256,9 @@ class TestConvexArgmin:
     def test_rectangle_norm_matches_reference_scan(self, p, k):
         a2, b2 = p.a**2, p.b**2
         values = [v1 * a2 + (k - v1) * b2 for v1 in range(k + 1)]
-        assert convex_argmin(lambda v1: v1 * a2 + (k - v1) * b2, k) == scan_argmin(values)
+        L = math.lcm(a2.denominator, b2.denominator)
+        A, B = int(a2 * L), int(b2 * L)
+        assert convex_argmin(lambda v1: (v1 * A + (k - v1) * B, L), k) == scan_argmin(values)
 
     @given(ellipsoids_st, st.integers(1, 10**6))
     @settings(max_examples=200)

@@ -1,5 +1,7 @@
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from capacity_lab import (
     sum_capacity_with_argmin,
     support_norm,
 )
-from capacity_lab import _kernels
+from capacity_lab import _kernels, minkowski
 from conftest import nonprop_pairs_st, pairs_st, random_nonprop_pair
 
 F = Fraction
@@ -238,6 +240,8 @@ class TestSupportNorm:
         expected = max(v1 * (a + c) ** 2, v2 * (b + d) ** 2)
         assert interior == expected
         assert support_norm(IndexVector(v1, v2), pair).coeff == expected
+        num, den = minkowski._norm_coeff(v1 + v2, pair)(v1)
+        assert den > 0 and F(num, den) == expected == reference_norm_coeff(v1 + v2, pair)(v1)
 
     def test_branch_boundary_f0_at_upper_end(self):
         # (E(1,1), E(1,2)) with v = (2,1): f0 = 2 = d/b
@@ -251,6 +255,8 @@ class TestSupportNorm:
         expected = max(v1 * (a + c) ** 2, v2 * (b + d) ** 2)
         assert interior == expected
         assert support_norm(IndexVector(v1, v2), pair).coeff == expected
+        num, den = minkowski._norm_coeff(v1 + v2, pair)(v1)
+        assert den > 0 and F(num, den) == expected == reference_norm_coeff(v1 + v2, pair)(v1)
 
     def test_degenerate_direction_D_zero(self):
         # v2 b^2 = v1 a^2 leaves no interior critical point
@@ -362,6 +368,49 @@ def reference_sum_argmin(k, pair):
             best = coeff
             best_v1 = v1
     return best, best_v1
+
+
+def reference_norm_coeff(k, pair):
+    """minkowski._norm_coeff as it was before the norms were scaled to integers."""
+    a, b, c, d = pair.radii
+    a2, b2, c2, d2 = a * a, b * b, c * c, d * d
+    lo, hi = c / a, d / b
+    cross = b2 * c2 - a2 * d2
+    ac2, bd2 = (a + c) ** 2, (b + d) ** 2
+
+    def h(v1: int) -> Fraction:
+        v2 = k - v1
+        D = v2 * b2 - v1 * a2
+        if D < 0:
+            N = v1 * c2 - v2 * d2
+            if lo * D > N > hi * D:
+                return cross * v1 * v2 * (N + D) / (N * D)
+        return max(v1 * ac2, v2 * bd2)
+
+    return h
+
+
+def reference_convex_argmin(h, k):
+    """domains.convex_argmin as it was while h returned Fractions."""
+    h = cache(h)
+    j = bisect_left(range(k), True, key=lambda i: h(i + 1) >= h(i))
+    return h(j), j
+
+
+class TestIntegerNorms:
+    @given(nonprop_pairs_st, st.integers(1, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_norm_equals_the_fraction_reference(self, pair, k):
+        h, ref = minkowski._norm_coeff(k, pair), reference_norm_coeff(k, pair)
+        for v1 in range(k + 1):
+            num, den = h(v1)
+            assert den > 0 and F(num, den) == ref(v1)
+
+    @given(nonprop_pairs_st, st.integers(1, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_bisection_matches_the_fraction_reference(self, pair, k):
+        value, argmin = sum_capacity_with_argmin(k, pair)
+        assert (value.coeff, argmin.v1) == reference_convex_argmin(reference_norm_coeff(k, pair), k)
 
 
 class TestBisection:

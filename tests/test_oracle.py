@@ -124,7 +124,12 @@ class TestCrossCheck:
         # argmin v1 = k/2 is interior, so the engine's value comes out wrong
         def corner_only(k, pair):
             a, b, c, d = pair.radii
-            return lambda v1: max(v1 * (a + c) ** 2, (k - v1) * (b + d) ** 2)
+
+            def h(v1):
+                corner = max(v1 * (a + c) ** 2, (k - v1) * (b + d) ** 2)
+                return corner.numerator, corner.denominator
+
+            return h
 
         domain = EllipsoidSum(even_family(k))
         monkeypatch.setattr(minkowski, "_norm_coeff", corner_only)
@@ -266,8 +271,8 @@ class TestExactProfile:
             lo, hi = c / a, d / b
             for j in range(8):
                 f = lo + (hi - lo) * F(j, 7)
-                assert oracle._s_over_pi(v1, k - v1, a, b, c, d, f) == laurent_value(S, f)
-                closed = oracle._s_prime_over_pi(v1, k - v1, a, b, c, d, f)
+                assert oracle._s_over_pi(a, b, c, d)(v1, k - v1, f) == laurent_value(S, f)
+                closed = oracle._s_prime_over_pi(a, b, c, d)(v1, k - v1, f)
                 assert closed == laurent_value(dS, f)
                 assert s_derivative(IndexVector(v1, k - v1), pair, float(f)) == pytest.approx(
                     math.pi * float(closed), rel=1e-9, abs=1e-9
@@ -278,8 +283,9 @@ class TestExactProfile:
             pair = random_nonprop_pair(rng)
             a, b, c, d = pair.radii
             v1, v2 = rng.randint(0, 9), rng.randint(0, 9)
-            assert oracle._s_over_pi(v1, v2, a, b, c, d, c / a) == v1 * (a + c) ** 2
-            assert oracle._s_over_pi(v1, v2, a, b, c, d, d / b) == v2 * (b + d) ** 2
+            S = oracle._s_over_pi(a, b, c, d)
+            assert S(v1, v2, c / a) == v1 * (a + c) ** 2
+            assert S(v1, v2, d / b) == v2 * (b + d) ** 2
 
     def test_exact_maximum_equals_support_norm(self, rng):
         interior = 0
@@ -288,7 +294,7 @@ class TestExactProfile:
             a, b, c, d = pair.radii
             k = rng.randint(1, 300)
             v1 = rng.randint(0, k)
-            norm = oracle._s_max(v1, k - v1, pair)
+            norm = oracle._s_max(pair)(v1, k - v1)
             assert norm == support_norm(IndexVector(v1, k - v1), pair).coeff, (pair.radii, v1, k)
             interior += norm > max(v1 * (a + c) ** 2, (k - v1) * (b + d) ** 2)
         # both branches of the support-norm formula occur among the draws
