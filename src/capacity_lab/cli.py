@@ -3,19 +3,19 @@
 Subcommands: capacity, bm-check, reproduce, omega, mean-width, criterion,
 search.  Exact values print as p/q·π plus a 12-significant-digit decimal.
 Mathematical verdicts (Violates/Satisfies/Equality) are data and exit 0;
-computation and parse errors exit 2; a failed reproduction exits 3; a
-certificate that fails re-validation exits 1.
+usage, computation and parse errors print one ``Error: ...`` line on
+stderr and exit 2; a failed reproduction exits 3; a certificate that
+fails re-validation exits 1.  Only ``--verify`` loads ``oracle``.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import sys
 from fractions import Fraction
-
-import click
 
 from . import __version__
 from .bm import (
@@ -39,7 +39,6 @@ from .domains import (
 )
 from .exact import PiRational, format_rational
 from .minkowski import omega_curve
-from .oracle import cross_check
 
 K_CAP = 10**6
 SAMPLES_CAP = 10**5
@@ -47,26 +46,20 @@ MEAN_WIDTH_SAMPLES_CAP = 10**9
 SEARCH_CAP = 10**6
 
 
-class CliError(click.ClickException):
+class CliError(Exception):
     """A usage or computation error: one line on stderr, exit code 2."""
 
-    exit_code = 2
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a CliError instead of printing usage and exiting."""
 
-format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv", "text"]),
-    default="json",
-    show_default=True,
-    help="Output format.",
-)
-
-
-verify_option = click.option("--verify", is_flag=True, help="Re-derive exact values independently and exactly.")
+    def error(self, message):
+        raise CliError(message)
 
 
 def _cross_check(k: int, domain: DomainSpec, value: PiRational) -> None:
+    from .oracle import cross_check
+
     try:
         cross_check(k, domain, value)
     except ValueError as exc:
@@ -111,18 +104,6 @@ def _emit_csv(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Exact capacities of ellipsoids, polydisks and ellipsoid sums, with
-    Brunn-Minkowski violation certificates."""
-
-
-@main.command("capacity")
-@click.argument("k", type=int)
-@click.argument("domain", type=str)
-@format_option
-@verify_option
 def cmd_capacity(k, domain, fmt, verify):
     """Print c_k(DOMAIN) exactly.
 
@@ -146,14 +127,14 @@ def cmd_capacity(k, domain, fmt, verify):
         "verified": bool(verify),
     }
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     elif fmt == "csv":
-        click.echo(_emit_csv(["k", "domain", "exact", "decimal"], [
+        print(_emit_csv(["k", "domain", "exact", "decimal"], [
             {"k": k, "domain": payload["domain"], "exact": payload["exact"], "decimal": payload["decimal"]}
         ]))
     else:
         suffix = "  [verified]" if verify else ""
-        click.echo(f"c_{k}({payload['domain']}) = {value.render()}{suffix}")
+        print(f"c_{k}({payload['domain']}) = {value.render()}{suffix}")
 
 
 def _require_ellipsoid(dom: DomainSpec, label: str) -> Ellipsoid:
@@ -181,36 +162,23 @@ def _emit_certificate(cert: BMCertificate, fmt: str) -> None:
     if fmt == "json":
         payload = cert.to_dict()
         payload["margin"] = f"{cert.margin():.12g}"
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     elif fmt == "csv":
-        click.echo(_emit_csv(["k", "domain1", "domain2", "c_sum", "c1", "c2", "verdict"], _certificate_rows([cert])))
+        print(_emit_csv(["k", "domain1", "domain2", "c_sum", "c1", "c2", "verdict"], _certificate_rows([cert])))
     else:
         rel = {"LESS": "<", "EQUAL": "=", "GREATER": ">"}[cert.comparison.name]
-        click.echo(f"k = {cert.k}")
-        click.echo(f"c_k({format_domain(cert.domain1)}) = {cert.c_1.render()}")
-        click.echo(f"c_k({format_domain(cert.domain2)}) = {cert.c_2.render()}")
-        click.echo(f"c_k(sum) = {cert.c_sum.render()}")
-        click.echo(
+        print(f"k = {cert.k}")
+        print(f"c_k({format_domain(cert.domain1)}) = {cert.c_1.render()}")
+        print(f"c_k({format_domain(cert.domain2)}) = {cert.c_2.render()}")
+        print(f"c_k(sum) = {cert.c_sum.render()}")
+        print(
             f"sqrt({format_rational(cert.c_sum.coeff)}) {rel} "
             f"sqrt({format_rational(cert.c_1.coeff)}) + sqrt({format_rational(cert.c_2.coeff)})"
             f"   [margin {cert.margin():.6g}]"
         )
-        click.echo(f"verdict: {cert.verdict}")
+        print(f"verdict: {cert.verdict}")
 
 
-@main.command("bm-check")
-@click.argument("k", type=int, required=False)
-@click.argument("domain1", type=str, required=False)
-@click.argument("domain2", type=str, required=False)
-@click.option(
-    "--check-certificate",
-    "cert_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="Re-validate a serialized certificate instead of computing a new one.",
-)
-@format_option
-@verify_option
 def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
     """Compare sqrt(c_k(E1+E2)) against sqrt(c_k(E1)) + sqrt(c_k(E2))."""
     if cert_path is not None:
@@ -223,13 +191,11 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
                 cert = BMCertificate.from_dict(json.load(fh))
             if not 1 <= cert.k <= K_CAP:
                 raise ValueError(f"k must be in 1..{K_CAP}, got {cert.k}")
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, OSError, RecursionError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad certificate file: {exc}") from None
         ok = verify_certificate(cert)
-        click.echo(json.dumps({"file": cert_path, "valid": ok}))
-        if not ok:
-            sys.exit(1)
-        return
+        print(json.dumps({"file": cert_path, "valid": ok}))
+        return 0 if ok else 1
     if k is None or domain1 is None or domain2 is None:
         raise CliError("usage: bm-check K DOMAIN1 DOMAIN2 (or --check-certificate FILE)")
     _check_k(k)
@@ -242,10 +208,6 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
     _emit_certificate(cert, fmt)
 
 
-@main.command("reproduce")
-@click.argument("k_max", type=int)
-@format_option
-@verify_option
 def cmd_reproduce(k_max, fmt, verify):
     """One violating certificate for every k in 2..K_MAX.
 
@@ -259,16 +221,18 @@ def cmd_reproduce(k_max, fmt, verify):
     try:
         rows = reproduce_theorem(k_max)
     except ReproductionError as exc:
-        click.echo(f"reproduction FAILED: {exc}", err=True)
-        sys.exit(3)
+        print(f"reproduction FAILED: {exc}", file=sys.stderr)
+        return 3
     if verify:
+        from .oracle import cross_check
+
         for row in rows:
             cert = row.certificate
             try:
                 cross_check(row.k, EllipsoidSum.of(cert.domain1, cert.domain2), cert.c_sum)
             except ValueError as exc:
-                click.echo(f"reproduction FAILED: oracle disagrees at k={row.k}: {exc}", err=True)
-                sys.exit(3)
+                print(f"reproduction FAILED: oracle disagrees at k={row.k}: {exc}", file=sys.stderr)
+                return 3
     table = [
         {
             "k": row.k,
@@ -281,24 +245,18 @@ def cmd_reproduce(k_max, fmt, verify):
         for row in rows
     ]
     if fmt == "json":
-        click.echo(json.dumps(table, indent=2))
+        print(json.dumps(table, indent=2))
     elif fmt == "csv":
-        click.echo(_emit_csv(["k", "family", "c_sum", "c1", "c2", "verdict"], table))
+        print(_emit_csv(["k", "family", "c_sum", "c1", "c2", "verdict"], table))
     else:
         for r in table:
-            click.echo(
+            print(
                 f"k={r['k']:>4} {r['family']:<5} c_sum={r['c_sum']:<14} "
                 f"c1={r['c1']:<10} c2={r['c2']:<10} {r['verdict']}"
             )
-        click.echo(f"all {len(table)} indices violate the inequality")
+        print(f"all {len(table)} indices violate the inequality")
 
 
-@main.command("omega")
-@click.argument("domain1", type=str)
-@click.argument("domain2", type=str)
-@click.option("--samples", type=int, default=256, show_default=True, help="Number of psi intervals.")
-@click.option("--out", type=str, default="-", show_default=True, help="Output path, '-' for stdout.")
-@format_option
 def cmd_omega(domain1, domain2, samples, out, fmt):
     """Boundary curve of the moment image of E1 + E2 as psi,x1,x2 data."""
     if samples > SAMPLES_CAP:
@@ -316,18 +274,13 @@ def cmd_omega(domain1, domain2, samples, out, fmt):
         lines = ["psi,x1,x2"] + [f"{p.psi!r},{p.x1!r},{p.x2!r}" for p in points]
         body = "\n".join(lines)
     if out == "-":
-        click.echo(body)
+        print(body)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(body + "\n")
-        click.echo(f"wrote {len(points)} points to {out}")
+        print(f"wrote {len(points)} points to {out}")
 
 
-@main.command("mean-width")
-@click.argument("domain", type=str)
-@click.option("--samples", type=int, default=1_000_000, show_default=True, help="Monte Carlo sample count.")
-@click.option("--seed", type=int, default=42, show_default=True, help="Seed of the random generator.")
-@format_option
 def cmd_mean_width(domain, samples, seed, fmt):
     """Monte Carlo mean width of a 4-dimensional ellipsoid or polydisk."""
     if samples > MEAN_WIDTH_SAMPLES_CAP:
@@ -345,19 +298,16 @@ def cmd_mean_width(domain, samples, seed, fmt):
         "seed": est.seed,
     }
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     elif fmt == "csv":
-        click.echo(_emit_csv(list(payload), [payload]))
+        print(_emit_csv(list(payload), [payload]))
     else:
-        click.echo(
+        print(
             f"M({payload['domain']}) = {est.mean:.9g} +- {est.stderr:.3g} "
             f"({est.samples} samples, seed {est.seed})"
         )
 
 
-@main.command("criterion")
-@click.argument("k_range", type=str)
-@format_option
 def cmd_criterion(k_range, fmt):
     """Mean-width violation criterion k/floor((k+1)/2) > 16/9 over a k range.
 
@@ -378,13 +328,13 @@ def cmd_criterion(k_range, fmt):
             }
         )
     if fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
+        print(json.dumps(rows, indent=2))
     elif fmt == "csv":
-        click.echo(_emit_csv(["k", "violating", "lhs", "rhs", "c_polydisk", "c_ball"], rows))
+        print(_emit_csv(["k", "violating", "lhs", "rhs", "c_polydisk", "c_ball"], rows))
     else:
         for r in rows:
             mark = "violating" if r["violating"] else "inconclusive"
-            click.echo(f"k={r['k']:>3}: {mark:<13} ({r['lhs']} vs {r['rhs']})")
+            print(f"k={r['k']:>3}: {mark:<13} ({r['lhs']} vs {r['rhs']})")
 
 
 def _height_bounded_rationals(bound: int) -> list[Fraction]:
@@ -398,10 +348,6 @@ def _search_checks(n_radii: int, n_ks: int) -> int:
     return n * (n + 1) // 2 * n_ks
 
 
-@main.command("search")
-@click.argument("bound", type=int)
-@click.argument("k_range", type=str)
-@format_option
 def cmd_search(bound, k_range, fmt):
     """Exhaustive sweep for violations over rational radii p/q with p,q <= BOUND.
 
@@ -428,17 +374,82 @@ def cmd_search(bound, k_range, fmt):
     )
     violating = [c for c in certs if c.verdict is Verdict.VIOLATES]
     if fmt == "json":
-        click.echo(json.dumps([c.to_dict() for c in violating], indent=2))
+        print(json.dumps([c.to_dict() for c in violating], indent=2))
     elif fmt == "csv":
-        click.echo(_emit_csv(["k", "domain1", "domain2", "c_sum", "c1", "c2", "verdict"], _certificate_rows(violating)))
+        print(_emit_csv(["k", "domain1", "domain2", "c_sum", "c1", "c2", "verdict"], _certificate_rows(violating)))
     else:
         for c in violating:
-            click.echo(
+            print(
                 f"k={c.k} {format_domain(c.domain1)} + {format_domain(c.domain2)}: "
                 f"c_sum={c.c_sum} c1={c.c_1} c2={c.c_2} margin={c.margin():.6g}"
             )
-        click.echo(f"{len(violating)} violating certificates among {checks} checks")
+        print(f"{len(violating)} violating certificates among {checks} checks")
+
+
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand by name."""
+    parser = _Parser(prog="capacity-lab", description=main.__doc__, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"capacity-lab, version {__version__}")
+    subparsers = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run, *positionals, verify=False):
+        sub = subparsers.add_parser(name, help=run.__doc__.split("\n")[0], description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        for dest, kind, nargs in positionals:
+            sub.add_argument(dest, metavar=dest.upper(), type=kind, nargs=nargs)
+        sub.add_argument(
+            "--format", dest="fmt", choices=["json", "csv", "text"], default="json",
+            help="Output format (default: %(default)s).",
+        )
+        if verify:
+            sub.add_argument("--verify", action="store_true", help="Re-derive exact values independently and exactly.")
+        return sub
+
+    command("capacity", cmd_capacity, ("k", int, None), ("domain", str, None), verify=True)
+    bm = command(
+        "bm-check", cmd_bm_check, ("k", int, "?"), ("domain1", str, "?"), ("domain2", str, "?"), verify=True
+    )
+    bm.add_argument(
+        "--check-certificate", dest="cert_path", metavar="FILE",
+        help="Re-validate a serialized certificate instead of computing a new one.",
+    )
+    command("reproduce", cmd_reproduce, ("k_max", int, None), verify=True)
+    omega = command("omega", cmd_omega, ("domain1", str, None), ("domain2", str, None))
+    omega.add_argument("--samples", type=int, default=256, help="Number of psi intervals (default: %(default)s).")
+    omega.add_argument("--out", default="-", help="Output path, '-' for stdout (default: %(default)s).")
+    width = command("mean-width", cmd_mean_width, ("domain", str, None))
+    width.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo sample count (default: %(default)s).")
+    width.add_argument("--seed", type=int, default=42, help="Seed of the random generator (default: %(default)s).")
+    command("criterion", cmd_criterion, ("k_range", str, None))
+    command("search", cmd_search, ("bound", int, None), ("k_range", str, None))
+    return parser, subparsers.choices
+
+
+def _unexpected(extras: list[str]) -> str:
+    if options := [arg for arg in extras if arg.startswith("-")]:
+        return f"No such option: {options[0]}"
+    return f"Got unexpected extra argument{'s' * (len(extras) > 1)} ({' '.join(extras)})"
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Exact capacities of ellipsoids, polydisks and ellipsoid sums, with
+    Brunn-Minkowski violation certificates."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    try:
+        if args and args[0] in commands:
+            # intermixed, so that options may stand between a subcommand's positionals
+            ns, extras = commands[args[0]].parse_known_intermixed_args(args[1:])
+        else:
+            ns, extras = parser.parse_known_args(args)
+        if extras:
+            raise CliError(_unexpected(extras))
+        options = vars(ns)
+        return options.pop("run")(**options) or 0
+    except CliError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

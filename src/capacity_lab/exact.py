@@ -170,4 +170,7 @@ class PiRational:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PiRational":
+        # bool is an int subclass and Fraction accepts it; a float or string is no JSON integer either
+        if type(d["num"]) is not int or type(d["den"]) is not int:
+            raise ValueError(f"num and den must be integers, got {d['num']!r}/{d['den']!r}")
         return cls(Fraction(d["num"], d["den"]))

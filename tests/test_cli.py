@@ -1,16 +1,32 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from capacity_lab import Ellipsoid, EllipsoidPair, Verdict, __version__, bm_check, cli
 from capacity_lab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class CliRunner:
+    """Runs the CLI in-process: stdout and stderr go into one buffer, and a
+    SystemExit becomes the exit code.  Exceptions always propagate."""
+
+    def invoke(self, cli_main, args, catch_exceptions=True):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+            try:
+                exit_code = cli_main(list(args))
+            except SystemExit as exc:
+                exit_code = exc.code
+        return SimpleNamespace(exit_code=exit_code or 0, output=buf.getvalue())
 
 
 @pytest.fixture
@@ -160,6 +176,10 @@ class TestBmCheck:
             pytest.param(certificate_text(k=2.9), id="k=2.9"),
             pytest.param(certificate_text(k="2"), id="k='2'"),
             pytest.param(certificate_text(k=True), id="k=true"),
+            pytest.param(certificate_text(c1={"num": True, "den": 1}), id="num=true"),
+            pytest.param(certificate_text(c1={"num": 2, "den": True}), id="den=true"),
+            pytest.param(certificate_text(c1={"num": 2.0, "den": 1}), id="num=2.0"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
         ],
     )
     def test_malformed_certificate_file(self, runner, tmp_path, content):
@@ -360,6 +380,59 @@ class TestOptionsAndErrors:
         assert res.exit_code == 0
         assert res.output.rstrip("\n").endswith(f"version {__version__}")
 
+    def test_version_names_the_program(self, runner):
+        res = runner.invoke(main, ["--version"], catch_exceptions=False)
+        assert res.output == f"capacity-lab, version {__version__}\n"
+
+    @pytest.mark.parametrize(
+        "args, names",
+        [
+            ([], ["COMMAND"]),
+            (["no-such-command"], ["no-such-command"]),
+            (["capacity"], ["K", "DOMAIN"]),
+            (["capacity", "2"], ["DOMAIN"]),
+            (["reproduce"], ["K_MAX"]),
+            (["omega", "E(1,1)"], ["DOMAIN2"]),
+            (["capacity", "two", "E(1,1)"], ["K", "'two'"]),
+            (["search", "2.5", "2..4"], ["BOUND", "'2.5'"]),
+            (["capacity", "2", "E(1,1)", "--format", "xml"], ["--format", "'xml'"]),
+            (["reproduce", "5", "--format", "JSON"], ["--format", "'JSON'"]),
+            (["omega", "E(1,1)", "E(2/3,1)", "--samples", "many"], ["--samples", "'many'"]),
+            (["capacity", "2", "E(1,1)", "extra"], ["extra"]),
+            (["capacity", "2", "E(1,1)", "--form", "text"], ["No such option: --form"]),
+            (["--seed", "capacity", "2", "E(1,1)"], ["No such option: --seed"]),
+        ],
+    )
+    def test_usage_error_is_one_line(self, runner, args, names):
+        res = runner.invoke(main, args, catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output.startswith("Error: ")
+        assert len(res.output.splitlines()) == 1
+        assert all(name in res.output for name in names)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_certificate_path(self, runner, tmp_path, kind):
+        path = tmp_path / "cert.json"
+        if kind == "directory":
+            path.mkdir()
+        res = runner.invoke(main, ["bm-check", "--check-certificate", str(path)], catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output.startswith("Error: bad certificate file: [Errno ")
+        assert str(path) in res.output
+        assert len(res.output.splitlines()) == 1
+
+    def test_options_may_stand_between_positionals(self, runner):
+        trailing = invoke(runner, "bm-check", "2", "E(3/2,1)", "E(1,3/2)", "--verify", "--format", "csv")
+        interleaved = invoke(runner, "bm-check", "2", "--verify", "E(3/2,1)", "--format", "csv", "E(1,3/2)")
+        assert interleaved.exit_code == trailing.exit_code == 0
+        assert interleaved.output == trailing.output
+
+    def test_help_exits_zero(self, runner):
+        for args in [["--help"], ["capacity", "--help"], ["bm-check", "--help"]]:
+            res = runner.invoke(main, args, catch_exceptions=False)
+            assert res.exit_code == 0
+            assert res.output.startswith("usage: capacity-lab")
+
     def test_omega_samples_cap(self, runner, monkeypatch):
         monkeypatch.setattr(cli, "omega_curve", lambda *args: pytest.fail("sampled past the --samples cap"))
         args = ["omega", "E(1,1)", "E(2/3,1)", "--samples", str(cli.SAMPLES_CAP + 1)]
@@ -388,7 +461,7 @@ class TestOptionsAndErrors:
         def disagree(*args):
             raise ValueError("forged disagreement")
 
-        monkeypatch.setattr(cli, "cross_check", disagree)
+        monkeypatch.setattr("capacity_lab.oracle.cross_check", disagree)
         res = runner.invoke(main, ["capacity", "2", "E(3/2,1)", "--verify"], catch_exceptions=False)
         assert res.exit_code == 2
         assert "verification failed: forged disagreement" in res.output
@@ -408,6 +481,22 @@ def run_fresh(*args):
 def run_with_importtime(*args):
     """Run the CLI in a fresh interpreter; stderr lists every module it imported."""
     return run_fresh("-X", "importtime", "-m", "capacity_lab.cli", *args)
+
+
+# every name the package namespace exports, as the eagerly importing package did
+PACKAGE_NAMES = """
+    Ordering PiRational Rational cmp_rational_sqrt cmp_sqrt_combination format_rational parse_rational
+    DomainParseError DomainSpec Ellipsoid EllipsoidPair EllipsoidSum IndexVector Polydisk ProductWithBall
+    StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin ellipsoid_product_capacity
+    format_domain parse_domain polydisk_capacity product_with_ball_capacity scale_domain
+    BoundaryPoint ConvexityReport OmegaSample StrictnessReport convexity_check cy_boundary_point
+    general_cy_map omega_curve strictness_check sum_capacity sum_capacity_with_argmin support_norm
+    OracleConfig SignCheckReport cross_check golden_max s_derivative s_derivative_signcheck s_profile
+    support_norm_numeric
+    BMCertificate CriterionReport MeanWidthEstimate ReproduceRow ReproductionError Verdict bm_check
+    even_family expected_family_coeff mean_width_estimate odd_family ostrover_criterion
+    reproduce_theorem verify_certificate __version__
+""".split()
 
 
 def imports_numpy(res):
@@ -437,10 +526,15 @@ class TestExactPathImports:
         assert not imports_numpy(res)
 
     def test_package_import_leaves_float_modules_unloaded(self):
-        res = run_fresh("-c", "import json, sys, capacity_lab, capacity_lab.cli; print(json.dumps(list(sys.modules)))")
+        script = (
+            "import json, sys, capacity_lab, capacity_lab.cli; loaded = list(sys.modules); "
+            f"from capacity_lab import {', '.join(PACKAGE_NAMES)}; print(json.dumps(loaded))"
+        )
+        res = run_fresh("-c", script)
         assert res.returncode == 0, res.stderr
         loaded = set(json.loads(res.stdout))
         assert "numpy" not in loaded and "capacity_lab._kernels" not in loaded
+        assert "click" not in loaded and "capacity_lab.oracle" not in loaded
 
     def test_check_certificate_never_imports_numpy(self, runner, tmp_path):
         cert_file = tmp_path / "cert.json"
@@ -454,4 +548,5 @@ class TestExactPathImports:
         res = run_with_importtime("capacity", "5", "sum(E(3/2,1),E(1,3/2))", "--verify")
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["verified"] is True
+        assert "capacity_lab.oracle" in res.stderr
         assert not imports_numpy(res)
