@@ -109,21 +109,24 @@ def convexity_grid(a: float, b: float, c: float, d: float, psis: np.ndarray) -> 
     return c1, c2, gprime
 
 
-def polydisk_support_split(p: np.ndarray, a: float, b: float) -> np.ndarray:
+def polydisk_support_split(p: np.ndarray, a: float, b: float, out=None, rest=None) -> np.ndarray:
     """Support of P(a,b) on the unit sphere from the plane-split fraction
-    p = |(x1,x2)|^2: a sqrt(p) + b sqrt(1-p), in place on two new arrays."""
-    out = np.sqrt(p)
+    p = |(x1,x2)|^2: a sqrt(p) + b sqrt(1-p), in place on out and rest,
+    never on p.  Either buffer left as None is allocated."""
+    out = np.sqrt(p, out=out)
     out *= a
-    rest = np.subtract(1.0, p)
+    rest = np.subtract(1.0, p, out=rest)
     np.sqrt(rest, out=rest)
     rest *= b
     out += rest
     return out
 
 
-def ellipsoid_support_split(p: np.ndarray, a: float, b: float) -> np.ndarray:
+def ellipsoid_support_split(p: np.ndarray, a: float, b: float, out=None, rest=None) -> np.ndarray:
     """Support of E(a,b): sqrt(b^2 + (a^2 - b^2) p), so that a == b yields
-    exactly b for every sample; in place on one new array, never on p."""
-    out = np.multiply(a * a - b * b, p)
+    exactly b for every sample; in place on out (allocated when None),
+    never on p.  rest is unused; it keeps the signature of
+    ``polydisk_support_split``."""
+    out = np.multiply(a * a - b * b, p, out=out)
     out += b * b
     return np.sqrt(out, out=out)

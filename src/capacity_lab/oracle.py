@@ -19,8 +19,10 @@ re-derivation behind the CLI's --verify, evaluates these in Fractions,
 with no float and without the branch formula of ``minkowski``.  The
 float oracles ``support_norm_numeric`` (dense scan plus golden-section
 refinement on the numpy kernels) and ``s_derivative_signcheck`` (finite
-differences) are library cross-checks.  Disagreement with the exact
-engine is a test failure, never a fallback.
+differences over the whole f grid at once, as numpy arrays fed to the
+same S and S' builders) are library cross-checks; both import numpy
+when called.  Disagreement with the exact engine is a test failure,
+never a fallback.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ def _critical(v1, v2, a, b, c, d):
 
 
 def _s_over_pi(a, b, c, d) -> Callable:
-    """(v1, v2, f) -> S(f) / pi for the radii a, b, c, d; exact for Fractions, float for floats.
+    """(v1, v2, f) -> S(f) / pi for the radii a, b, c, d; exact for Fractions, float for
+    floats, elementwise for a numpy array f.
 
     a^2, b^2, r2 = (c/a)^2, s2 = (d/b)^2 and Dp = s2 - r2 are computed
     once; c^2 / (a^2 f) is r2 / f and d^2 / (b^2 f) is s2 / f.
@@ -239,8 +242,8 @@ class SignCheckReport:
     f0_is_max: bool
 
 
-def _fd_derivative(fn, f: float, h: float) -> float:
-    # five-point central stencil, O(h^4) truncation
+def _fd_derivative(fn, f, h):
+    # five-point central stencil, O(h^4) truncation; f and h may be arrays
     return (-fn(f + 2 * h) + 8 * fn(f + h) - 8 * fn(f - h) + fn(f - 2 * h)) / (12 * h)
 
 
@@ -249,45 +252,39 @@ def s_derivative_signcheck(
 ) -> SignCheckReport:
     """Cross-check the closed-form S' against finite differences.
 
-    Samples cfg.grid interior points of (c/a, d/b).  At each point the
-    five-point finite difference must match the closed form within
-    max(1e-6, 1e-6 |S'|), and the signs must agree wherever |S'| > 1e-6.
+    Samples cfg.grid interior points of (c/a, d/b), all at once as numpy
+    arrays.  At each point the five-point finite difference must match the
+    closed form within max(1e-6, 1e-6 |S'|), and the signs must agree
+    wherever |S'| > 1e-6.  max_abs_err is the largest error (at its first
+    point, with that point's allowance), or 0.0 when no error is positive.
     When f0 = N/D is interior with D < 0, also verifies S(f0) >= S(f0 +- eps).
     """
+    import numpy as np
+
     a, b, c, d = radii = _float_radii(pair, "s_derivative_signcheck")
     lo, hi = c / a, d / b
     span = hi - lo
     s_over_pi, s_prime_over_pi = _s_over_pi(*radii), _s_prime_over_pi(*radii)
 
-    def S(f: float) -> float:
+    def S(f):
         return math.pi * s_over_pi(v.v1, v.v2, f)
 
-    def Sp(f: float) -> float:
-        return math.pi * s_prime_over_pi(v.v1, v.v2, f)
-
-    sign_mismatches = 0
-    max_abs_err = 0.0
-    max_allowed = 0.0
-    ok = True
     n = cfg.grid
-    for j in range(1, n + 1):
-        f = lo + span * j / (n + 1)
-        # step scales with f: S varies on the scale of f near the left end
-        h = min(1e-3 * f, 0.25 * min(f - lo, hi - f))
-        if h <= 0.0:
-            continue
-        fd = _fd_derivative(S, f, h)
-        closed = Sp(f)
-        err = abs(fd - closed)
-        allowed = max(1e-6, 1e-6 * abs(closed))
-        if err > max_abs_err:
-            max_abs_err = err
-            max_allowed = allowed
-        if err > allowed:
-            ok = False
-        if abs(closed) > 1e-6 and fd * closed < 0:
-            sign_mismatches += 1
-            ok = False
+    f = lo + span * np.arange(1, n + 1) / (n + 1)
+    # step scales with f: S varies on the scale of f near the left end
+    h = np.minimum(1e-3 * f, 0.25 * np.minimum(f - lo, hi - f))
+    keep = h > 0.0
+    f, h = f[keep], h[keep]
+    fd = _fd_derivative(S, f, h)
+    closed = math.pi * s_prime_over_pi(v.v1, v.v2, f)
+    err = np.abs(fd - closed)
+    allowed = np.maximum(1e-6, 1e-6 * np.abs(closed))
+    sign_mismatches = int(np.count_nonzero((np.abs(closed) > 1e-6) & (fd * closed < 0)))
+    ok = sign_mismatches == 0 and not np.any(err > allowed)
+    max_abs_err = max_allowed = 0.0
+    if err.size and err.max() > 0.0:
+        worst = int(np.argmax(err))
+        max_abs_err, max_allowed = float(err[worst]), float(allowed[worst])
 
     D, N = _critical(v.v1, v.v2, *pair.radii)
     f0 = float(N / D) if D != 0 else None

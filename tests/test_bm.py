@@ -150,8 +150,9 @@ def _quadrature_mean_width(domain, n=200_000) -> float:
     return float(np.sum(vals * np.sin(2 * psi)) * (math.pi / 2) / n)
 
 
-def reference_gaussian_chunk_moments(rng, n, split, a, b):
-    # The per-chunk body before one uniform draw of p replaced it, kept verbatim.
+def reference_gaussian_chunk_moments(rng, n, split, a, b, buffers=None):
+    # The per-chunk body before one uniform draw of p replaced it, kept
+    # verbatim; it allocates its own arrays, so it ignores the buffers.
     gauss = rng.standard_normal((n, 4))
     u = gauss[:, 0] ** 2 + gauss[:, 1] ** 2
     w = gauss[:, 2] ** 2 + gauss[:, 3] ** 2
@@ -222,8 +223,22 @@ class TestMeanWidth:
         finally:
             tracemalloc.stop()
         # four Gaussians per sample peaked at 80 MB, one uniform with
-        # out-of-place kernels at 34 MB; in place it is three chunks, 25 MB
-        assert peak <= 30e6
+        # out-of-place kernels at 34 MB, three fresh 2^20-sample arrays per
+        # chunk at 25 MB; three reused 2^16-sample buffers take 1.6 MB
+        assert peak <= 2.5e6
+
+    @pytest.mark.parametrize("dom", MEAN_WIDTH_DOMAINS)
+    def test_chunks_merge_to_the_one_pass_moments(self, dom):
+        # the chunks draw one contiguous stream, so one pass over all of it
+        # gives the same moments up to the order of summation
+        n = 3 * bm._CHUNK + 17
+        split = _kernels.polydisk_support_split if isinstance(dom, Polydisk) else _kernels.ellipsoid_support_split
+        values = split(np.random.default_rng(8).random(n), float(dom.a), float(dom.b))
+        mean = float(values.mean())
+        stderr = math.sqrt(float(((values - mean) ** 2).sum()) / (n - 1)) / math.sqrt(n)
+        est = mean_width_estimate(dom, n, seed=8)
+        assert est.mean == pytest.approx(mean, rel=1e-13)
+        assert est.stderr == pytest.approx(stderr, rel=1e-10)
 
     @pytest.mark.parametrize("dom", MEAN_WIDTH_DOMAINS)
     def test_one_uniform_per_sample(self, dom):

@@ -544,6 +544,19 @@ class TestExactPathImports:
         assert json.loads(res.stdout)["valid"] is True
         assert not imports_numpy(res)
 
+    def test_mean_width_refuses_a_sum_before_importing_numpy(self):
+        script = (
+            "import sys\nfrom capacity_lab.cli import main\n"
+            "try:\n    sys.exit(main(['mean-width', 'sum(E(1,1),E(2/3,1))']))\n"
+            "finally:\n    print('numpy' in sys.modules)"
+        )
+        res = run_fresh("-c", script)
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [
+            "Error: mean width supports only 4-dimensional ellipsoids and polydisks, got sum(E(1,1),E(2/3,1))"
+        ]
+        assert res.stdout == "False\n"
+
     def test_sum_verify_never_imports_numpy(self):
         res = run_with_importtime("capacity", "5", "sum(E(3/2,1),E(1,3/2))", "--verify")
         assert res.returncode == 0, res.stderr

@@ -78,6 +78,11 @@ class TestAgainstScalarReference:
             ell = _kernels.ellipsoid_support_split(p, a, b)
             assert np.array_equal(poly, a * np.sqrt(p) + b * np.sqrt(1.0 - p))
             assert np.array_equal(ell, np.sqrt(b * b + (a * a - b * b) * p))
+            out, rest = np.full_like(p, np.nan), np.full_like(p, np.nan)
+            assert _kernels.polydisk_support_split(p, a, b, out=out, rest=rest) is out
+            assert np.array_equal(out, poly)
+            assert _kernels.ellipsoid_support_split(p, a, b, out=out, rest=rest) is out
+            assert np.array_equal(out, ell)
         assert np.array_equal(p, before)
 
 

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capacity_lab import (
     Ellipsoid,
@@ -12,6 +14,7 @@ from capacity_lab import (
     PiRational,
     Polydisk,
     ProductWithBall,
+    SignCheckReport,
     capacity,
     cross_check,
     even_family,
@@ -25,6 +28,14 @@ from capacity_lab import (
     support_norm_numeric,
 )
 from capacity_lab import minkowski, oracle
+from capacity_lab.oracle import (
+    DEFAULT_CONFIG,
+    _critical,
+    _fd_derivative,
+    _float_radii,
+    _s_over_pi,
+    _s_prime_over_pi,
+)
 from conftest import random_nonprop_pair
 
 F = Fraction
@@ -203,6 +214,9 @@ class TestSDerivative:
         assert report.f0 == pytest.approx(1.0)
         assert report.f0_interior and report.f0_is_max
         assert report.sign_mismatches == 0
+        # the array reductions come back as plain Python scalars
+        assert type(report.ok) is bool and type(report.sign_mismatches) is int
+        assert type(report.max_abs_err) is float and type(report.max_allowed_err) is float
         # increasing before f0, decreasing after
         assert s_derivative(IndexVector(1, 1), EVEN2, 0.9) > 0
         assert s_derivative(IndexVector(1, 1), EVEN2, 1.1) < 0
@@ -229,6 +243,98 @@ class TestSDerivative:
         prop = EllipsoidPair.normalized(Ellipsoid(2, 1), Ellipsoid(4, 2))
         with pytest.raises(ValueError):
             s_derivative_signcheck(IndexVector(1, 1), prop, FAST)
+
+
+def reference_signcheck(
+    v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig = DEFAULT_CONFIG
+) -> SignCheckReport:
+    """Cross-check the closed-form S' against finite differences.
+
+    Samples cfg.grid interior points of (c/a, d/b).  At each point the
+    five-point finite difference must match the closed form within
+    max(1e-6, 1e-6 |S'|), and the signs must agree wherever |S'| > 1e-6.
+    When f0 = N/D is interior with D < 0, also verifies S(f0) >= S(f0 +- eps).
+    """
+    # The scalar loop that the array form of s_derivative_signcheck replaced, kept verbatim.
+    a, b, c, d = radii = _float_radii(pair, "s_derivative_signcheck")
+    lo, hi = c / a, d / b
+    span = hi - lo
+    s_over_pi, s_prime_over_pi = _s_over_pi(*radii), _s_prime_over_pi(*radii)
+
+    def S(f: float) -> float:
+        return math.pi * s_over_pi(v.v1, v.v2, f)
+
+    def Sp(f: float) -> float:
+        return math.pi * s_prime_over_pi(v.v1, v.v2, f)
+
+    sign_mismatches = 0
+    max_abs_err = 0.0
+    max_allowed = 0.0
+    ok = True
+    n = cfg.grid
+    for j in range(1, n + 1):
+        f = lo + span * j / (n + 1)
+        # step scales with f: S varies on the scale of f near the left end
+        h = min(1e-3 * f, 0.25 * min(f - lo, hi - f))
+        if h <= 0.0:
+            continue
+        fd = _fd_derivative(S, f, h)
+        closed = Sp(f)
+        err = abs(fd - closed)
+        allowed = max(1e-6, 1e-6 * abs(closed))
+        if err > max_abs_err:
+            max_abs_err = err
+            max_allowed = allowed
+        if err > allowed:
+            ok = False
+        if abs(closed) > 1e-6 and fd * closed < 0:
+            sign_mismatches += 1
+            ok = False
+
+    D, N = _critical(v.v1, v.v2, *pair.radii)
+    f0 = float(N / D) if D != 0 else None
+    f0_interior = f0 is not None and D < 0 and lo < f0 < hi
+    f0_is_max = False
+    if f0_interior:
+        eps = 1e-5 * span
+        left = max(f0 - eps, lo)
+        right = min(f0 + eps, hi)
+        f0_is_max = S(f0) >= S(left) and S(f0) >= S(right)
+        if not f0_is_max:
+            ok = False
+
+    return SignCheckReport(
+        ok=ok,
+        points=n,
+        sign_mismatches=sign_mismatches,
+        max_abs_err=max_abs_err,
+        max_allowed_err=max_allowed,
+        f0=f0,
+        f0_interior=f0_interior,
+        f0_is_max=f0_is_max,
+    )
+
+
+# radii p/q with p, q <= 20, as random_nonprop_pair draws them
+small_radius_st = st.builds(F, st.integers(1, 20), st.integers(1, 20))
+small_ellipsoid_st = st.builds(Ellipsoid, small_radius_st, small_radius_st)
+small_nonprop_pairs_st = st.builds(EllipsoidPair.normalized, small_ellipsoid_st, small_ellipsoid_st).filter(
+    lambda p: not p.proportional
+)
+
+
+class TestSignCheckAgainstReference:
+    @pytest.mark.parametrize("grid", [64, 4096])
+    @settings(max_examples=100, deadline=None)
+    @given(pair=small_nonprop_pairs_st, k=st.integers(1, 200), data=st.data())
+    def test_array_form_matches_the_scalar_loop(self, grid, pair, k, data):
+        v1 = data.draw(st.integers(0, k))
+        v, cfg = IndexVector(v1, k - v1), OracleConfig(grid=grid)
+        got, want = s_derivative_signcheck(v, pair, cfg), reference_signcheck(v, pair, cfg)
+        fields = ("ok", "points", "sign_mismatches", "f0", "f0_interior", "f0_is_max")
+        assert [getattr(got, x) for x in fields] == [getattr(want, x) for x in fields]
+        # the sums and powers round differently, so the largest error may move by round-off
+        assert abs(got.max_abs_err - want.max_abs_err) <= 1e-3 * want.max_allowed_err
 
 
 def laurent_product(p, q):
