@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 
 _MODULES = {
     "exact": (
-        "Ordering PiRational Rational cmp_rational_sqrt cmp_sqrt_combination format_rational parse_rational"
+        "Ordering PiRational Rational cmp_rational_sqrt cmp_sqrt_combination format_decimal format_rational"
+        " parse_rational"
     ),
     "domains": (
         "DomainParseError DomainSpec Ellipsoid EllipsoidPair EllipsoidSum IndexVector Polydisk ProductWithBall"
@@ -28,7 +29,7 @@ _MODULES = {
     ),
     "minkowski": (
         "BoundaryPoint ConvexityReport OmegaSample StrictnessReport convexity_check cy_boundary_point"
-        " general_cy_map omega_curve strictness_check sum_capacity sum_capacity_with_argmin support_norm"
+        " omega_curve strictness_check sum_capacity sum_capacity_with_argmin support_norm"
     ),
     "oracle": (
         "OracleConfig SignCheckReport cross_check golden_max s_derivative s_derivative_signcheck s_profile"
@@ -36,7 +37,7 @@ _MODULES = {
     ),
     "bm": (
         "BMCertificate CriterionReport MeanWidthEstimate ReproduceRow ReproductionError Verdict bm_check"
-        " even_family expected_family_coeff mean_width_estimate odd_family ostrover_criterion"
+        " even_family expected_family_coeff mean_width mean_width_estimate odd_family ostrover_criterion"
         " reproduce_theorem verify_certificate"
     ),
 }

@@ -1,5 +1,6 @@
 """Brunn-Minkowski violation certificates, the two counterexample families,
-the Monte Carlo mean-width estimator, and the mean-width capacity criterion.
+the exact mean width with its Monte Carlo cross-check, and the mean-width
+capacity criterion.
 
 A certificate records the exact capacities c_k of a Minkowski sum and of
 its two summands together with the exact ordering of sqrt(c_sum) against
@@ -18,6 +19,7 @@ from .domains import (
     DomainSpec,
     Ellipsoid,
     EllipsoidPair,
+    EllipsoidSum,
     Polydisk,
     ellipsoid_capacity,
     format_domain,
@@ -39,6 +41,7 @@ __all__ = [
     "expected_family_coeff",
     "reproduce_theorem",
     "verify_certificate",
+    "mean_width",
     "mean_width_estimate",
     "ostrover_criterion",
 ]
@@ -202,6 +205,31 @@ def reproduce_theorem(k_max: int) -> list[ReproduceRow]:
     return [_reproduce_one(k) for k in range(2, k_max + 1)]
 
 
+def mean_width(domain: DomainSpec) -> Fraction:
+    """Exact mean width M(K): the average of the support function of K over S^3.
+
+    The support function depends only on p = |z1|^2, which is uniform on
+    [0, 1] for a uniform point of S^3 (see ``mean_width_estimate``), so M
+    is an integral over p in closed form:
+
+        M(P(a,b)) = 2(a + b)/3,   M(E(a,b)) = 2(a^2 + ab + b^2) / (3(a + b)).
+
+    Support functions add under Minkowski sum, so M(E1 + E2) = M(E1) + M(E2).
+    A product with a ball is not 4-dimensional and raises ValueError.
+    """
+    if isinstance(domain, Polydisk):
+        return Fraction(2, 3) * (domain.a + domain.b)
+    if isinstance(domain, Ellipsoid):
+        a, b = domain.a, domain.b
+        return 2 * (a * a + a * b + b * b) / (3 * (a + b))
+    if isinstance(domain, EllipsoidSum):
+        return mean_width(domain.pair.first) + mean_width(domain.pair.second)
+    raise ValueError(
+        "mean width supports only 4-dimensional ellipsoids, polydisks and ellipsoid sums, "
+        f"got {format_domain(domain)}"
+    )
+
+
 @dataclass(frozen=True)
 class MeanWidthEstimate:
     mean: float
@@ -283,9 +311,9 @@ class CriterionReport:
 
     A normalized capacity satisfying the Brunn-Minkowski inequality is
     capped by pi M(K)^2 on centrally symmetric K.  With c_k(P(1,1)) = pi k,
-    c_k(B^4(1)) = pi floor((k+1)/2) and M(P(1,1)) = 4/3, the cap fails
-    exactly when k / floor((k+1)/2) > 16/9, so some c_k violates the
-    inequality for every such k.
+    c_k(B^4(1)) = pi floor((k+1)/2), M(P(1,1)) = 4/3 and M(B^4(1)) = 1, the
+    cap fails exactly when k / floor((k+1)/2) > (M(P(1,1)) / M(B^4(1)))^2
+    = 16/9, so some c_k violates the inequality for every such k.
     """
 
     k: int
@@ -302,7 +330,7 @@ def ostrover_criterion(k: int) -> CriterionReport:
         raise ValueError(f"k must be >= 1, got {k}")
     half = (k + 1) // 2
     lhs = Fraction(k, half)
-    rhs = Fraction(16, 9)
+    rhs = (mean_width(Polydisk(1, 1)) / mean_width(Ellipsoid(1, 1))) ** 2
     return CriterionReport(
         k=k,
         violating=lhs > rhs,

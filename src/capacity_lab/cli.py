@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: capacity, bm-check, reproduce, omega, mean-width, criterion,
-search.  Exact values print as p/q·π plus a 12-significant-digit decimal.
+search.  Exact capacities print as p/q·π and mean widths as p/q, each
+with a 12-significant-digit decimal.
 Mathematical verdicts (Violates/Satisfies/Equality) are data and exit 0;
 usage, computation and parse errors print one ``Error: ...`` line on
 stderr and exit 2; a failed reproduction exits 3; a certificate that
@@ -23,7 +24,7 @@ from .bm import (
     ReproductionError,
     Verdict,
     bm_check,
-    mean_width_estimate,
+    mean_width,
     ostrover_criterion,
     reproduce_theorem,
     verify_certificate,
@@ -37,12 +38,11 @@ from .domains import (
     format_domain,
     parse_domain,
 )
-from .exact import PiRational, format_rational
+from .exact import PiRational, format_decimal, format_rational
 from .minkowski import omega_curve
 
 K_CAP = 10**6
 SAMPLES_CAP = 10**5
-MEAN_WIDTH_SAMPLES_CAP = 10**9
 SEARCH_CAP = 10**6
 
 
@@ -275,37 +275,39 @@ def cmd_omega(domain1, domain2, samples, out, fmt):
         body = "\n".join(lines)
     if out == "-":
         print(body)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(body + "\n")
-        print(f"wrote {len(points)} points to {out}")
+    except OSError as exc:
+        raise CliError(f"cannot write --out: {exc}") from None
+    print(f"wrote {len(points)} points to {out}")
 
 
-def cmd_mean_width(domain, samples, seed, fmt):
-    """Monte Carlo mean width of a 4-dimensional ellipsoid or polydisk."""
-    if samples > MEAN_WIDTH_SAMPLES_CAP:
-        raise CliError(f"--samples is capped at {MEAN_WIDTH_SAMPLES_CAP} for mean-width, got {samples}")
+def cmd_mean_width(domain, fmt):
+    """Exact mean width of an ellipsoid, a polydisk or an ellipsoid sum.
+
+    The mean width M is the average of the support function over the unit
+    sphere S^3; it is rational for rational radii.
+    """
     dom = _parse_domain_arg(domain)
     try:
-        est = mean_width_estimate(dom, samples, seed)
+        value = mean_width(dom)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     payload = {
         "domain": format_domain(dom),
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "samples": est.samples,
-        "seed": est.seed,
+        "value": {"num": value.numerator, "den": value.denominator},
+        "exact": format_rational(value),
+        "decimal": format_decimal(value),
     }
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
-        print(_emit_csv(list(payload), [payload]))
+        columns = ["domain", "exact", "decimal"]
+        print(_emit_csv(columns, [{name: payload[name] for name in columns}]))
     else:
-        print(
-            f"M({payload['domain']}) = {est.mean:.9g} +- {est.stderr:.3g} "
-            f"({est.samples} samples, seed {est.seed})"
-        )
+        print(f"M({payload['domain']}) = {payload['exact']} = {payload['decimal']}")
 
 
 def cmd_criterion(k_range, fmt):
@@ -417,9 +419,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     omega = command("omega", cmd_omega, ("domain1", str, None), ("domain2", str, None))
     omega.add_argument("--samples", type=int, default=256, help="Number of psi intervals (default: %(default)s).")
     omega.add_argument("--out", default="-", help="Output path, '-' for stdout (default: %(default)s).")
-    width = command("mean-width", cmd_mean_width, ("domain", str, None))
-    width.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo sample count (default: %(default)s).")
-    width.add_argument("--seed", type=int, default=42, help="Seed of the random generator (default: %(default)s).")
+    command("mean-width", cmd_mean_width, ("domain", str, None))
     command("criterion", cmd_criterion, ("k_range", str, None))
     command("search", cmd_search, ("bound", int, None), ("k_range", str, None))
     return parser, subparsers.choices

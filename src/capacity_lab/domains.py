@@ -402,42 +402,49 @@ class _Scanner:
             )
 
 
-def _parse_domain(sc: _Scanner) -> DomainSpec:
+def _radii(sc: _Scanner) -> tuple[Fraction, Fraction]:
+    sc.expect("(")
+    a = sc.rational()
+    sc.expect(",")
+    b = sc.rational()
+    sc.expect(")")
+    return a, b
+
+
+def _sum_operand(sc: _Scanner, sum_start: int) -> Ellipsoid:
+    name, _ = sc.name()
+    if name.lower() != "e":
+        raise DomainParseError("sum(...) takes two ellipsoids", sc.text, sum_start)
+    return Ellipsoid(*_radii(sc))
+
+
+def _parse_domain(sc: _Scanner, prod_start: int | None = None) -> DomainSpec:
+    # A sum takes only E(...) literals and a nested prod is refused before
+    # its operands are read, so the recursion is at most two levels deep
+    # whatever the input; prod_start is the position of an enclosing prod.
     name, start = sc.name()
     kind = name.lower()
     if kind == "e":
-        sc.expect("(")
-        a = sc.rational()
-        sc.expect(",")
-        b = sc.rational()
-        sc.expect(")")
-        return Ellipsoid(a, b)
+        return Ellipsoid(*_radii(sc))
     if kind == "p":
-        sc.expect("(")
-        a = sc.rational()
-        sc.expect(",")
-        b = sc.rational()
-        sc.expect(")")
-        return Polydisk(a, b)
+        return Polydisk(*_radii(sc))
     if kind == "sum":
         sc.expect("(")
-        e1 = _parse_domain(sc)
+        e1 = _sum_operand(sc, start)
         sc.expect(",")
-        e2 = _parse_domain(sc)
+        e2 = _sum_operand(sc, start)
         sc.expect(")")
-        if not isinstance(e1, Ellipsoid) or not isinstance(e2, Ellipsoid):
-            raise DomainParseError("sum(...) takes two ellipsoids", sc.text, start)
         return EllipsoidSum.of(e1, e2)
     if kind == "prod":
+        if prod_start is not None:
+            raise DomainParseError("prod(...) cannot nest another prod", sc.text, prod_start)
         sc.expect("(")
-        inner = _parse_domain(sc)
+        inner = _parse_domain(sc, start)
         sc.expect(",")
         m = sc.integer()
         sc.expect(",")
         r = sc.rational()
         sc.expect(")")
-        if isinstance(inner, ProductWithBall):
-            raise DomainParseError("prod(...) cannot nest another prod", sc.text, start)
         return ProductWithBall(inner, m, r)
     raise DomainParseError(f"unknown domain kind {name!r}", sc.text, start)
 

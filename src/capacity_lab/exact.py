@@ -25,6 +25,7 @@ __all__ = [
     "cmp_sqrt_combination",
     "parse_rational",
     "format_rational",
+    "format_decimal",
 ]
 
 # The universal exact scalar. Fraction guarantees the canonical-form
@@ -75,6 +76,19 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def format_decimal(q: Fraction, digits: int = 12, factor=1) -> str:
+    """q * factor rendered with the given number of significant digits.
+
+    Uses Decimal arithmetic so values far outside float range still render.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + 8
+        val = Decimal(q.numerator) / Decimal(q.denominator) * factor
+        ctx.prec = digits
+        val = +val
+    return f"{val:g}"
 
 
 def cmp_rational_sqrt(q: Rational, r: Rational) -> Ordering:
@@ -145,21 +159,8 @@ class PiRational:
         return f"{format_rational(self.coeff)}·π"
 
     def decimal(self, digits: int = 12) -> str:
-        """Decimal rendering with the given number of significant digits.
-
-        Uses Decimal arithmetic so coefficients far outside float range
-        still render.
-        """
-        with localcontext() as ctx:
-            ctx.prec = digits + 8
-            val = (
-                Decimal(self.coeff.numerator)
-                / Decimal(self.coeff.denominator)
-                * _PI_DECIMAL
-            )
-            ctx.prec = digits
-            val = +val
-        return f"{val:g}"
+        """Decimal rendering of coeff * pi with the given number of significant digits."""
+        return format_decimal(self.coeff, digits, _PI_DECIMAL)
 
     def render(self) -> str:
         """The CLI form: exact value plus a 12-significant-digit decimal."""

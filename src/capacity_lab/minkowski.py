@@ -45,7 +45,6 @@ __all__ = [
     "ConvexityReport",
     "StrictnessReport",
     "cy_boundary_point",
-    "general_cy_map",
     "omega_curve",
     "convexity_check",
     "support_norm",
@@ -101,7 +100,9 @@ def _require_nonproportional(pair: EllipsoidPair, op: str) -> None:
         )
 
 
-def _float_radii(pair: EllipsoidPair) -> tuple[float, float, float, float]:
+def _float_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, float]:
+    """The radii a, b, c, d as floats, for the float paths; refuses a proportional pair."""
+    _require_nonproportional(pair, op)
     a, b, c, d = pair.radii
     return float(a), float(b), float(c), float(d)
 
@@ -111,7 +112,7 @@ def cy_boundary_point(psi: float, pair: EllipsoidPair) -> BoundaryPoint:
 
     Endpoints are computed from the exact radii: g(0) = a + c, h(pi/2) = b + d.
     """
-    _require_nonproportional(pair, "cy_boundary_point")
+    radii = _float_radii(pair, "cy_boundary_point")
     if not 0.0 <= psi <= math.pi / 2:
         raise ValueError(f"psi must lie in [0, pi/2], got {psi}")
     a, b, c, d = pair.radii
@@ -121,37 +122,8 @@ def cy_boundary_point(psi: float, pair: EllipsoidPair) -> BoundaryPoint:
         return BoundaryPoint(0.0, float(b + d), psi)
     from . import _kernels
 
-    _, _, _, g, h = _kernels.gh_profiles(*_float_radii(pair), psi)
+    _, _, _, g, h = _kernels.gh_profiles(*radii, psi)
     return BoundaryPoint(float(g), float(h), psi)
-
-
-def general_cy_map(a1, a2, x) -> np.ndarray:
-    """Boundary point of A1(B) + A2(B) at the unit vector x in R^n.
-
-    Evaluates A1 x + A2 (A2^T A1^{-1} x / |A2^T A1^{-1} x|) in floating
-    point.  Raises on a singular A1, a zero denominator vector, or a
-    non-unit x (checked to 1e-12).
-    """
-    import numpy as np
-
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a1.ndim != 2 or a1.shape[0] != a1.shape[1] or a1.shape != a2.shape:
-        raise ValueError(f"A1 and A2 must be equal square matrices, got {a1.shape} and {a2.shape}")
-    if x.shape != (a1.shape[0],):
-        raise ValueError(f"x must be a vector of length {a1.shape[0]}, got shape {x.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-12:
-        raise ValueError(f"x must be a unit vector, |x| = {np.linalg.norm(x)!r}")
-    try:
-        y = np.linalg.solve(a1, x)
-    except np.linalg.LinAlgError:
-        raise ValueError("A1 is singular") from None
-    w = a2.T @ y
-    norm = np.linalg.norm(w)
-    if norm == 0.0:
-        raise ValueError("A2^T A1^{-1} x vanishes; the map is undefined at this x")
-    return a1 @ x + a2 @ (w / norm)
 
 
 def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
@@ -160,7 +132,7 @@ def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
     The first and last entries are exactly (pi (a+c)^2, 0) and
     (0, pi (b+d)^2) as floats of the rational radii.
     """
-    _require_nonproportional(pair, "omega_curve")
+    af, bf, cf, df = _float_radii(pair, "omega_curve")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     import numpy as np
@@ -168,7 +140,6 @@ def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
     from . import _kernels
 
     a, b, c, d = pair.radii
-    af, bf, cf, df = _float_radii(pair)
     psis = 0.5 * math.pi * np.arange(samples + 1) / samples
     x1, x2 = _kernels.omega_xy(af, bf, cf, df, psis)
     out = [OmegaSample(float(p), float(u), float(w)) for p, u, w in zip(psis, x1, x2)]
@@ -186,14 +157,13 @@ def convexity_check(pair: EllipsoidPair, grid: int) -> ConvexityReport:
     ratio of positive quantities with a leading minus sign, and C'' has
     the sign of g' (negative on the open quadrant).
     """
-    _require_nonproportional(pair, "convexity_check")
+    af, bf, cf, df = _float_radii(pair, "convexity_check")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     import numpy as np
 
     from . import _kernels
 
-    af, bf, cf, df = _float_radii(pair)
     psis = 0.5 * math.pi * np.arange(1, grid + 1) / (grid + 1)
     c1, c2, gp = _kernels.convexity_grid(af, bf, cf, df, psis)
     signs_match = bool(np.all((c2 < 0) == (gp < 0)))

@@ -44,7 +44,7 @@ from .domains import (
     convex_argmin,
 )
 from .exact import PiRational
-from .minkowski import sum_capacity_with_argmin
+from .minkowski import _float_radii, sum_capacity_with_argmin
 
 __all__ = [
     "OracleConfig",
@@ -208,13 +208,6 @@ def _s_max(pair: EllipsoidPair) -> Callable[[int, int], Fraction]:
         return max(S(v1, v2, f) for f in candidates)
 
     return norm
-
-
-def _float_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, float]:
-    if pair.proportional:
-        raise ValueError(f"{op} requires a non-proportional pair")
-    a, b, c, d = pair.radii
-    return float(a), float(b), float(c), float(d)
 
 
 def s_profile(v: IndexVector, pair: EllipsoidPair, f: float) -> float:

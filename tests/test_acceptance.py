@@ -24,6 +24,7 @@ from capacity_lab import (
     ellipsoid_capacity,
     even_family,
     expected_family_coeff,
+    mean_width,
     mean_width_estimate,
     odd_family,
     product_with_ball_capacity,
@@ -169,7 +170,9 @@ def test_criterion_08_k1_brunn_minkowski_holds():
 
 
 def test_criterion_09_mean_width():
-    with criterion(9, "10^6 seeded samples: |M(P(1,1)) - 4/3| <= 3 stderr, stderr < 2e-3; M(E(1,1)) = 1 exactly, < 10 s"):
+    with criterion(9, "M(P(1,1)) = 4/3 and M(E(1,1)) = 1 exactly; 10^6 seeded samples within 3 stderr, < 10 s"):
+        assert mean_width(Polydisk(1, 1)) == F(4, 3)
+        assert mean_width(Ellipsoid(1, 1)) == 1
         start = time.perf_counter()
         est = mean_width_estimate(Polydisk(1, 1), 1_000_000, seed=42)
         assert abs(est.mean - 4 / 3) <= 3 * est.stderr, est

@@ -13,6 +13,7 @@ from capacity_lab import (
     BMCertificate,
     Ellipsoid,
     EllipsoidPair,
+    EllipsoidSum,
     MeanWidthEstimate,
     Ordering,
     PiRational,
@@ -22,6 +23,7 @@ from capacity_lab import (
     bm_check,
     even_family,
     expected_family_coeff,
+    mean_width,
     mean_width_estimate,
     odd_family,
     ostrover_criterion,
@@ -29,7 +31,7 @@ from capacity_lab import (
     verify_certificate,
 )
 from capacity_lab import _kernels, bm
-from conftest import pairs_st
+from conftest import ellipsoids_st, pairs_st, radii_st
 
 F = Fraction
 
@@ -177,6 +179,32 @@ def _closed_form_mean_width(domain) -> float:
 
 MEAN_WIDTH_DOMAINS = [Polydisk(F(3, 2), F(1, 2)), Ellipsoid(2, F(1, 3)), Polydisk(1, 1)]
 
+polydisks_st = st.builds(Polydisk, radii_st, radii_st)
+
+
+class TestExactMeanWidth:
+    @given(st.one_of(polydisks_st, ellipsoids_st))
+    @settings(max_examples=100, deadline=None)
+    def test_closed_forms_and_quadrature(self, dom):
+        a, b = dom.a, dom.b
+        closed = 2 * (a + b) / 3 if isinstance(dom, Polydisk) else 2 * (a * a + a * b + b * b) / (3 * (a + b))
+        assert mean_width(dom) == closed
+        assert type(mean_width(dom)) is F
+        assert float(mean_width(dom)) == pytest.approx(_quadrature_mean_width(dom), rel=0, abs=1e-9)
+
+    # a ball's support function is constant, so its stderr is 0 and only
+    # rounding is left (test_ball_is_exact, test_scaled_ball)
+    @given(st.one_of(polydisks_st, ellipsoids_st.filter(lambda e: e.a != e.b)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_monte_carlo_within_five_stderr(self, dom, seed):
+        est = mean_width_estimate(dom, 400_000, seed)
+        assert abs(est.mean - float(mean_width(dom))) <= 5 * est.stderr
+
+    @given(pairs_st)
+    @settings(max_examples=100, deadline=None)
+    def test_sum_adds(self, pair):
+        assert mean_width(EllipsoidSum(pair)) == mean_width(pair.first) + mean_width(pair.second)
+
 
 class TestMeanWidth:
     def test_unit_polydisk_value(self):
@@ -253,6 +281,7 @@ class TestMeanWidth:
     def test_closed_form_mean_width(self, dom):
         est = mean_width_estimate(dom, 400_000, seed=5)
         assert abs(est.mean - _closed_form_mean_width(dom)) <= 4 * est.stderr
+        assert abs(est.mean - float(mean_width(dom))) <= 4 * est.stderr
 
     @pytest.mark.parametrize("dom", MEAN_WIDTH_DOMAINS)
     def test_agrees_with_gaussian_reference(self, dom, monkeypatch):
@@ -303,6 +332,7 @@ class TestOstroverCriterion:
         expected_true = set(range(2, 21, 2)) | {9, 11, 13, 15, 17, 19}
         for k in range(1, 21):
             assert ostrover_criterion(k).violating == (k in expected_true)
+            assert ostrover_criterion(k).rhs == F(16, 9)
 
     def test_examples(self):
         assert ostrover_criterion(2).violating

@@ -261,19 +261,34 @@ class TestOmega:
 
 class TestMeanWidth:
     def test_polydisk_json(self, runner):
-        res = invoke(runner, "mean-width", "P(1,1)", "--samples", "50000")
-        data = json.loads(res.output)
-        assert abs(data["mean"] - 4 / 3) < 0.01
-        assert data["seed"] == 42
+        res = invoke(runner, "mean-width", "P(1,1)")
+        assert res.exit_code == 0
+        assert json.loads(res.output) == {
+            "domain": "P(1,1)",
+            "value": {"num": 4, "den": 3},
+            "exact": "4/3",
+            "decimal": "1.33333333333",
+        }
 
-    def test_seed_determinism(self, runner):
-        a = invoke(runner, "mean-width", "P(1,1)", "--samples", "20000", "--seed", "5").output
-        b = invoke(runner, "mean-width", "P(1,1)", "--samples", "20000", "--seed", "5").output
-        assert a == b
+    def test_csv_and_text(self, runner):
+        csv_out = invoke(runner, "mean-width", "E(2,1)", "--format", "csv").output
+        assert csv_out == 'domain,exact,decimal\n"E(2,1)",14/9,1.55555555556\n'
+        text = invoke(runner, "mean-width", "P(1,1)", "--format", "text").output
+        assert text == "M(P(1,1)) = 4/3 = 1.33333333333\n"
 
-    def test_sum_rejected(self, runner):
-        res = runner.invoke(main, ["mean-width", "sum(E(1,1),E(2/3,1))", "--samples", "1000"])
+    def test_sum_is_the_sum_of_the_mean_widths(self, runner):
+        # M(E(1,1)) = 1 and M(E(2/3,1)) = 38/45
+        res = invoke(runner, "mean-width", "sum(E(1,1),E(2/3,1))", "--format", "text")
+        assert res.exit_code == 0
+        assert res.output == "M(sum(E(1,1),E(2/3,1))) = 83/45 = 1.84444444444\n"
+
+    def test_prod_rejected(self, runner):
+        res = runner.invoke(main, ["mean-width", "prod(E(1,1),2,10)"], catch_exceptions=False)
         assert res.exit_code == 2
+        assert res.output == (
+            "Error: mean width supports only 4-dimensional ellipsoids, polydisks and ellipsoid sums, "
+            "got prod(E(1,1),2,10)\n"
+        )
 
 
 class TestCriterion:
@@ -360,6 +375,8 @@ class TestOptionsAndErrors:
             ["reproduce", "3", "--jobs", "1"],
             ["omega", "E(1,1)", "E(2/3,1)", "--verify"],
             ["mean-width", "P(1,1)", "--grid", "64"],
+            ["mean-width", "P(1,1)", "--samples", "1000"],
+            ["mean-width", "P(1,1)", "--seed", "42"],
             ["criterion", "1..3", "--tol", "1e-9"],
             ["search", "1", "2", "--seed", "1"],
             ["capacity", "3", "sum(E(3/2,1),E(1,3/2))", "--verify", "--grid", "4096"],
@@ -440,15 +457,23 @@ class TestOptionsAndErrors:
         assert res.exit_code == 2
         assert res.output == f"Error: --samples is capped at {cli.SAMPLES_CAP} for omega, got {cli.SAMPLES_CAP + 1}\n"
 
-    def test_mean_width_samples_cap(self, runner, monkeypatch):
-        monkeypatch.setattr(cli, "mean_width_estimate", lambda *args: pytest.fail("sampled past the --samples cap"))
-        args = ["mean-width", "P(1,1)", "--samples", str(cli.MEAN_WIDTH_SAMPLES_CAP + 1)]
-        res = runner.invoke(main, args, catch_exceptions=False)
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_omega_out(self, runner, tmp_path, kind):
+        path = tmp_path / "no-such-dir" / "curve.csv" if kind == "missing-directory" else tmp_path
+        res = runner.invoke(main, ["omega", "E(1,1)", "E(2/3,1)", "--out", str(path)], catch_exceptions=False)
         assert res.exit_code == 2
-        assert res.output == (
-            f"Error: --samples is capped at {cli.MEAN_WIDTH_SAMPLES_CAP} for mean-width, "
-            f"got {cli.MEAN_WIDTH_SAMPLES_CAP + 1}\n"
-        )
+        assert res.output.startswith("Error: cannot write --out: [Errno ")
+        assert str(path) in res.output
+        assert len(res.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [["capacity", "2"], ["bm-check", "2", "E(1,1)"], ["mean-width"]])
+    @pytest.mark.parametrize("kind", ["sum", "prod"])
+    def test_deeply_nested_domain(self, runner, command, kind):
+        # the grammar nests at most prod(sum(E,E),m,R), so the parser stops at the second level
+        res = runner.invoke(main, [*command, f"{kind}(" * 5000], catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output.startswith(f"Error: {kind}(...) ")
+        assert len(res.output.splitlines()) == 1
 
     @pytest.mark.parametrize("k_max", ["1", "0"])
     def test_reproduce_needs_two_indices(self, runner, monkeypatch, k_max):
@@ -490,7 +515,7 @@ PACKAGE_NAMES = """
     StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin ellipsoid_product_capacity
     format_domain parse_domain polydisk_capacity product_with_ball_capacity scale_domain
     BoundaryPoint ConvexityReport OmegaSample StrictnessReport convexity_check cy_boundary_point
-    general_cy_map omega_curve strictness_check sum_capacity sum_capacity_with_argmin support_norm
+    omega_curve strictness_check sum_capacity sum_capacity_with_argmin support_norm
     OracleConfig SignCheckReport cross_check golden_max s_derivative s_derivative_signcheck s_profile
     support_norm_numeric
     BMCertificate CriterionReport MeanWidthEstimate ReproduceRow ReproductionError Verdict bm_check
@@ -517,6 +542,9 @@ class TestExactPathImports:
             ["bm-check", "6", "E(3/2,1)", "E(1,2)", "--verify"],
             ["reproduce", "20", "--verify"],
             ["capacity", "5", "prod(sum(E(3/2,1),E(1,3/2)),2,10)", "--verify"],
+            ["mean-width", "P(1,1)"],
+            ["mean-width", "E(3/2,1)", "--format", "text"],
+            ["mean-width", "sum(E(1,1),E(2/3,1))", "--format", "csv"],
         ],
     )
     def test_exact_subcommands_never_import_numpy(self, args):
@@ -544,18 +572,16 @@ class TestExactPathImports:
         assert json.loads(res.stdout)["valid"] is True
         assert not imports_numpy(res)
 
-    def test_mean_width_refuses_a_sum_before_importing_numpy(self):
+    def test_mean_width_runs_without_numpy(self):
+        # None in sys.modules makes every import of numpy raise ImportError
         script = (
-            "import sys\nfrom capacity_lab.cli import main\n"
-            "try:\n    sys.exit(main(['mean-width', 'sum(E(1,1),E(2/3,1))']))\n"
-            "finally:\n    print('numpy' in sys.modules)"
+            "import sys\nsys.modules['numpy'] = None\nfrom capacity_lab.cli import main\n"
+            "sys.exit(main(['mean-width', 'sum(E(1,1),E(2/3,1))', '--format', 'text']))"
         )
         res = run_fresh("-c", script)
-        assert res.returncode == 2
-        assert res.stderr.splitlines() == [
-            "Error: mean width supports only 4-dimensional ellipsoids and polydisks, got sum(E(1,1),E(2/3,1))"
-        ]
-        assert res.stdout == "False\n"
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "M(sum(E(1,1),E(2/3,1))) = 83/45 = 1.84444444444\n"
+        assert res.stderr == ""
 
     def test_sum_verify_never_imports_numpy(self):
         res = run_with_importtime("capacity", "5", "sum(E(3/2,1),E(1,3/2))", "--verify")

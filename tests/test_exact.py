@@ -10,6 +10,7 @@ from capacity_lab import (
     PiRational,
     cmp_rational_sqrt,
     cmp_sqrt_combination,
+    format_decimal,
     format_rational,
     parse_rational,
 )
@@ -133,6 +134,12 @@ class TestPiRational:
     def test_decimal_handles_huge_coefficients(self):
         huge = PiRational(Fraction(10**400, 3))
         assert "e+" in huge.decimal()
+
+    def test_plain_decimal(self):
+        assert format_decimal(Fraction(4, 3)) == "1.33333333333"
+        assert format_decimal(Fraction(1)) == "1"
+        assert format_decimal(Fraction(10**400, 3)) == "3.33333333333e+399"
+        assert format_decimal(Fraction(2, 3), digits=3) == "0.667"
 
     def test_render(self):
         assert PiRational(Fraction(2)).render() == "2·π = 6.28318530718"
