@@ -1,13 +1,15 @@
 """Exact Gutt-Hutchings capacities of 4-dimensional ellipsoids, polydisks,
 and Minkowski sums of ellipsoids, with certified Brunn-Minkowski checks.
 
-Capacity values are exact rational multiples of pi, and ``cross_check``,
-the one verification path, re-derives them exactly as well.  Floating
-point is confined to the numeric oracles, which are library
-cross-checks, the boundary-curve samplers, and the Monte Carlo
-mean-width estimator.  Those that need numpy import it and ``_kernels``
-when called, so running an exact computation or verifying one never
-loads numpy.
+Capacity values are exact rational multiples of pi, and ``cross_check``
+re-derives them exactly as well.  A Brunn-Minkowski certificate carries
+the argmin of the sum as its witness, and ``verify_certificate``, the one
+certificate verifier, checks every field with ``cross_check`` and never
+reruns the engine that wrote it.  Floating point is confined to the
+numeric oracles, which are library cross-checks, the boundary-curve
+samplers, and the Monte Carlo mean-width estimator.  Those that need
+numpy import it and ``_kernels`` when called, so running an exact
+computation or verifying one never loads numpy.
 
 The namespace is lazy (PEP 562): importing the package loads none of its
 modules, and each public name loads its module on first access.
@@ -24,17 +26,14 @@ _MODULES = {
     ),
     "domains": (
         "DomainParseError DomainSpec Ellipsoid EllipsoidPair EllipsoidSum IndexVector Polydisk ProductWithBall"
-        " StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin ellipsoid_product_capacity"
+        " StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin"
         " format_domain parse_domain polydisk_capacity product_with_ball_capacity scale_domain"
     ),
     "minkowski": (
-        "BoundaryPoint ConvexityReport OmegaSample StrictnessReport convexity_check cy_boundary_point"
-        " omega_curve strictness_check sum_capacity sum_capacity_with_argmin support_norm"
+        "ConvexityReport OmegaSample StrictnessReport convexity_check omega_curve strictness_check sum_capacity"
+        " sum_capacity_with_argmin support_norm"
     ),
-    "oracle": (
-        "OracleConfig SignCheckReport cross_check golden_max s_derivative s_derivative_signcheck s_profile"
-        " support_norm_numeric"
-    ),
+    "oracle": "OracleConfig SignCheckReport cross_check golden_max s_derivative_signcheck support_norm_numeric",
     "bm": (
         "BMCertificate CriterionReport MeanWidthEstimate ReproduceRow ReproductionError Verdict bm_check"
         " even_family expected_family_coeff mean_width mean_width_estimate odd_family ostrover_criterion"

@@ -6,6 +6,8 @@ A certificate records the exact capacities c_k of a Minkowski sum and of
 its two summands together with the exact ordering of sqrt(c_sum) against
 sqrt(c_1) + sqrt(c_2); the pi factors cancel, so the square-root
 comparison runs on rational coefficients and needs no floating point.
+With the sum's argmin as its witness, ``verify_certificate`` re-derives
+every field in O(1) exact operations, without the engine that wrote it.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from .domains import (
     Ellipsoid,
     EllipsoidPair,
     EllipsoidSum,
+    IndexVector,
     Polydisk,
     ellipsoid_capacity,
     format_domain,
     parse_domain,
 )
 from .exact import Ordering, PiRational, cmp_sqrt_combination
-from .minkowski import sum_capacity
+from .minkowski import sum_capacity_with_argmin
 
 __all__ = [
     "Verdict",
@@ -58,6 +61,10 @@ class Verdict(enum.Enum):
         return self.value
 
 
+# the sign of sqrt(c_sum) - sqrt(c_1) - sqrt(c_2) decides the verdict
+_VERDICTS = {Ordering.LESS: Verdict.VIOLATES, Ordering.GREATER: Verdict.SATISFIES, Ordering.EQUAL: Verdict.EQUALITY}
+
+
 class ReproductionError(RuntimeError):
     """A family certificate failed to violate or missed its closed form."""
 
@@ -74,9 +81,12 @@ class BMCertificate:
     c_2: PiRational
     verdict: Verdict
     comparison: Ordering
+    witness: IndexVector | None = None  # the sum's argmin over the normalized pair; None if proportional
 
     def margin(self) -> float:
         """Float value of sqrt(c_sum) - sqrt(c_1) - sqrt(c_2); sign matches comparison."""
+        if self.comparison is Ordering.EQUAL:
+            return 0.0
         return math.sqrt(float(self.c_sum)) - math.sqrt(float(self.c_1)) - math.sqrt(float(self.c_2))
 
     def to_dict(self) -> dict:
@@ -89,6 +99,7 @@ class BMCertificate:
             "c2": self.c_2.as_dict(),
             "verdict": str(self.verdict),
             "comparison": self.comparison.name,
+            "witness": None if self.witness is None else {"v1": self.witness.v1, "v2": self.witness.v2},
         }
 
     @classmethod
@@ -109,7 +120,15 @@ class BMCertificate:
             c_2=PiRational.from_dict(d["c2"]),
             verdict=Verdict(d["verdict"]),
             comparison=Ordering[d["comparison"]],
+            witness=None if (w := d.get("witness")) is None else _witness_from_dict(w, d["k"]),
         )
+
+
+def _witness_from_dict(w, k: int) -> IndexVector:
+    v = (w.get("v1"), w.get("v2")) if isinstance(w, dict) else (None,)
+    if {type(x) for x in v} != {int} or min(v) < 0 or sum(v) != k:
+        raise ValueError(f'witness must be null or {{"v1": v1, "v2": v2}}, JSON integers >= 0 with sum {k}')
+    return IndexVector(*v)
 
 
 def even_family(k: int) -> EllipsoidPair:
@@ -129,16 +148,10 @@ def odd_family(k: int) -> EllipsoidPair:
 
 def bm_check(k: int, pair: EllipsoidPair) -> BMCertificate:
     """Compare sqrt(c_k(sum)) with sqrt(c_k(E1)) + sqrt(c_k(E2)), exactly."""
-    c_sum = sum_capacity(k, pair)
+    c_sum, argmin = sum_capacity_with_argmin(k, pair)
     c_1 = ellipsoid_capacity(k, pair.first)
     c_2 = ellipsoid_capacity(k, pair.second)
     comparison = cmp_sqrt_combination(c_sum.coeff, c_1.coeff, c_2.coeff)
-    if comparison is Ordering.LESS:
-        verdict = Verdict.VIOLATES
-    elif comparison is Ordering.GREATER:
-        verdict = Verdict.SATISFIES
-    else:
-        verdict = Verdict.EQUALITY
     return BMCertificate(
         k=k,
         domain1=pair.first,
@@ -146,20 +159,40 @@ def bm_check(k: int, pair: EllipsoidPair) -> BMCertificate:
         c_sum=c_sum,
         c_1=c_1,
         c_2=c_2,
-        verdict=verdict,
+        verdict=_VERDICTS[comparison],
         comparison=comparison,
+        witness=None if pair.proportional else argmin,
     )
 
 
-def verify_certificate(cert: BMCertificate) -> bool:
-    """Recompute every field of a certificate from (k, domain1, domain2)."""
-    fresh = bm_check(cert.k, EllipsoidPair.normalized(cert.domain1, cert.domain2))
-    return (
-        fresh.c_sum == cert.c_sum
-        and {fresh.c_1, fresh.c_2} == {cert.c_1, cert.c_2}
-        and fresh.verdict == cert.verdict
-        and fresh.comparison == cert.comparison
-    )
+def verify_certificate(cert: BMCertificate, reasons: list[str] | None = None) -> bool:
+    """Re-derive every field of cert with ``oracle.cross_check``, never with the engine that wrote it.
+
+    c_sum is checked at the witness (found by bisection when missing; a wrong one can only fail),
+    c_1 against domain1 and c_2 against domain2; comparison and verdict are recomputed from them.
+    The message of the first failed check is appended to reasons.
+    """
+    from .oracle import cross_check
+
+    def failed(reason: str) -> bool:
+        if reasons is not None:
+            reasons.append(reason)
+        return False
+
+    for field, domain, value, witness in (
+        ("c_sum", EllipsoidSum.of(cert.domain1, cert.domain2), cert.c_sum, cert.witness),
+        ("c1", cert.domain1, cert.c_1, None),
+        ("c2", cert.domain2, cert.c_2, None),
+    ):
+        try:
+            cross_check(cert.k, domain, value, witness)
+        except ValueError as exc:
+            return failed(f"{field}: {exc}")
+    comparison = cmp_sqrt_combination(cert.c_sum.coeff, cert.c_1.coeff, cert.c_2.coeff)
+    if (comparison, _VERDICTS[comparison]) != (cert.comparison, cert.verdict):
+        got, claimed = f"{comparison.name} ({_VERDICTS[comparison]})", f"{cert.comparison.name} ({cert.verdict})"
+        return failed(f"comparison: the three values give {got}, not {claimed}")
+    return True
 
 
 def expected_family_coeff(k: int) -> Fraction:

@@ -6,7 +6,8 @@ with a 12-significant-digit decimal.
 Mathematical verdicts (Violates/Satisfies/Equality) are data and exit 0;
 usage, computation and parse errors print one ``Error: ...`` line on
 stderr and exit 2; a failed reproduction exits 3; a certificate that
-fails re-validation exits 1.  Only ``--verify`` loads ``oracle``.
+fails re-validation exits 1.  Only ``--verify`` and ``--check-certificate``
+load ``oracle``; certificates are checked by ``bm.verify_certificate`` alone.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from .domains import (
     DomainSpec,
     Ellipsoid,
     EllipsoidPair,
-    EllipsoidSum,
     capacity,
     format_domain,
     parse_domain,
 )
-from .exact import PiRational, format_decimal, format_rational
+from .exact import format_decimal, format_rational
 from .minkowski import omega_curve
 
 K_CAP = 10**6
@@ -55,15 +55,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(message)
-
-
-def _cross_check(k: int, domain: DomainSpec, value: PiRational) -> None:
-    from .oracle import cross_check
-
-    try:
-        cross_check(k, domain, value)
-    except ValueError as exc:
-        raise CliError(f"verification failed: {exc}") from None
 
 
 def _check_k(k: int) -> int:
@@ -117,7 +108,12 @@ def cmd_capacity(k, domain, fmt, verify):
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if verify:
-        _cross_check(k, dom, value)
+        from .oracle import cross_check
+
+        try:
+            cross_check(k, dom, value)
+        except ValueError as exc:
+            raise CliError(f"verification failed: {exc}") from None
     payload = {
         "k": k,
         "domain": format_domain(dom),
@@ -193,9 +189,11 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
                 raise ValueError(f"k must be in 1..{K_CAP}, got {cert.k}")
         except (KeyError, OSError, RecursionError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad certificate file: {exc}") from None
-        ok = verify_certificate(cert)
-        print(json.dumps({"file": cert_path, "valid": ok}))
-        return 0 if ok else 1
+        valid = verify_certificate(cert, reasons := [])
+        print(json.dumps({"file": cert_path, "valid": valid}))
+        if not valid:
+            print(f"certificate invalid: {reasons[0]}", file=sys.stderr)
+        return 0 if valid else 1
     if k is None or domain1 is None or domain2 is None:
         raise CliError("usage: bm-check K DOMAIN1 DOMAIN2 (or --check-certificate FILE)")
     _check_k(k)
@@ -203,8 +201,8 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
     e2 = _require_ellipsoid(_parse_domain_arg(domain2), "domain2")
     pair = EllipsoidPair.normalized(e1, e2)
     cert = bm_check(k, pair)
-    if verify:
-        _cross_check(k, EllipsoidSum(pair), cert.c_sum)
+    if verify and not verify_certificate(cert, reasons := []):
+        raise CliError(f"verification failed: {reasons[0]}")
     _emit_certificate(cert, fmt)
 
 
@@ -224,14 +222,9 @@ def cmd_reproduce(k_max, fmt, verify):
         print(f"reproduction FAILED: {exc}", file=sys.stderr)
         return 3
     if verify:
-        from .oracle import cross_check
-
         for row in rows:
-            cert = row.certificate
-            try:
-                cross_check(row.k, EllipsoidSum.of(cert.domain1, cert.domain2), cert.c_sum)
-            except ValueError as exc:
-                print(f"reproduction FAILED: oracle disagrees at k={row.k}: {exc}", file=sys.stderr)
+            if not verify_certificate(row.certificate, reasons := []):
+                print(f"reproduction FAILED: oracle disagrees at k={row.k}: {reasons[0]}", file=sys.stderr)
                 return 3
     table = [
         {

@@ -38,7 +38,6 @@ __all__ = [
     "convex_argmin",
     "polydisk_capacity",
     "product_with_ball_capacity",
-    "ellipsoid_product_capacity",
     "capacity",
     "scale_domain",
     "parse_domain",
@@ -97,26 +96,26 @@ class EllipsoidPair:
     first: Ellipsoid
     second: Ellipsoid
     swapped: bool = field(default=False, compare=False)
+    # True when second = lam * first, so the sum is itself an ellipsoid;
+    # set once here, since every capacity and check of the pair asks
+    proportional: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = self.first.a, self.first.b
         c, d = self.second.a, self.second.b
-        if c * b > a * d:
+        cb, ad = c * b, a * d
+        if cb > ad:
             raise ValueError(
                 "EllipsoidPair must satisfy c/a <= d/b; "
                 "use EllipsoidPair.normalized to order the operands"
             )
+        object.__setattr__(self, "proportional", cb == ad)
 
     @classmethod
     def normalized(cls, e1: Ellipsoid, e2: Ellipsoid) -> "EllipsoidPair":
         if e2.a * e1.b > e1.a * e2.b:
             return cls(e2, e1, swapped=True)
         return cls(e1, e2, swapped=False)
-
-    @property
-    def proportional(self) -> bool:
-        """True when second = lam * first, so the sum is itself an ellipsoid."""
-        return self.second.a * self.first.b == self.first.a * self.second.b
 
     @property
     def radii(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -281,24 +280,6 @@ def product_with_ball_capacity(k: int, inner: DomainSpec, m: int, R: Fraction) -
     return inner_cap
 
 
-def ellipsoid_product_capacity(k: int, e1: Ellipsoid, e2: Ellipsoid) -> PiRational:
-    """Capacity of the 8-dimensional product E1 x E2 via min over splittings.
-
-    c_k(X x Y) = min over i + j = k of c_i(X) + c_j(Y), with c_0 = 0.
-    Kept as an independent check of the stabilization shortcut; the
-    DomainSpec grammar deliberately does not expose general products.
-    """
-    _require_positive_k(k)
-    best = None
-    for i in range(k + 1):
-        ci = ellipsoid_capacity(i, e1).coeff if i else Fraction(0)
-        cj = ellipsoid_capacity(k - i, e2).coeff if k - i else Fraction(0)
-        total = ci + cj
-        if best is None or total < best:
-            best = total
-    return PiRational(best)
-
-
 def capacity(k: int, domain: DomainSpec) -> PiRational:
     """k-th capacity of any supported domain."""
     _require_positive_k(k)
@@ -335,13 +316,19 @@ def scale_domain(lam: Fraction, domain: DomainSpec) -> DomainSpec:
 # --------------------------------------------------------------------------
 
 
+def _excerpt(text: str, pos: int = 0) -> str:
+    """text quoted, cut to 40 characters either side of pos, with '...' where it is cut."""
+    start, end = max(pos - 40, 0), pos + 40
+    return f"{'...' * (start > 0)}{text[start:end]!r}{'...' * (end < len(text))}"
+
+
 class DomainParseError(ValueError):
-    """Parse failure carrying the offending token and its position."""
+    """Parse failure carrying the offending token and its position; the message quotes a bounded window."""
 
     def __init__(self, message: str, text: str, pos: int):
         self.text = text
         self.pos = pos
-        super().__init__(f"{message} at position {pos} in {text!r}")
+        super().__init__(f"{message} at position {pos} in {_excerpt(text, pos)}")
 
 
 class _Scanner:
@@ -386,20 +373,18 @@ class _Scanner:
         try:
             return parse_rational(token)
         except ValueError:
-            raise DomainParseError(f"bad rational token {token!r}", self.text, start) from None
+            raise DomainParseError(f"bad rational token {_excerpt(token)}", self.text, start) from None
 
     def integer(self) -> int:
         q = self.rational()
         if q.denominator != 1:
-            raise DomainParseError(f"expected an integer, found {format_rational(q)!r}", self.text, self.pos)
+            raise DomainParseError(f"expected an integer, found {_excerpt(format_rational(q))}", self.text, self.pos)
         return q.numerator
 
     def done(self) -> None:
         self._skip_ws()
         if self.pos < len(self.text):
-            raise DomainParseError(
-                f"unexpected trailing input {self.text[self.pos:]!r}", self.text, self.pos
-            )
+            raise DomainParseError(f"unexpected trailing input {_excerpt(self.text[self.pos:])}", self.text, self.pos)
 
 
 def _radii(sc: _Scanner) -> tuple[Fraction, Fraction]:
@@ -446,7 +431,7 @@ def _parse_domain(sc: _Scanner, prod_start: int | None = None) -> DomainSpec:
         r = sc.rational()
         sc.expect(")")
         return ProductWithBall(inner, m, r)
-    raise DomainParseError(f"unknown domain kind {name!r}", sc.text, start)
+    raise DomainParseError(f"unknown domain kind {_excerpt(name)}", sc.text, start)
 
 
 def parse_domain(text: str) -> DomainSpec:

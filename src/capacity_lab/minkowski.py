@@ -40,11 +40,9 @@ from .domains import (
 from .exact import PiRational
 
 __all__ = [
-    "BoundaryPoint",
     "OmegaSample",
     "ConvexityReport",
     "StrictnessReport",
-    "cy_boundary_point",
     "omega_curve",
     "convexity_check",
     "support_norm",
@@ -52,15 +50,6 @@ __all__ = [
     "sum_capacity_with_argmin",
     "strictness_check",
 ]
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Radial coordinates (g, h) of a boundary point of the sum at angle psi."""
-
-    g: float
-    h: float
-    psi: float
 
 
 @dataclass(frozen=True)
@@ -105,25 +94,6 @@ def _float_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, flo
     _require_nonproportional(pair, op)
     a, b, c, d = pair.radii
     return float(a), float(b), float(c), float(d)
-
-
-def cy_boundary_point(psi: float, pair: EllipsoidPair) -> BoundaryPoint:
-    """Boundary point of the sum at angle psi in [0, pi/2].
-
-    Endpoints are computed from the exact radii: g(0) = a + c, h(pi/2) = b + d.
-    """
-    radii = _float_radii(pair, "cy_boundary_point")
-    if not 0.0 <= psi <= math.pi / 2:
-        raise ValueError(f"psi must lie in [0, pi/2], got {psi}")
-    a, b, c, d = pair.radii
-    if psi == 0.0:
-        return BoundaryPoint(float(a + c), 0.0, 0.0)
-    if psi == math.pi / 2:
-        return BoundaryPoint(0.0, float(b + d), psi)
-    from . import _kernels
-
-    _, _, _, g, h = _kernels.gh_profiles(*radii, psi)
-    return BoundaryPoint(float(g), float(h), psi)
 
 
 def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:

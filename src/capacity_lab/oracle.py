@@ -15,14 +15,12 @@ with D = v2 b^2 - v1 a^2 and N = v1 c^2 - v2 d^2, so the only possible
 interior critical point is f0 = N/D, a maximum exactly when D < 0.  The
 norm of v, the maximum of S, is thus the largest of S(c/a), S(d/b) and,
 when D < 0 and f0 is interior, S(f0).  ``cross_check``, the one
-re-derivation behind the CLI's --verify, evaluates these in Fractions,
-with no float and without the branch formula of ``minkowski``.  The
-float oracles ``support_norm_numeric`` (dense scan plus golden-section
-refinement on the numpy kernels) and ``s_derivative_signcheck`` (finite
-differences over the whole f grid at once, as numpy arrays fed to the
-same S and S' builders) are library cross-checks; both import numpy
-when called.  Disagreement with the exact engine is a test failure,
-never a fallback.
+re-derivation behind ``bm.verify_certificate`` and the CLI's --verify,
+evaluates these as integer pairs over one common denominator, with no
+float and without the branch formula of ``minkowski``.  The float
+oracles ``support_norm_numeric`` and ``s_derivative_signcheck`` are
+library cross-checks that import numpy when called.  Disagreement with
+the exact engine is a test failure, never a fallback.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from .domains import (
     ProductWithBall,
     _common_denominator,
     convex_argmin,
+    format_domain,
 )
 from .exact import PiRational
 from .minkowski import _float_radii, sum_capacity_with_argmin
@@ -50,8 +49,6 @@ __all__ = [
     "OracleConfig",
     "SignCheckReport",
     "support_norm_numeric",
-    "s_profile",
-    "s_derivative",
     "s_derivative_signcheck",
     "golden_max",
     "cross_check",
@@ -101,24 +98,28 @@ def support_norm_numeric(v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig 
     return _kernels.support_max(v.v1, v.v2, a, b, c, d, cfg.grid, cfg.refine_iters)
 
 
-def cross_check(k: int, domain: DomainSpec, value: PiRational) -> None:
+def cross_check(k: int, domain: DomainSpec, value: PiRational, witness: IndexVector | None = None) -> None:
     """Re-derive c_k(domain) independently and exactly; raise ValueError unless it is value.
 
     Ellipsoids: value / pi = c is the k-th merged multiple of a^2 and b^2
-    exactly when floor(c/a^2) + floor(c/b^2) >= k and
-    (ceil(c/a^2) - 1) + (ceil(c/b^2) - 1) < k, that is, when at least k
-    multiples are <= c and fewer than k are < c: four integer floor
-    divisions.  Polydisks: the minimum of the rectangle norms, as integer
-    pairs over the common denominator of a^2 and b^2.  Proportional sums
-    and stabilized products reduce to their outer and inner domains.
-    Non-proportional sums: the norms h at the argmin v1 and at its
-    neighbours v1 +- 1 are the exact maxima of the profile S (module
-    docstring), value must be h(v1), and h(v1-1) > h(v1) <= h(v1+1) must
-    hold.  The norm is convex in v1, so that local minimum is the global
-    one, with ties broken toward the smallest v1.  No float and no numpy
-    is involved.
+    exactly when at least k multiples are <= c and fewer than k are < c:
+    four integer floor divisions.  Polydisks: the minimum of the
+    rectangle norms, as integer pairs over the common denominator of a^2
+    and b^2.  Proportional sums and stabilized products reduce to their
+    outer and inner domains.  Non-proportional sums: the norms h at the
+    argmin v1 and at its neighbours v1 +- 1 are the exact maxima of the
+    profile S (module docstring), value must be h(v1), and
+    h(v1-1) > h(v1) <= h(v1+1) must hold.  The norm is convex in v1, so
+    that local minimum is the global one, with ties broken toward the
+    smallest v1.  v1 is the witness's, so no engine runs, or else
+    ``sum_capacity_with_argmin``'s; a wrong witness can only fail.  No
+    float and no numpy is involved.
     """
-    if isinstance(domain, Ellipsoid):
+    if isinstance(domain, EllipsoidSum) and not domain.pair.proportional:
+        _cross_check_sum(k, domain.pair, value, witness)
+    elif witness is not None:
+        raise ValueError(f"{format_domain(domain)} has no argmin to witness; only a non-proportional sum does")
+    elif isinstance(domain, Ellipsoid):
         if not _is_kth_merged_multiple(k, value.coeff, domain.a**2, domain.b**2):
             raise ValueError(f"{value} is not the {k}-th merged multiple of pi a^2 and pi b^2")
     elif isinstance(domain, Polydisk):
@@ -129,10 +130,7 @@ def cross_check(k: int, domain: DomainSpec, value: PiRational) -> None:
     elif isinstance(domain, ProductWithBall):
         cross_check(k, domain.inner, value)
     elif isinstance(domain, EllipsoidSum):
-        if domain.pair.proportional:
-            cross_check(k, domain.pair.outer_ellipsoid, value)
-        else:
-            _cross_check_sum(k, domain.pair, value)
+        cross_check(k, domain.pair.outer_ellipsoid, value)
     else:
         raise TypeError(f"unsupported domain: {domain!r}")
 
@@ -147,16 +145,29 @@ def _is_kth_merged_multiple(k: int, c: Fraction, alpha: Fraction, beta: Fraction
     return at_most >= k > below
 
 
-def _cross_check_sum(k: int, pair: EllipsoidPair, value: PiRational) -> None:
-    v1 = sum_capacity_with_argmin(k, pair)[1].v1
+def _cross_check_sum(k: int, pair: EllipsoidPair, value: PiRational, witness: IndexVector | None) -> None:
+    if witness is None:
+        witness = sum_capacity_with_argmin(k, pair)[1]
+    elif witness.k != k:
+        raise ValueError(f"witness ({witness.v1}, {witness.v2}) does not sum to k = {k}")
+    v1 = witness.v1
     h = _s_max(pair)
-    norms = {u: PiRational(h(u, k - u)) for u in (v1 - 1, v1, v1 + 1) if 0 <= u <= k}
-    if norms[v1] != value:
-        raise ValueError(f"norm at the argmin v1 = {v1} is {norms[v1]}, not {value}")
-    if v1 - 1 in norms and not norms[v1 - 1] > norms[v1]:
-        raise ValueError(f"v1 = {v1} is not the smallest minimizer: h(v1-1) = {norms[v1 - 1]}")
-    if v1 + 1 in norms and not norms[v1 + 1] >= norms[v1]:
-        raise ValueError(f"v1 = {v1} is not a local minimum: h(v1+1) = {norms[v1 + 1]}")
+    norms = {u: h(u, k - u) for u in (v1 - 1, v1, v1 + 1) if 0 <= u <= k}
+    if _pi(norms[v1]) != value:
+        raise ValueError(f"norm at the argmin v1 = {v1} is {_pi(norms[v1])}, not {value}")
+    if v1 - 1 in norms and not _exceeds(norms[v1 - 1], norms[v1]):
+        raise ValueError(f"v1 = {v1} is not the smallest minimizer: h(v1-1) = {_pi(norms[v1 - 1])}")
+    if v1 + 1 in norms and _exceeds(norms[v1], norms[v1 + 1]):
+        raise ValueError(f"v1 = {v1} is not a local minimum: h(v1+1) = {_pi(norms[v1 + 1])}")
+
+
+def _exceeds(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """x > y for integer pairs (num, den) with den > 0."""
+    return x[0] * y[1] > y[0] * x[1]
+
+
+def _pi(x: tuple[int, int]) -> PiRational:
+    return PiRational(Fraction(*x))
 
 
 def _critical(v1, v2, a, b, c, d):
@@ -194,33 +205,36 @@ def _s_prime_over_pi(a, b, c, d) -> Callable:
     return Sp
 
 
-def _s_max(pair: EllipsoidPair) -> Callable[[int, int], Fraction]:
-    """(v1, v2) -> |(v1, v2)|* / pi as the exact maximum of S: at c/a, at d/b, or at an interior maximum N/D."""
-    a, b, c, d = radii = pair.radii
-    S = _s_over_pi(*radii)
-    lo, hi = c / a, d / b
+def _s_max(pair: EllipsoidPair) -> Callable[[int, int], tuple[int, int]]:
+    """(v1, v2) -> |(v1, v2)|* / pi as an integer pair (num, den), den > 0: the largest S at c/a, d/b, interior N/D.
 
-    def norm(v1: int, v2: int) -> Fraction:
-        D, N = _critical(v1, v2, *radii)
-        candidates = [lo, hi]
-        if D < 0 and lo < N / D < hi:
-            candidates.append(N / D)
-        return max(S(v1, v2, f) for f in candidates)
+    With a^2, b^2, (c/a)^2, (d/b)^2 = A2/L, B2/L, R2/L, S2/L, S/pi at f = p/q is
+    (v1 A2 (S2 q^2 - L p^2)(L p + R2 q)^2 + v2 B2 (L p^2 - R2 q^2)(L p + S2 q)^2) / (L^3 p^2 q^2 (S2 - R2)).
+    N/D = p/q for p = v2 B2 S2 - v1 A2 R2, q = L (v1 A2 - v2 B2) > 0 iff D < 0; interior iff
+    p > 0 and R2 q^2 < L p^2 < S2 q^2.
+    """
+    a, b, c, d = pair.radii
+    lo, hi = c / a, d / b
+    (A2, B2, R2, S2), L = _common_denominator(a * a, b * b, lo * lo, hi * hi)
+    scale = L**3 * (S2 - R2)
+
+    def S(v1: int, v2: int, p: int, q: int) -> tuple[int, int]:
+        Lp, Lp2, q2 = L * p, L * p * p, q * q
+        num = v1 * A2 * (S2 * q2 - Lp2) * (Lp + R2 * q) ** 2 + v2 * B2 * (Lp2 - R2 * q2) * (Lp + S2 * q) ** 2
+        return num, scale * p * p * q2
+
+    def norm(v1: int, v2: int) -> tuple[int, int]:
+        best = S(v1, v2, lo.numerator, lo.denominator)
+        if _exceeds(upper := S(v1, v2, hi.numerator, hi.denominator), best):
+            best = upper
+        q = L * (v1 * A2 - v2 * B2)
+        if q > 0:
+            p = v2 * B2 * S2 - v1 * A2 * R2
+            if p > 0 and R2 * q * q < L * p * p < S2 * q * q and _exceeds(inner := S(v1, v2, p, q), best):
+                best = inner
+        return best
 
     return norm
-
-
-def s_profile(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
-    """S(f) for f in [c/a, d/b] (see module docstring)."""
-    a, b, c, d = _float_radii(pair, "s_profile")
-    if not (c / a - 1e-12 <= f <= d / b + 1e-12):
-        raise ValueError(f"f = {f} outside [c/a, d/b] = [{c / a}, {d / b}]")
-    return math.pi * _s_over_pi(a, b, c, d)(v.v1, v.v2, f)
-
-
-def s_derivative(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
-    """Closed-form S'(f)."""
-    return math.pi * _s_prime_over_pi(*_float_radii(pair, "s_derivative"))(v.v1, v.v2, f)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from capacity_lab import (
     Ellipsoid,
     EllipsoidPair,
     EllipsoidSum,
+    IndexVector,
     MeanWidthEstimate,
     Ordering,
     PiRational,
@@ -30,7 +31,7 @@ from capacity_lab import (
     reproduce_theorem,
     verify_certificate,
 )
-from capacity_lab import _kernels, bm
+from capacity_lab import _kernels, bm, minkowski, oracle
 from conftest import ellipsoids_st, pairs_st, radii_st
 
 F = Fraction
@@ -82,6 +83,19 @@ class TestBmCheck:
         assert cert.verdict is Verdict.EQUALITY
         assert cert.comparison is Ordering.EQUAL
         assert cert.c_sum.coeff == 4
+        assert cert.witness is None
+
+    def test_equality_margin_is_zero(self):
+        # float square roots of 18, 2 and 8 leave 8.9e-16
+        assert bm_check(4, EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(2, 2))).margin() == 0.0
+        radii = sorted({F(p, q) for p in range(1, 7) for q in range(1, 7)})
+        for a in radii[::3]:
+            for lam in (F(1, 3), F(1, 2), 1, 2, F(5, 2)):
+                for k in range(1, 9):
+                    e = Ellipsoid(a, 1)
+                    cert = bm_check(k, EllipsoidPair.normalized(e, e.scaled(lam)))
+                    assert cert.comparison is Ordering.EQUAL
+                    assert cert.margin() == 0.0
 
     @given(pairs_st, st.integers(1, 15))
     @settings(max_examples=60, deadline=None)
@@ -127,9 +141,103 @@ class TestCertificates:
 
     def test_schema_fields(self):
         d = bm_check(3, odd_family(3)).to_dict()
-        assert set(d) == {"k", "domain1", "domain2", "c_sum", "c1", "c2", "verdict", "comparison"}
+        assert set(d) == {"k", "domain1", "domain2", "c_sum", "c1", "c2", "verdict", "comparison", "witness"}
         assert d["c_sum"] == {"num": 50, "den": 9}
         assert d["verdict"] == "Violates"
+        assert d["witness"] == {"v1": 2, "v2": 1}
+        assert bm_check(3, EllipsoidPair.normalized(Ellipsoid(1, 2), Ellipsoid(2, 4))).to_dict()["witness"] is None
+
+    def test_witness_is_the_argmin(self):
+        for k in (2, 3, 40, 10**6):
+            pair = even_family(k) if k % 2 == 0 else odd_family(k)
+            cert = bm_check(k, pair)
+            assert (cert.c_sum, cert.witness) == minkowski.sum_capacity_with_argmin(k, pair)
+
+    @given(pairs_st, st.integers(1, 60))
+    @settings(max_examples=80, deadline=None)
+    def test_every_certificate_verifies_with_and_without_witness(self, pair, k):
+        cert = bm_check(k, pair)
+        assert verify_certificate(cert) is True
+        assert verify_certificate(replace(cert, witness=None)) is True
+        d = json.loads(json.dumps(cert.to_dict()))
+        del d["witness"]
+        assert BMCertificate.from_dict(d) == replace(cert, witness=None)
+        assert verify_certificate(BMCertificate.from_dict(d)) is True
+
+    def test_verifier_runs_no_engine(self, monkeypatch):
+        certs = [bm_check(k, even_family(k)) for k in (2, 4000, 10**6)] + [bm_check(3, odd_family(3))]
+
+        def engine(*args):
+            pytest.fail("the verifier ran the engine")
+
+        monkeypatch.setattr(bm, "bm_check", engine)
+        monkeypatch.setattr(bm, "sum_capacity_with_argmin", engine)
+        monkeypatch.setattr(oracle, "sum_capacity_with_argmin", engine)
+        monkeypatch.setattr(minkowski, "sum_capacity_with_argmin", engine)
+        for cert in certs:
+            assert verify_certificate(cert) is True
+
+    def test_patched_engine_is_caught(self, monkeypatch):
+        # an engine that adds 1 to every norm keeps the argmin but writes c_sum = 45/4 instead of 41/4
+        norm_coeff = minkowski._norm_coeff
+
+        def plus_one(k, pair):
+            h = norm_coeff(k, pair)
+            return lambda v1: (h(v1)[0] + h(v1)[1], h(v1)[1])
+
+        monkeypatch.setattr(minkowski, "_norm_coeff", plus_one)
+        cert = bm_check(4, even_family(4))
+        assert cert.c_sum.coeff == F(45, 4)
+        again = BMCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
+        for forged in (cert, again, replace(cert, witness=None)):
+            reasons = []
+            assert verify_certificate(forged, reasons) is False
+            assert reasons[0].startswith("c_sum: norm at the argmin v1 = 2 is 41/4·π")
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_shifted_witness_fails(self, shift):
+        cert = bm_check(4000, even_family(4000))
+        w = cert.witness
+        assert not verify_certificate(replace(cert, witness=IndexVector(w.v1 + shift, w.v2 - shift)))
+
+    def test_forged_c1_fails(self):
+        cert = bm_check(3, odd_family(3))
+        reasons = []
+        assert not verify_certificate(replace(cert, c_1=PiRational(cert.c_1.coeff + 1)), reasons)
+        assert reasons[0].startswith("c1: ")
+
+    def test_swapped_capacities_fail(self):
+        # c_3(E(1,1)) = 2 pi and c_3(E(2/3,1)) = pi: swapping them claims c_3(E(1,1)) = pi
+        cert = bm_check(3, EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(F(2, 3), 1)))
+        assert (cert.c_1.coeff, cert.c_2.coeff) == (2, 1)
+        assert not verify_certificate(replace(cert, c_1=cert.c_2, c_2=cert.c_1))
+        # swapping the domains together with their capacities is the same certificate
+        both = replace(cert, domain1=cert.domain2, domain2=cert.domain1, c_1=cert.c_2, c_2=cert.c_1)
+        assert verify_certificate(both) is True
+
+    def test_forged_comparison_fails(self):
+        cert = bm_check(2, even_family(2))
+        reasons = []
+        assert not verify_certificate(replace(cert, comparison=Ordering.GREATER, verdict=Verdict.SATISFIES), reasons)
+        assert reasons[0].startswith("comparison: ")
+
+    def test_witness_on_proportional_pair_fails(self):
+        cert = bm_check(3, EllipsoidPair.normalized(Ellipsoid(1, 2), Ellipsoid(2, 4)))
+        assert verify_certificate(cert) is True
+        reasons = []
+        assert not verify_certificate(replace(cert, witness=IndexVector(1, 2)), reasons)
+        assert "no argmin to witness" in reasons[0]
+
+    @pytest.mark.parametrize(
+        "witness",
+        [True, 2.0, "2", [1, 1], {"v1": True, "v2": 1}, {"v1": 1.0, "v2": 1}, {"v1": "1", "v2": 1},
+         {"v1": -1, "v2": 3}, {"v1": 1, "v2": 2}, {"v1": 1}],
+    )
+    def test_malformed_witness_refused(self, witness):
+        d = bm_check(2, even_family(2)).to_dict()
+        d["witness"] = witness
+        with pytest.raises(ValueError, match="witness"):
+            BMCertificate.from_dict(d)
 
     def test_tampered_value_fails(self):
         cert = bm_check(2, even_family(2))
@@ -140,6 +248,9 @@ class TestCertificates:
         cert = bm_check(2, even_family(2))
         forged = replace(cert, verdict=Verdict.SATISFIES)
         assert not verify_certificate(forged)
+        reasons = []
+        assert verify_certificate(replace(cert, verdict=Verdict.EQUALITY), reasons) is False
+        assert reasons == ["comparison: the three values give LESS (Violates), not LESS (Equality)"]
 
 
 def _quadrature_mean_width(domain, n=200_000) -> float:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from capacity_lab import Ellipsoid, EllipsoidPair, Verdict, __version__, bm_check, cli
+from capacity_lab import Ellipsoid, EllipsoidPair, Verdict, __version__, bm_check, cli, minkowski
 from capacity_lab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -124,6 +124,17 @@ class TestBmCheck:
         res = invoke(runner, "bm-check", "1", "E(1,1)", "E(1,1)", "--format", "text")
         assert "verdict: Equality" in res.output
 
+    def test_equality_prints_margin_zero(self, runner):
+        res = invoke(runner, "bm-check", "4", "E(1,1)", "E(2,2)", "--format", "text")
+        assert "sqrt(18) = sqrt(2) + sqrt(8)   [margin 0]\n" in res.output
+        data = json.loads(invoke(runner, "bm-check", "4", "E(1,1)", "E(2,2)").output)
+        assert data["margin"] == "0" and data["witness"] is None
+
+    def test_json_carries_the_witness(self, runner):
+        data = json.loads(invoke(runner, "bm-check", "2", "E(3/2,1)", "E(1,3/2)").output)
+        assert list(data)[-2:] == ["witness", "margin"]
+        assert data["witness"] == {"v1": 1, "v2": 1}
+
     def test_exit_zero_whatever_the_verdict(self, runner):
         for args in [["2", "E(3/2,1)", "E(1,3/2)"], ["1", "E(1,1)", "E(1,1)"]]:
             assert invoke(runner, "bm-check", *args).exit_code == 0
@@ -163,6 +174,66 @@ class TestBmCheck:
         assert check.exit_code == 1
         assert json.loads(check.output.splitlines()[0])["valid"] is False
 
+    def test_swapped_capacities_fail(self, runner, tmp_path):
+        data = json.loads(invoke(runner, "bm-check", "3", "E(1,1)", "E(2/3,1)").output)
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps({**data, "c1": data["c2"], "c2": data["c1"]}))
+        res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
+        assert res.exit_code == 1
+        assert json.loads(res.output.splitlines()[0])["valid"] is False
+        assert res.output.splitlines()[1].startswith("certificate invalid: c1: 1·π is not the 3-th merged multiple")
+        both = {**data, "domain1": data["domain2"], "domain2": data["domain1"], "c1": data["c2"], "c2": data["c1"]}
+        cert_file.write_text(json.dumps(both))
+        assert invoke(runner, "bm-check", "--check-certificate", str(cert_file)).exit_code == 0
+
+    def test_patched_engine_certificate_fails(self, runner, tmp_path, monkeypatch):
+        norm_coeff = minkowski._norm_coeff
+
+        def plus_one(k, pair):
+            h = norm_coeff(k, pair)
+            return lambda v1: (h(v1)[0] + h(v1)[1], h(v1)[1])
+
+        monkeypatch.setattr(minkowski, "_norm_coeff", plus_one)
+        res = invoke(runner, "bm-check", "4", "E(5/4,1)", "E(1,5/4)")
+        assert json.loads(res.output)["c_sum"] == {"num": 45, "den": 4}
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(res.output)
+        check = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
+        assert check.exit_code == 1
+        assert json.loads(check.output.splitlines()[0])["valid"] is False
+        verify = runner.invoke(main, ["bm-check", "4", "E(5/4,1)", "E(1,5/4)", "--verify"], catch_exceptions=False)
+        assert verify.exit_code == 2
+        reason = "c_sum: norm at the argmin v1 = 2 is 41/4·π, not 45/4·π"
+        assert verify.output == f"Error: verification failed: {reason}\n"
+
+    def test_shifted_witness_fails(self, runner, tmp_path):
+        data = json.loads(invoke(runner, "bm-check", "1000000", "E(3/2,1)", "E(1,3/2)").output)
+        data["witness"] = {"v1": data["witness"]["v1"] + 1, "v2": data["witness"]["v2"] - 1}
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(data))
+        res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
+        assert res.exit_code == 1
+
+    def test_long_domain_literal_error_stays_short(self, runner, tmp_path):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(certificate_text(domain1="E(1,1)" + "x" * 10**6))
+        res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.output.startswith("Error: bad certificate file: unexpected trailing input 'xxx")
+        assert len(res.output.splitlines()) == 1
+        assert len(res.output.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["E(1,1)" + "x" * 10**5, "E(" + "1" * 10**5 + "/0,1)", "Q" * 10**5 + "(1,1)", "E(1,1" + " " * 10**5 + ";"],
+    )
+    def test_parse_error_line_is_bounded(self, runner, literal):
+        res = runner.invoke(main, ["capacity", "2", literal], catch_exceptions=False)
+        assert res.exit_code == 2
+        assert len(res.output.splitlines()) == 1
+        assert len(res.output.encode()) < 200
+        assert "at position" in res.output and "..." in res.output
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -180,6 +251,13 @@ class TestBmCheck:
             pytest.param(certificate_text(c1={"num": 2, "den": True}), id="den=true"),
             pytest.param(certificate_text(c1={"num": 2.0, "den": 1}), id="num=2.0"),
             pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+            pytest.param(certificate_text(witness=True), id="witness=true"),
+            pytest.param(certificate_text(witness=2.0), id="witness=2.0"),
+            pytest.param(certificate_text(witness="2"), id="witness='2'"),
+            pytest.param(certificate_text(witness={"v1": -1, "v2": 3}), id="v1=-1"),
+            pytest.param(certificate_text(witness={"v1": 2, "v2": 1}), id="v1+v2!=k"),
+            pytest.param(certificate_text(witness={"v1": True, "v2": 1}), id="v1=true"),
+            pytest.param(certificate_text(witness={"v1": 1.0, "v2": 1}), id="v1=1.0"),
         ],
     )
     def test_malformed_certificate_file(self, runner, tmp_path, content):
@@ -482,6 +560,26 @@ class TestOptionsAndErrors:
         assert res.exit_code == 2
         assert res.output == f"Error: K_MAX must be >= 2, got {k_max}\n"
 
+    def test_every_certificate_check_goes_through_verify_certificate(self, runner, tmp_path, monkeypatch):
+        checked = []
+
+        def verify(cert, reasons=None):
+            checked.append(cert.k)
+            reasons.append("forged rejection")
+            return False
+
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(invoke(runner, "bm-check", "2", "E(3/2,1)", "E(1,3/2)").output)
+        monkeypatch.setattr(cli, "verify_certificate", verify)
+        res = runner.invoke(main, ["bm-check", "3", "E(1,1)", "E(2/3,1)", "--verify"], catch_exceptions=False)
+        assert (res.exit_code, res.output) == (2, "Error: verification failed: forged rejection\n")
+        res = runner.invoke(main, ["reproduce", "4", "--verify"], catch_exceptions=False)
+        assert (res.exit_code, res.output) == (3, "reproduction FAILED: oracle disagrees at k=2: forged rejection\n")
+        res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
+        assert res.exit_code == 1
+        assert res.output.splitlines()[1] == "certificate invalid: forged rejection"
+        assert checked == [3, 2, 2]
+
     def test_verification_failure_exit_codes(self, runner, monkeypatch):
         def disagree(*args):
             raise ValueError("forged disagreement")
@@ -512,11 +610,11 @@ def run_with_importtime(*args):
 PACKAGE_NAMES = """
     Ordering PiRational Rational cmp_rational_sqrt cmp_sqrt_combination format_rational parse_rational
     DomainParseError DomainSpec Ellipsoid EllipsoidPair EllipsoidSum IndexVector Polydisk ProductWithBall
-    StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin ellipsoid_product_capacity
+    StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin
     format_domain parse_domain polydisk_capacity product_with_ball_capacity scale_domain
-    BoundaryPoint ConvexityReport OmegaSample StrictnessReport convexity_check cy_boundary_point
+    ConvexityReport OmegaSample StrictnessReport convexity_check
     omega_curve strictness_check sum_capacity sum_capacity_with_argmin support_norm
-    OracleConfig SignCheckReport cross_check golden_max s_derivative s_derivative_signcheck s_profile
+    OracleConfig SignCheckReport cross_check golden_max s_derivative_signcheck
     support_norm_numeric
     BMCertificate CriterionReport MeanWidthEstimate ReproduceRow ReproductionError Verdict bm_check
     even_family expected_family_coeff mean_width_estimate odd_family ostrover_criterion

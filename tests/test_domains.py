@@ -20,7 +20,6 @@ from capacity_lab import (
     capacity,
     ellipsoid_capacity,
     ellipsoid_norm_argmin,
-    ellipsoid_product_capacity,
     format_domain,
     odd_family,
     parse_domain,
@@ -303,6 +302,25 @@ class TestPolydiskCapacity:
     @given(st.builds(Polydisk, radii_st, radii_st), st.integers(1, 40))
     def test_factor_symmetry(self, p, k):
         assert polydisk_capacity(k, p) == polydisk_capacity(k, Polydisk(p.b, p.a))
+
+
+def ellipsoid_product_capacity(k: int, e1: Ellipsoid, e2: Ellipsoid) -> PiRational:
+    """Capacity of the 8-dimensional product E1 x E2 via min over splittings.
+
+    c_k(X x Y) = min over i + j = k of c_i(X) + c_j(Y), with c_0 = 0: an
+    independent check of the stabilization shortcut.  The DomainSpec
+    grammar deliberately does not expose general products, so this
+    reference lives with its one test.
+    """
+    _require_positive_k(k)
+    best = None
+    for i in range(k + 1):
+        ci = ellipsoid_capacity(i, e1).coeff if i else Fraction(0)
+        cj = ellipsoid_capacity(k - i, e2).coeff if k - i else Fraction(0)
+        total = ci + cj
+        if best is None or total < best:
+            best = total
+    return PiRational(best)
 
 
 class TestProductWithBall:

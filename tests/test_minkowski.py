@@ -13,18 +13,17 @@ from capacity_lab import (
     EllipsoidPair,
     IndexVector,
     convexity_check,
-    cy_boundary_point,
     ellipsoid_capacity,
     even_family,
     odd_family,
     omega_curve,
-    s_profile,
     strictness_check,
     sum_capacity,
     sum_capacity_with_argmin,
     support_norm,
 )
 from capacity_lab import _kernels, minkowski
+from capacity_lab.oracle import _s_over_pi
 from conftest import nonprop_pairs_st, pairs_st, random_nonprop_pair
 
 F = Fraction
@@ -33,35 +32,26 @@ EVEN2 = even_family(2)   # (E(3/2,1), E(1,3/2))
 ODD3 = odd_family(3)     # (E(1,1), E(2/3,1))
 
 
+def boundary_gh(psi: float, pair: EllipsoidPair) -> tuple[float, float]:
+    """Radial coordinates (g, h) of the sum's boundary point at angle psi, from ``gh_profiles``."""
+    _, _, _, g, h = _kernels.gh_profiles(*(float(x) for x in pair.radii), psi)
+    return float(g), float(h)
+
+
 class TestBoundaryPoint:
     def test_endpoint_g(self):
-        p = cy_boundary_point(0.0, EVEN2)
-        assert p.g == 2.5 and p.h == 0.0
-
-    def test_endpoint_h(self):
-        p = cy_boundary_point(math.pi / 2, EVEN2)
-        assert p.g == 0.0 and p.h == 2.5
-
-    def test_psi_range_enforced(self):
-        with pytest.raises(ValueError):
-            cy_boundary_point(-0.1, EVEN2)
-        with pytest.raises(ValueError):
-            cy_boundary_point(math.pi / 2 + 0.1, EVEN2)
-
-    def test_proportional_pair_rejected(self):
-        prop = EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(2, 2))
-        with pytest.raises(ValueError):
-            cy_boundary_point(0.5, prop)
+        g, h = boundary_gh(0.0, EVEN2)
+        assert g == 2.5 and h == 0.0
 
     def test_objective_matches_profile_at_quarter_pi(self):
         # pi (v1 g^2 + v2 h^2) at psi equals S(f(psi)) for several v
         psi = math.pi / 4
-        p = cy_boundary_point(psi, ODD3)
+        g, h = boundary_gh(psi, ODD3)
         a, b, c, d = (float(x) for x in ODD3.radii)
         f = math.sqrt((c / a) ** 2 * math.cos(psi) ** 2 + (d / b) ** 2 * math.sin(psi) ** 2)
         for v in [IndexVector(1, 1), IndexVector(2, 1), IndexVector(0, 3)]:
-            direct = math.pi * (v.v1 * p.g**2 + v.v2 * p.h**2)
-            assert direct == pytest.approx(s_profile(v, ODD3, f), rel=1e-12)
+            direct = math.pi * (v.v1 * g**2 + v.v2 * h**2)
+            assert direct == pytest.approx(math.pi * _s_over_pi(a, b, c, d)(v.v1, v.v2, f), rel=1e-12)
 
 
 def reference_cy_map(a1, a2, x):
@@ -90,9 +80,9 @@ class TestGeneralCyMap:
                 ]
             )
             out = reference_cy_map(a1, a2, x)
-            bp = cy_boundary_point(psi, pair)
-            assert math.hypot(out[0], out[1]) == pytest.approx(bp.g, rel=1e-10)
-            assert math.hypot(out[2], out[3]) == pytest.approx(bp.h, rel=1e-10)
+            g, h = boundary_gh(psi, pair)
+            assert math.hypot(out[0], out[1]) == pytest.approx(g, rel=1e-10)
+            assert math.hypot(out[2], out[3]) == pytest.approx(h, rel=1e-10)
 
 
 class TestOmegaCurve:

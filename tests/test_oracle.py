@@ -21,9 +21,7 @@ from capacity_lab import (
     expected_family_coeff,
     golden_max,
     odd_family,
-    s_derivative,
     s_derivative_signcheck,
-    s_profile,
     support_norm,
     support_norm_numeric,
 )
@@ -36,13 +34,23 @@ from capacity_lab.oracle import (
     _s_over_pi,
     _s_prime_over_pi,
 )
-from conftest import random_nonprop_pair
+from conftest import nonprop_pairs_st, random_nonprop_pair
 
 F = Fraction
 
 EVEN2 = even_family(2)
 ODD3 = odd_family(3)
 FAST = OracleConfig(grid=512, refine_iters=60)
+
+
+def s_float(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
+    """S(f) in floats, straight from ``_s_over_pi``."""
+    return math.pi * _s_over_pi(*_float_radii(pair, "s_float"))(v.v1, v.v2, f)
+
+
+def s_prime_float(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
+    """Closed-form S'(f) in floats, straight from ``_s_prime_over_pi``."""
+    return math.pi * _s_prime_over_pi(*_float_radii(pair, "s_prime_float"))(v.v1, v.v2, f)
 
 
 class TestConfig:
@@ -149,6 +157,48 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check(k, domain, forged)
 
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_rejects_a_shifted_witness(self, shift):
+        k, pair = 4000, even_family(4000)
+        value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
+        cross_check(k, EllipsoidSum(pair), value, argmin)
+        shifted = IndexVector(argmin.v1 + shift, argmin.v2 - shift)
+        with pytest.raises(ValueError):
+            cross_check(k, EllipsoidSum(pair), value, shifted)
+        # nor does the witness's own norm pass: it is not the minimum
+        with pytest.raises(ValueError, match="minimizer|local minimum"):
+            cross_check(k, EllipsoidSum(pair), support_norm(shifted, pair), shifted)
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_rejects_the_larger_of_tied_minimizers(self, k):
+        # at odd k this symmetric pair ties h((k-1)/2) = h((k+1)/2); the argmin is the smaller index
+        pair = EllipsoidPair.normalized(Ellipsoid(F(1, 3), F(1, 4)), Ellipsoid(F(1, 4), F(1, 3)))
+        value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
+        later = IndexVector(argmin.v1 + 1, argmin.v2 - 1)
+        assert argmin.v1 == (k - 1) // 2 and support_norm(later, pair) == value
+        cross_check(k, EllipsoidSum(pair), value, argmin)
+        with pytest.raises(ValueError, match="smallest minimizer"):
+            cross_check(k, EllipsoidSum(pair), value, later)
+
+    def test_witness_never_runs_the_engine(self, monkeypatch):
+        k, pair = 10**6, even_family(10**6)
+        value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
+        monkeypatch.setattr(oracle, "sum_capacity_with_argmin", lambda *args: pytest.fail("engine ran"))
+        cross_check(k, EllipsoidSum(pair), value, argmin)
+
+    def test_witness_must_sum_to_k(self):
+        value, argmin = minkowski.sum_capacity_with_argmin(4, EVEN2)
+        with pytest.raises(ValueError, match="does not sum to k"):
+            cross_check(5, EllipsoidSum(EVEN2), value, argmin)
+
+    @pytest.mark.parametrize(
+        "domain",
+        [Ellipsoid(F(3, 2), 1), Polydisk(2, 3), EllipsoidSum.of(Ellipsoid(1, 2), Ellipsoid(2, 4))],
+    )
+    def test_witness_only_on_a_nonproportional_sum(self, domain):
+        with pytest.raises(ValueError, match="no argmin to witness"):
+            cross_check(3, domain, capacity(3, domain), IndexVector(1, 2))
+
     def test_unsupported_domain(self):
         with pytest.raises(TypeError):
             cross_check(2, "E(1,1)", PiRational(1))
@@ -171,7 +221,7 @@ class TestSProfile:
             pair = random_nonprop_pair(rng)
             a, b, c, d = pair.radii
             v = IndexVector(rng.randint(0, 5), rng.randint(1, 5))
-            got = s_profile(v, pair, float(c) / float(a))
+            got = s_float(v, pair, float(c) / float(a))
             assert got == pytest.approx(v.v1 * math.pi * float((a + c) ** 2), rel=1e-10, abs=1e-10)
 
     def test_upper_endpoint(self, rng):
@@ -179,16 +229,12 @@ class TestSProfile:
             pair = random_nonprop_pair(rng)
             a, b, c, d = pair.radii
             v = IndexVector(rng.randint(1, 5), rng.randint(0, 5))
-            got = s_profile(v, pair, float(d) / float(b))
+            got = s_float(v, pair, float(d) / float(b))
             assert got == pytest.approx(v.v2 * math.pi * float((b + d) ** 2), rel=1e-10, abs=1e-10)
 
     def test_interior_critical_value_matches_exact(self):
         # even family at v = (1,1): f0 = 1 is interior, S(f0) = 13 pi / 2
-        assert s_profile(IndexVector(1, 1), EVEN2, 1.0) == pytest.approx(6.5 * math.pi, rel=1e-10)
-
-    def test_f_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            s_profile(IndexVector(1, 1), EVEN2, 10.0)
+        assert s_float(IndexVector(1, 1), EVEN2, 1.0) == pytest.approx(6.5 * math.pi, rel=1e-10)
 
     def test_f_domain_max_equals_psi_domain_max(self, rng):
         for _ in range(15):
@@ -199,10 +245,10 @@ class TestSProfile:
             v = IndexVector(v1, k - v1)
             lo, hi = float(c) / float(a), float(d) / float(b)
             grid = [lo + (hi - lo) * j / 512 for j in range(513)]
-            best_f = max(grid, key=lambda f: s_profile(v, pair, f))
+            best_f = max(grid, key=lambda f: s_float(v, pair, f))
             j = grid.index(best_f)
             blo, bhi = grid[max(j - 1, 0)], grid[min(j + 1, 512)]
-            f_max = golden_max(lambda f: s_profile(v, pair, f), blo, bhi, 80)
+            f_max = golden_max(lambda f: s_float(v, pair, f), blo, bhi, 80)
             psi_max = support_norm_numeric(v, pair)
             assert f_max == pytest.approx(psi_max, rel=1e-9)
 
@@ -218,8 +264,8 @@ class TestSDerivative:
         assert type(report.ok) is bool and type(report.sign_mismatches) is int
         assert type(report.max_abs_err) is float and type(report.max_allowed_err) is float
         # increasing before f0, decreasing after
-        assert s_derivative(IndexVector(1, 1), EVEN2, 0.9) > 0
-        assert s_derivative(IndexVector(1, 1), EVEN2, 1.1) < 0
+        assert s_prime_float(IndexVector(1, 1), EVEN2, 0.9) > 0
+        assert s_prime_float(IndexVector(1, 1), EVEN2, 1.1) < 0
 
     def test_axis_vector_constant_sign(self):
         report = s_derivative_signcheck(IndexVector(3, 0), EVEN2, FAST)
@@ -228,7 +274,7 @@ class TestSDerivative:
         a, b, c, d = (float(x) for x in EVEN2.radii)
         lo, hi = c / a, d / b
         samples = [lo + (hi - lo) * j / 40 for j in range(1, 40)]
-        signs = {s_derivative(IndexVector(3, 0), EVEN2, f) > 0 for f in samples}
+        signs = {s_prime_float(IndexVector(3, 0), EVEN2, f) > 0 for f in samples}
         assert len(signs) == 1
 
     def test_finite_difference_agreement_random(self, rng):
@@ -380,7 +426,7 @@ class TestExactProfile:
                 assert oracle._s_over_pi(a, b, c, d)(v1, k - v1, f) == laurent_value(S, f)
                 closed = oracle._s_prime_over_pi(a, b, c, d)(v1, k - v1, f)
                 assert closed == laurent_value(dS, f)
-                assert s_derivative(IndexVector(v1, k - v1), pair, float(f)) == pytest.approx(
+                assert s_prime_float(IndexVector(v1, k - v1), pair, float(f)) == pytest.approx(
                     math.pi * float(closed), rel=1e-9, abs=1e-9
                 )
 
@@ -400,11 +446,66 @@ class TestExactProfile:
             a, b, c, d = pair.radii
             k = rng.randint(1, 300)
             v1 = rng.randint(0, k)
-            norm = oracle._s_max(pair)(v1, k - v1)
+            norm = F(*oracle._s_max(pair)(v1, k - v1))
             assert norm == support_norm(IndexVector(v1, k - v1), pair).coeff, (pair.radii, v1, k)
             interior += norm > max(v1 * (a + c) ** 2, (k - v1) * (b + d) ** 2)
         # both branches of the support-norm formula occur among the draws
         assert 0 < interior < 400
+
+
+def reference_s_max(pair: EllipsoidPair):
+    """(v1, v2) -> |(v1, v2)|* / pi as the largest of S at c/a, at d/b and at an interior
+    maximum N/D, each evaluated in Fractions.
+
+    The Fraction form that the integer-pair ``oracle._s_max`` replaced, kept as its reference.
+    """
+    a, b, c, d = radii = pair.radii
+    S = _s_over_pi(*radii)
+    lo, hi = c / a, d / b
+
+    def norm(v1: int, v2: int) -> F:
+        D, N = _critical(v1, v2, *radii)
+        candidates = [lo, hi]
+        if D < 0 and lo < N / D < hi:
+            candidates.append(N / D)
+        return max(S(v1, v2, f) for f in candidates)
+
+    return norm
+
+
+def endpoint_critical_points():
+    """(pair, k, v1) with D < 0 and N/D exactly c/a or d/b, over small radii."""
+    radii = sorted({F(p, q) for p in range(1, 4) for q in range(1, 4)})
+    found = {"c/a": [], "d/b": []}
+    for a, b, c, d in ((a, b, c, d) for a in radii for b in radii for c in radii for d in radii):
+        pair = EllipsoidPair.normalized(Ellipsoid(a, b), Ellipsoid(c, d))
+        if pair.proportional:
+            continue
+        a, b, c, d = pair.radii
+        for k in range(1, 7):
+            for v1 in range(k + 1):
+                D, N = _critical(v1, k - v1, a, b, c, d)
+                if D < 0 and N / D in (c / a, d / b):
+                    found["c/a" if N / D == c / a else "d/b"].append((pair, k, v1))
+    return found
+
+
+class TestIntegerSMax:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=nonprop_pairs_st, k=st.integers(1, 300), data=st.data())
+    def test_matches_the_fraction_reference(self, pair, k, data):
+        h, want = oracle._s_max(pair), reference_s_max(pair)
+        for v1 in (0, k, data.draw(st.integers(0, k))):
+            num, den = h(v1, k - v1)
+            assert den > 0
+            assert F(num, den) == want(v1, k - v1), (pair.radii, k, v1)
+
+    def test_critical_point_on_an_endpoint(self):
+        found = endpoint_critical_points()
+        assert found["c/a"] and found["d/b"]
+        for cases in found.values():
+            for pair, k, v1 in cases:
+                assert F(*oracle._s_max(pair)(v1, k - v1)) == reference_s_max(pair)(v1, k - v1)
 
 
 class TestUnimodality:
