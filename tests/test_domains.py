@@ -430,3 +430,95 @@ class TestDomainGrammar:
         with pytest.raises(DomainParseError) as exc:
             parse_domain("E(3//2,1)")
         assert "3//2" in str(exc.value)
+
+
+_LONG_TAIL = "E(1,1)" + "x" * 10**6
+_LONG_TOKEN = "E(" + "1" * 10**6 + ",1)"
+
+# Each literal with the domain it parses to, or the exact type and message
+# of the error it raises.  ValueError rows lex and parse but name a value
+# that a domain refuses.
+PARSE_TABLE = [
+    ("E(3/2,1)", Ellipsoid(F(3, 2), 1)),
+    (" E( 3/2 , 1 ) ", Ellipsoid(F(3, 2), 1)),
+    ("\tP(1,\n2)\n", Polydisk(1, 2)),
+    ("E(6/4,2/2)", Ellipsoid(F(3, 2), 1)),
+    ("e(1,1)", Ellipsoid(1, 1)),
+    ("E(007,010)", Ellipsoid(7, 10)),
+    ("P(٣,1)", Polydisk(3, 1)),  # ARABIC-INDIC DIGIT THREE is a decimal digit
+    ("sum(E(1,1),E(2/3,1))", EllipsoidSum.of(Ellipsoid(1, 1), Ellipsoid(F(2, 3), 1))),
+    ("SUM( e(1,3/2) , E(3/2,1) )", EllipsoidSum.of(Ellipsoid(1, F(3, 2)), Ellipsoid(F(3, 2), 1))),
+    ("prod(E(1,1),2,10)", ProductWithBall(Ellipsoid(1, 1), 2, 10)),
+    (
+        "prod(sum(E(1,1),E(2/3,1)),4,35/2)",
+        ProductWithBall(EllipsoidSum.of(Ellipsoid(1, 1), Ellipsoid(F(2, 3), 1)), 4, F(35, 2)),
+    ),
+    ("prod(P(1,1), 2 , 20/2)", ProductWithBall(Polydisk(1, 1), 2, 10)),
+    ("E(-1,1)", (ValueError, "a must be a positive rational, got -1")),
+    ("P(1,-3/6)", (ValueError, "b must be a positive rational, got -1/2")),
+    ("E(0,1)", (ValueError, "a must be a positive rational, got 0")),
+    ("prod(E(1,1),-2,10)", (ValueError, "ball dimension m must be >= 1, got -2")),
+    ("prod(E(1,1),2,-10)", (ValueError, "R must be a positive rational, got -10")),
+    # '²' and '①' are str.isdigit but not decimal: they stay inside the token
+    ("E(²,1)", (DomainParseError, "bad rational token '²' at position 2 in 'E(²,1)'")),
+    ("E(1²,1)", (DomainParseError, "bad rational token '1²' at position 2 in 'E(1²,1)'")),
+    ("E(①,1)", (DomainParseError, "bad rational token '①' at position 2 in 'E(①,1)'")),
+    ("E(½,1)", (DomainParseError, "expected a rational, found '½' at position 2 in 'E(½,1)'")),
+    ("E(1/0,1)", (DomainParseError, "bad rational token '1/0' at position 2 in 'E(1/0,1)'")),
+    ("E(--1,1)", (DomainParseError, "bad rational token '--1' at position 2 in 'E(--1,1)'")),
+    ("E(1/2/3,1)", (DomainParseError, "bad rational token '1/2/3' at position 2 in 'E(1/2/3,1)'")),
+    ("E(3//2,1)", (DomainParseError, "bad rational token '3//2' at position 2 in 'E(3//2,1)'")),
+    ("E(1,-)", (DomainParseError, "bad rational token '-' at position 4 in 'E(1,-)'")),
+    ("E(1 / 2,1)", (DomainParseError, "expected ',', found '/' at position 4 in 'E(1 / 2,1)'")),
+    ("E(,1)", (DomainParseError, "expected a rational, found ',' at position 2 in 'E(,1)'")),
+    ("E(3/2;1)", (DomainParseError, "expected ',', found ';' at position 5 in 'E(3/2;1)'")),
+    ("E(1,1", (DomainParseError, "expected ')', found 'end of input' at position 5 in 'E(1,1'")),
+    ("E(1,1)x", (DomainParseError, "unexpected trailing input 'x' at position 6 in 'E(1,1)x'")),
+    ("E(1,1))", (DomainParseError, "unexpected trailing input ')' at position 6 in 'E(1,1))'")),
+    ("", (DomainParseError, "expected a domain name, found 'end of input' at position 0 in ''")),
+    ("Q(1,1)", (DomainParseError, "unknown domain kind 'Q' at position 0 in 'Q(1,1)'")),
+    (
+        "sum(P(1,1),E(1,1))",
+        (DomainParseError, "sum(...) takes two ellipsoids at position 0 in 'sum(P(1,1),E(1,1))'"),
+    ),
+    (
+        "sum(E(1,1),P(1,1))",
+        (DomainParseError, "sum(...) takes two ellipsoids at position 0 in 'sum(E(1,1),P(1,1))'"),
+    ),
+    (
+        "prod(prod(E(1,1),1,2),1,2)",
+        (DomainParseError, "prod(...) cannot nest another prod at position 0 in 'prod(prod(E(1,1),1,2),1,2)'"),
+    ),
+    (
+        "prod(E(1,1),3/2,10)",
+        (DomainParseError, "expected an integer, found '3/2' at position 15 in 'prod(E(1,1),3/2,10)'"),
+    ),
+    (
+        "sum(" * 5000,
+        (DomainParseError, f"sum(...) takes two ellipsoids at position 0 in {'sum(' * 10!r}..."),
+    ),
+    (
+        _LONG_TAIL,
+        (DomainParseError, f"unexpected trailing input {'x' * 40!r}... at position 6 in {_LONG_TAIL[:46]!r}..."),
+    ),
+    (
+        _LONG_TOKEN,
+        (DomainParseError, f"bad rational token {'1' * 40!r}... at position 2 in {_LONG_TOKEN[:42]!r}..."),
+    ),
+]
+
+
+class TestParseTable:
+    @pytest.mark.parametrize("text, expected", PARSE_TABLE, ids=[repr(t[:24]) for t, _ in PARSE_TABLE])
+    def test_literal(self, text, expected):
+        if not isinstance(expected, tuple):
+            assert parse_domain(text) == expected
+            return
+        kind, message = expected
+        with pytest.raises(ValueError) as exc:
+            parse_domain(text)
+        assert (type(exc.value), str(exc.value)) == (kind, message)
+
+    def test_sum_keeps_the_swap(self):
+        dom = parse_domain("SUM( e(1,3/2) , E(3/2,1) )")
+        assert dom.pair.swapped and dom.pair.first == Ellipsoid(F(3, 2), 1)
