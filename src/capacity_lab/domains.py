@@ -8,13 +8,14 @@ of pi.
 
 For an ellipsoid, the k-th capacity is the k-th smallest element (with
 multiplicity) of the merged multiples {i*pi*a^2} and {j*pi*b^2}; the
-implementation selects it through the counting function
-N(t) = floor(t/a^2) + floor(t/b^2) rather than materializing a sorted list.
+counting function N(t) = floor(t/a^2) + floor(t/b^2) gives it in closed
+form, in O(1) at any k, rather than from a sorted list.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,8 +47,8 @@ __all__ = [
 
 
 def _as_positive_radius(value, name: str) -> Fraction:
-    q = Fraction(value)
-    if q <= 0:
+    q = value if type(value) is Fraction else Fraction(value)
+    if q.numerator <= 0:
         raise ValueError(f"{name} must be a positive rational, got {q}")
     return q
 
@@ -82,6 +83,13 @@ class Polydisk:
         return Polydisk(self.a * lam, self.b * lam)
 
 
+def _order(e1: Ellipsoid, e2: Ellipsoid) -> int:
+    """c*b - a*d for e1 = E(a,b), e2 = E(c,d), times the four denominators: one integer cross-multiplication."""
+    a, b, c, d = e1.a, e1.b, e2.a, e2.b
+    cb = c.numerator * b.numerator * a.denominator * d.denominator
+    return cb - a.numerator * d.numerator * c.denominator * b.denominator
+
+
 @dataclass(frozen=True)
 class EllipsoidPair:
     """An ordered pair of ellipsoids whose Minkowski sum is analyzed.
@@ -101,19 +109,17 @@ class EllipsoidPair:
     proportional: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b = self.first.a, self.first.b
-        c, d = self.second.a, self.second.b
-        cb, ad = c * b, a * d
-        if cb > ad:
+        order = _order(self.first, self.second)
+        if order > 0:
             raise ValueError(
                 "EllipsoidPair must satisfy c/a <= d/b; "
                 "use EllipsoidPair.normalized to order the operands"
             )
-        object.__setattr__(self, "proportional", cb == ad)
+        object.__setattr__(self, "proportional", order == 0)
 
     @classmethod
     def normalized(cls, e1: Ellipsoid, e2: Ellipsoid) -> "EllipsoidPair":
-        if e2.a * e1.b > e1.a * e2.b:
+        if _order(e1, e2) > 0:
             return cls(e2, e1, swapped=True)
         return cls(e1, e2, swapped=False)
 
@@ -220,17 +226,15 @@ def convex_argmin(h: Callable[[int], tuple[int, int]], k: int) -> tuple[Fraction
 def _kth_merged_multiple(k: int, alpha: Fraction, beta: Fraction) -> Fraction:
     """k-th smallest element of {i*alpha : i >= 1} merged with {j*beta : j >= 1}.
 
-    Ties count twice.  For each progression, bisect for the smallest
-    multiplier m in 1..k whose count N(m*step) = m + floor(m*step/other)
-    reaches k (m = k always does); the answer is the smaller candidate.
+    Ties count twice.  With alpha/beta = p/q in integers, the count of merged
+    multiples <= m*alpha is m + floor(mp/q) = floor(m(p+q)/q), which reaches k
+    exactly when m >= kq/(p+q).  So m = ceil(kq/(p+q)) for alpha and
+    n = ceil(kp/(p+q)) for beta, and the answer is the smaller of m*alpha and
+    n*beta: O(1) at any k.
     """
-
-    def smallest_reaching(step: Fraction, other: Fraction) -> Fraction:
-        p, q = step.numerator * other.denominator, step.denominator * other.numerator
-        i = bisect_left(range(1, k), True, key=lambda m: m + m * p // q >= k)
-        return (i + 1) * step
-
-    return min(smallest_reaching(alpha, beta), smallest_reaching(beta, alpha))
+    p, q = alpha.numerator * beta.denominator, alpha.denominator * beta.numerator
+    m, n = -(-k * q // (p + q)), -(-k * p // (p + q))
+    return m * alpha if m * p <= n * q else n * beta
 
 
 def ellipsoid_capacity(k: int, e: Ellipsoid) -> PiRational:
@@ -331,14 +335,17 @@ class DomainParseError(ValueError):
         super().__init__(f"{message} at position {pos} in {_excerpt(text, pos)}")
 
 
+# \s is str.isspace; a rational token is decimal digits, '-' and '/' (see _Scanner.rational for other digits)
+_SPACE_RE, _TOKEN_RE = re.compile(r"\s*"), re.compile(r"[\d/-]*")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
     def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE_RE.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         self._skip_ws()
@@ -364,8 +371,11 @@ class _Scanner:
     def rational(self) -> Fraction:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] in "-/"):
-            self.pos += 1
+        # \d takes decimal digits only; a digit such as '²', which str.isdigit
+        # also takes, stays inside the token, which is then reported whole
+        self.pos = _TOKEN_RE.match(self.text, start).end()
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos = _TOKEN_RE.match(self.text, self.pos + 1).end()
         token = self.text[start : self.pos]
         if not token:
             found = self.text[self.pos] if self.pos < len(self.text) else "end of input"

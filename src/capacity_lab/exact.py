@@ -139,7 +139,7 @@ class PiRational:
     coeff: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", self.coeff if type(self.coeff) is Fraction else Fraction(self.coeff))
 
     def __add__(self, other: "PiRational") -> "PiRational":
         return PiRational(self.coeff + other.coeff)

@@ -39,6 +39,7 @@ from .domains import (
     Polydisk,
     ProductWithBall,
     _common_denominator,
+    _require_positive_k,
     convex_argmin,
     format_domain,
 )
@@ -99,14 +100,14 @@ def support_norm_numeric(v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig 
 
 
 def cross_check(k: int, domain: DomainSpec, value: PiRational, witness: IndexVector | None = None) -> None:
-    """Re-derive c_k(domain) independently and exactly; raise ValueError unless it is value.
+    """Re-derive c_k(domain), k >= 1, independently and exactly; raise ValueError unless it is value.
 
-    Ellipsoids: value / pi = c is the k-th merged multiple of a^2 and b^2
-    exactly when at least k multiples are <= c and fewer than k are < c:
-    four integer floor divisions.  Polydisks: the minimum of the
-    rectangle norms, as integer pairs over the common denominator of a^2
-    and b^2.  Proportional sums and stabilized products reduce to their
-    outer and inner domains.  Non-proportional sums: the norms h at the
+    Ellipsoids: value / pi = c is the k-th merged multiple of a^2 and b^2 exactly
+    when at least k multiples are <= c and fewer than k are < c: four floor
+    divisions of integers read off c and the radii.  Polydisks: the minimum of
+    the rectangle norms, as integer pairs over the common denominator of a^2 and
+    b^2.  Proportional sums and stabilized products reduce to their outer and
+    inner domains.  Non-proportional sums: the norms h at the
     argmin v1 and at its neighbours v1 +- 1 are the exact maxima of the
     profile S (module docstring), value must be h(v1), and
     h(v1-1) > h(v1) <= h(v1+1) must hold.  The norm is convex in v1, so
@@ -115,12 +116,14 @@ def cross_check(k: int, domain: DomainSpec, value: PiRational, witness: IndexVec
     ``sum_capacity_with_argmin``'s; a wrong witness can only fail.  No
     float and no numpy is involved.
     """
+    _require_positive_k(k)
     if isinstance(domain, EllipsoidSum) and not domain.pair.proportional:
         _cross_check_sum(k, domain.pair, value, witness)
     elif witness is not None:
         raise ValueError(f"{format_domain(domain)} has no argmin to witness; only a non-proportional sum does")
     elif isinstance(domain, Ellipsoid):
-        if not _is_kth_merged_multiple(k, value.coeff, domain.a**2, domain.b**2):
+        steps = ((r.numerator**2, r.denominator**2) for r in (domain.a, domain.b))
+        if not _is_kth_merged_multiple(k, value.coeff, *steps):
             raise ValueError(f"{value} is not the {k}-th merged multiple of pi a^2 and pi b^2")
     elif isinstance(domain, Polydisk):
         (A, B), L = _common_denominator(domain.a**2, domain.b**2)
@@ -135,11 +138,11 @@ def cross_check(k: int, domain: DomainSpec, value: PiRational, witness: IndexVec
         raise TypeError(f"unsupported domain: {domain!r}")
 
 
-def _is_kth_merged_multiple(k: int, c: Fraction, alpha: Fraction, beta: Fraction) -> bool:
+def _is_kth_merged_multiple(k: int, c: Fraction, alpha: tuple[int, int], beta: tuple[int, int]) -> bool:
     """Is c the k-th smallest of {i alpha : i >= 1} merged with {j beta : j >= 1}, ties counted twice?"""
     at_most = below = 0
-    for step in (alpha, beta):
-        n, m = c.numerator * step.denominator, c.denominator * step.numerator  # c / step = n / m, m > 0
+    for num, den in (alpha, beta):
+        n, m = c.numerator * den, c.denominator * num  # c / step = n / m, m > 0
         at_most += n // m
         below += -(-n // m) - 1
     return at_most >= k > below
@@ -153,7 +156,7 @@ def _cross_check_sum(k: int, pair: EllipsoidPair, value: PiRational, witness: In
     v1 = witness.v1
     h = _s_max(pair)
     norms = {u: h(u, k - u) for u in (v1 - 1, v1, v1 + 1) if 0 <= u <= k}
-    if _pi(norms[v1]) != value:
+    if norms[v1][0] * value.coeff.denominator != value.coeff.numerator * norms[v1][1]:
         raise ValueError(f"norm at the argmin v1 = {v1} is {_pi(norms[v1])}, not {value}")
     if v1 - 1 in norms and not _exceeds(norms[v1 - 1], norms[v1]):
         raise ValueError(f"v1 = {v1} is not the smallest minimizer: h(v1-1) = {_pi(norms[v1 - 1])}")
@@ -214,8 +217,11 @@ def _s_max(pair: EllipsoidPair) -> Callable[[int, int], tuple[int, int]]:
     p > 0 and R2 q^2 < L p^2 < S2 q^2.
     """
     a, b, c, d = pair.radii
-    lo, hi = c / a, d / b
-    (A2, B2, R2, S2), L = _common_denominator(a * a, b * b, lo * lo, hi * hi)
+    # a, b, c/a and d/b as integer pairs (num, den); L = l^2 for l the lcm of their denominators
+    pairs = [(x.numerator * y.denominator, x.denominator * y.numerator) for x, y in ((a, 1), (b, 1), (c, a), (d, b))]
+    lo, hi = pairs[2:]
+    L = (l := math.lcm(*(m for _, m in pairs))) ** 2
+    A2, B2, R2, S2 = ((n * (l // m)) ** 2 for n, m in pairs)
     scale = L**3 * (S2 - R2)
 
     def S(v1: int, v2: int, p: int, q: int) -> tuple[int, int]:
@@ -224,8 +230,8 @@ def _s_max(pair: EllipsoidPair) -> Callable[[int, int], tuple[int, int]]:
         return num, scale * p * p * q2
 
     def norm(v1: int, v2: int) -> tuple[int, int]:
-        best = S(v1, v2, lo.numerator, lo.denominator)
-        if _exceeds(upper := S(v1, v2, hi.numerator, hi.denominator), best):
+        best = S(v1, v2, *lo)
+        if _exceeds(upper := S(v1, v2, *hi), best):
             best = upper
         q = L * (v1 * A2 - v2 * B2)
         if q > 0:

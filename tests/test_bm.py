@@ -147,6 +147,23 @@ class TestCertificates:
         assert d["witness"] == {"v1": 2, "v2": 1}
         assert bm_check(3, EllipsoidPair.normalized(Ellipsoid(1, 2), Ellipsoid(2, 4))).to_dict()["witness"] is None
 
+    def test_k_zero_certificate_fails(self):
+        zero = {"num": 0, "den": 1}
+        d = {
+            "k": 0,
+            "domain1": "E(1,1)",
+            "domain2": "E(2,2)",
+            "c_sum": zero,
+            "c1": zero,
+            "c2": zero,
+            "verdict": "Equality",
+            "comparison": "EQUAL",
+            "witness": None,
+        }
+        reasons = []
+        assert verify_certificate(BMCertificate.from_dict(d), reasons) is False
+        assert reasons == ["c_sum: capacity index k must be a positive integer, got 0"]
+
     def test_witness_is_the_argmin(self):
         for k in (2, 3, 40, 10**6):
             pair = even_family(k) if k % 2 == 0 else odd_family(k)

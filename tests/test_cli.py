@@ -268,6 +268,15 @@ class TestBmCheck:
         assert res.output.startswith("Error: bad certificate file")
         assert len(res.output.strip().splitlines()) == 1
 
+    def test_k_zero_equality_certificate_refused(self, runner, tmp_path):
+        # every value 0 and verdict Equality: the library's verifier refuses it too, on c_sum
+        zero = {"num": 0, "den": 1}
+        cert_file = tmp_path / "k0.json"
+        fields = {"c_sum": zero, "c1": zero, "c2": zero, "verdict": "Equality", "comparison": "EQUAL", "witness": None}
+        cert_file.write_text(certificate_text(k=0, domain1="E(1,1)", domain2="E(2,2)", **fields))
+        res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
+        assert (res.exit_code, res.output) == (2, "Error: bad certificate file: k must be in 1..1000000, got 0\n")
+
     @pytest.mark.parametrize(
         "extra",
         [["7"], ["7", "E(1,1)"], ["7", "E(1,1)", "E(9,9)"], ["--verify"], ["--format", "text"], ["--format", "csv"]],

@@ -1,5 +1,6 @@
 import heapq
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 
@@ -27,11 +28,18 @@ from capacity_lab import (
     product_with_ball_capacity,
     scale_domain,
 )
-from capacity_lab.domains import _require_positive_k, convex_argmin
+from capacity_lab.domains import _kth_merged_multiple, _require_positive_k, convex_argmin
 from capacity_lab.oracle import _is_kth_merged_multiple
 from conftest import ellipsoids_st, radii_st, random_ellipsoid
 
 F = Fraction
+
+
+# pairs of ellipsoids, a share of them proportional
+pair_operands_st = st.one_of(
+    st.tuples(ellipsoids_st, ellipsoids_st),
+    st.tuples(ellipsoids_st, radii_st).map(lambda t: (t[0], t[0].scaled(t[1]))),
+)
 
 
 class TestTypes:
@@ -62,6 +70,21 @@ class TestTypes:
         with pytest.raises(ValueError):
             IndexVector(-1, 2)
         assert IndexVector(2, 3).k == 5
+
+    @given(pair_operands_st)
+    @settings(max_examples=300)
+    def test_pair_order_matches_fraction_products(self, operands):
+        e1, e2 = operands
+        cb, ad = e2.a * e1.b, e1.a * e2.b
+        pair = EllipsoidPair.normalized(e1, e2)
+        assert pair.swapped is (cb > ad)
+        assert (pair.first, pair.second) == ((e2, e1) if cb > ad else (e1, e2))
+        assert pair.proportional is (cb == ad)
+        if cb > ad:
+            with pytest.raises(ValueError, match="c/a <= d/b"):
+                EllipsoidPair(e1, e2)
+        else:
+            assert EllipsoidPair(e1, e2) == pair
 
     def test_product_no_nesting(self):
         inner = ProductWithBall(Ellipsoid(1, 1), 2, F(10))
@@ -163,6 +186,52 @@ def reference_kth_merged_multiple(k, alpha, beta):
     return min(smallest_reaching(alpha, beta), smallest_reaching(beta, alpha))
 
 
+def reference_bisect_kth_merged_multiple(k, alpha, beta):
+    """The two bisections that ``_kth_merged_multiple`` ran before its closed form.
+
+    For each progression, bisect for the smallest multiplier m in 1..k whose
+    count N(m*step) = m + floor(m*step/other) reaches k (m = k always does);
+    the answer is the smaller candidate.
+    """
+
+    def smallest_reaching(step, other):
+        p, q = step.numerator * other.denominator, step.denominator * other.numerator
+        i = bisect_left(range(1, k), True, key=lambda m: m + m * p // q >= k)
+        return (i + 1) * step
+
+    return min(smallest_reaching(alpha, beta), smallest_reaching(beta, alpha))
+
+
+radii_50_st = st.builds(F, st.integers(1, 50), st.integers(1, 50))
+
+
+class TestClosedFormKth:
+    """``_kth_merged_multiple``'s m = ceil(kq/(p+q)) against the bisection it replaced."""
+
+    @given(radii_50_st, radii_50_st, st.integers(1, 10**6))
+    @settings(max_examples=300)
+    def test_matches_the_bisection(self, a, b, k):
+        alpha, beta = a * a, b * b
+        assert _kth_merged_multiple(k, alpha, beta) == reference_bisect_kth_merged_multiple(k, alpha, beta)
+
+    @given(radii_50_st, radii_50_st, st.integers(1, 10**4))
+    @settings(max_examples=200)
+    def test_matches_the_bisection_where_the_ceiling_is_exact(self, a, b, j):
+        # k a multiple of p + q, so kq/(p+q) and kp/(p+q) are integers
+        alpha, beta = a * a, b * b
+        ratio = alpha / beta
+        k = j * (ratio.numerator + ratio.denominator)
+        assert _kth_merged_multiple(k, alpha, beta) == reference_bisect_kth_merged_multiple(k, alpha, beta)
+
+    @pytest.mark.parametrize("e", [Ellipsoid(1, 1), Ellipsoid(2, 1), Ellipsoid(F(3, 2), 1)])
+    def test_every_k_to_200(self, e):
+        # kq/(p+q) is an integer at every 2nd, 5th and 13th k respectively
+        alpha, beta = e.a * e.a, e.b * e.b
+        for k in range(1, 201):
+            want = reference_bisect_kth_merged_multiple(k, alpha, beta)
+            assert _kth_merged_multiple(k, alpha, beta) == want == ellipsoid_capacity_bruteforce(k, e).coeff
+
+
 def reference_sorted_bruteforce(k, e):
     """The sorted materialization that ellipsoid_capacity_bruteforce ran before it merged lazily."""
     alpha, beta = e.a * e.a, e.b * e.b
@@ -181,6 +250,11 @@ class TestBruteforce:
         assert ellipsoid_capacity_bruteforce(4096, e).coeff == reference_sorted_bruteforce(4096, e)
 
 
+def is_kth(k, c, alpha, beta):
+    """``oracle._is_kth_merged_multiple`` on steps alpha and beta given as Fractions."""
+    return _is_kth_merged_multiple(k, c, (alpha.numerator, alpha.denominator), (beta.numerator, beta.denominator))
+
+
 class TestCountingCheck:
     """``oracle._is_kth_merged_multiple``, the O(1) test behind ``cross_check`` on ellipsoids."""
 
@@ -189,20 +263,20 @@ class TestCountingCheck:
     def test_accepts_the_capacity_and_rejects_its_neighbours(self, e, k):
         alpha, beta = e.a**2, e.b**2
         c = ellipsoid_capacity(k, e).coeff
-        assert _is_kth_merged_multiple(k, c, alpha, beta)
-        assert _is_kth_merged_multiple(k, ellipsoid_capacity_bruteforce(k, e).coeff, alpha, beta)
+        assert is_kth(k, c, alpha, beta)
+        assert is_kth(k, ellipsoid_capacity_bruteforce(k, e).coeff, alpha, beta)
         for forged in (c + min(alpha, beta) / 7, c - min(alpha, beta) / 7, c - alpha, c + beta):
-            assert not _is_kth_merged_multiple(k, forged, alpha, beta)
+            assert not is_kth(k, forged, alpha, beta)
 
     def test_ties_count_twice(self):
         # E(1,1): the multiples 1, 1, 2, 2, ... so c_3 = c_4 = 2 and c_2 = 1
         one = F(1)
-        assert [_is_kth_merged_multiple(k, F(2), one, one) for k in range(1, 6)] == [False, False, True, True, False]
-        assert _is_kth_merged_multiple(2, one, one, one)
+        assert [is_kth(k, F(2), one, one) for k in range(1, 6)] == [False, False, True, True, False]
+        assert is_kth(2, one, one, one)
 
     def test_nonpositive_values_rejected(self):
         for c in (F(0), F(-1), F(-1, 2)):
-            assert not _is_kth_merged_multiple(1, c, F(1), F(2))
+            assert not is_kth(1, c, F(1), F(2))
 
 
 def scan_argmin(values):
@@ -442,6 +516,8 @@ PARSE_TABLE = [
     ("E(3/2,1)", Ellipsoid(F(3, 2), 1)),
     (" E( 3/2 , 1 ) ", Ellipsoid(F(3, 2), 1)),
     ("\tP(1,\n2)\n", Polydisk(1, 2)),
+    ("\x1cE(1,\u00a01)\u3000", Ellipsoid(1, 1)),  # str.isspace whitespace beyond ASCII
+    ("\u200bE(1,1)", (DomainParseError, "expected a domain name, found '\\u200b' at position 0 in '\\u200bE(1,1)'")),
     ("E(6/4,2/2)", Ellipsoid(F(3, 2), 1)),
     ("e(1,1)", Ellipsoid(1, 1)),
     ("E(007,010)", Ellipsoid(7, 10)),

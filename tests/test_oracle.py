@@ -204,6 +204,20 @@ class TestCrossCheck:
             cross_check(2, "E(1,1)", PiRational(1))
 
     @pytest.mark.parametrize(
+        "k, domain, coeff",
+        [
+            (0, Ellipsoid(1, 1), 0),
+            (-2, Ellipsoid(1, 1), -1),
+            (0, Polydisk(1, 1), 0),
+            (0, EllipsoidSum.of(Ellipsoid(1, 1), Ellipsoid(2, 2)), 0),
+        ],
+    )
+    def test_nonpositive_k_refused(self, k, domain, coeff):
+        with pytest.raises(ValueError) as exc:
+            cross_check(k, domain, PiRational(coeff))
+        assert str(exc.value) == f"capacity index k must be a positive integer, got {k}"
+
+    @pytest.mark.parametrize(
         "domain",
         [EllipsoidSum(even_family(10**6)), EllipsoidSum(EVEN2), Ellipsoid(F(3, 2), 1), Polydisk(F(3, 2), 1)],
     )
