@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 
 _MODULES = {
     "exact": (
-        "Ordering PiRational Rational cmp_rational_sqrt cmp_sqrt_combination format_decimal format_rational"
-        " parse_rational"
+        "Ordering PiRational Rational cmp_sqrt_combination format_decimal format_rational parse_rational"
     ),
     "domains": (
         "DomainParseError DomainSpec Ellipsoid EllipsoidPair EllipsoidSum IndexVector Polydisk ProductWithBall"

@@ -2,7 +2,9 @@
 
 Subcommands: capacity, bm-check, reproduce, omega, mean-width, criterion,
 search.  Exact capacities print as p/q·π and mean widths as p/q, each
-with a 12-significant-digit decimal.
+with a 12-significant-digit decimal.  Each subcommand prints JSON, or
+with ``--format`` CSV or text, through the one emitter ``_emit``; only
+``omega``, whose output is float samples, writes its own JSON or CSV.
 Mathematical verdicts (Violates/Satisfies/Equality) are data and exit 0;
 usage, computation and parse errors print one ``Error: ...`` line on
 stderr and exit 2; a failed reproduction exits 3; a certificate that
@@ -14,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import __version__
@@ -87,12 +89,17 @@ def _parse_krange(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _emit_csv(fieldnames: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _emit(fmt: str, payload, columns: list[str], rows, text: Callable[[], Iterable[str]]) -> None:
+    """Print PAYLOAD as JSON, the COLUMNS of each dict in ROWS as CSV, or the
+    lines of text().  Only ``--format text`` calls TEXT."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        writer = csv.DictWriter(sys.stdout, columns, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        print("\n".join(text()))
 
 
 def cmd_capacity(k, domain, fmt, verify):
@@ -122,15 +129,9 @@ def cmd_capacity(k, domain, fmt, verify):
         "decimal": value.decimal(),
         "verified": bool(verify),
     }
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        print(_emit_csv(["k", "domain", "exact", "decimal"], [
-            {"k": k, "domain": payload["domain"], "exact": payload["exact"], "decimal": payload["decimal"]}
-        ]))
-    else:
-        suffix = "  [verified]" if verify else ""
-        print(f"c_{k}({payload['domain']}) = {value.render()}{suffix}")
+    _emit(fmt, payload, ["k", "domain", "exact", "decimal"], [payload], lambda: [
+        f"c_{k}({payload['domain']}) = {payload['exact']} = {payload['decimal']}{'  [verified]' if verify else ''}"
+    ])
 
 
 def _require_ellipsoid(dom: DomainSpec, label: str) -> Ellipsoid:
@@ -139,40 +140,23 @@ def _require_ellipsoid(dom: DomainSpec, label: str) -> Ellipsoid:
     return dom
 
 
-def _certificate_rows(certs: list[BMCertificate]) -> list[dict]:
-    return [
-        {
-            "k": c.k,
-            "domain1": format_domain(c.domain1),
-            "domain2": format_domain(c.domain2),
-            "c_sum": format_rational(c.c_sum.coeff),
-            "c1": format_rational(c.c_1.coeff),
-            "c2": format_rational(c.c_2.coeff),
-            "verdict": str(c.verdict),
-        }
-        for c in certs
-    ]
+CERTIFICATE_COLUMNS = ["k", "domain1", "domain2", "c_sum", "c1", "c2", "verdict"]
 
 
-def _emit_certificate(cert: BMCertificate, fmt: str) -> None:
-    if fmt == "json":
-        payload = cert.to_dict()
-        payload["margin"] = f"{cert.margin():.12g}"
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        print(_emit_csv(["k", "domain1", "domain2", "c_sum", "c1", "c2", "verdict"], _certificate_rows([cert])))
+def _certificate_row(cert: BMCertificate, family: str | None = None) -> dict:
+    """k, then the family or else the two domains, then c_sum, c1 and c2 as p/q and the verdict."""
+    if family is None:
+        first = {"domain1": format_domain(cert.domain1), "domain2": format_domain(cert.domain2)}
     else:
-        rel = {"LESS": "<", "EQUAL": "=", "GREATER": ">"}[cert.comparison.name]
-        print(f"k = {cert.k}")
-        print(f"c_k({format_domain(cert.domain1)}) = {cert.c_1.render()}")
-        print(f"c_k({format_domain(cert.domain2)}) = {cert.c_2.render()}")
-        print(f"c_k(sum) = {cert.c_sum.render()}")
-        print(
-            f"sqrt({format_rational(cert.c_sum.coeff)}) {rel} "
-            f"sqrt({format_rational(cert.c_1.coeff)}) + sqrt({format_rational(cert.c_2.coeff)})"
-            f"   [margin {cert.margin():.6g}]"
-        )
-        print(f"verdict: {cert.verdict}")
+        first = {"family": family}
+    return {
+        "k": cert.k,
+        **first,
+        "c_sum": format_rational(cert.c_sum.coeff),
+        "c1": format_rational(cert.c_1.coeff),
+        "c2": format_rational(cert.c_2.coeff),
+        "verdict": str(cert.verdict),
+    }
 
 
 def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
@@ -203,7 +187,16 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
     cert = bm_check(k, pair)
     if verify and not verify_certificate(cert, reasons := []):
         raise CliError(f"verification failed: {reasons[0]}")
-    _emit_certificate(cert, fmt)
+    row = _certificate_row(cert)
+    rel = {"LESS": "<", "EQUAL": "=", "GREATER": ">"}[cert.comparison.name]
+    _emit(fmt, {**cert.to_dict(), "margin": f"{cert.margin():.12g}"}, CERTIFICATE_COLUMNS, [row], lambda: [
+        f"k = {cert.k}",
+        f"c_k({row['domain1']}) = {cert.c_1.render()}",
+        f"c_k({row['domain2']}) = {cert.c_2.render()}",
+        f"c_k(sum) = {cert.c_sum.render()}",
+        f"sqrt({row['c_sum']}) {rel} sqrt({row['c1']}) + sqrt({row['c2']})   [margin {cert.margin():.6g}]",
+        f"verdict: {row['verdict']}",
+    ])
 
 
 def cmd_reproduce(k_max, fmt, verify):
@@ -226,28 +219,12 @@ def cmd_reproduce(k_max, fmt, verify):
             if not verify_certificate(row.certificate, reasons := []):
                 print(f"reproduction FAILED: oracle disagrees at k={row.k}: {reasons[0]}", file=sys.stderr)
                 return 3
-    table = [
-        {
-            "k": row.k,
-            "family": row.family,
-            "c_sum": format_rational(row.certificate.c_sum.coeff),
-            "c1": format_rational(row.certificate.c_1.coeff),
-            "c2": format_rational(row.certificate.c_2.coeff),
-            "verdict": str(row.certificate.verdict),
-        }
-        for row in rows
-    ]
-    if fmt == "json":
-        print(json.dumps(table, indent=2))
-    elif fmt == "csv":
-        print(_emit_csv(["k", "family", "c_sum", "c1", "c2", "verdict"], table))
-    else:
-        for r in table:
-            print(
-                f"k={r['k']:>4} {r['family']:<5} c_sum={r['c_sum']:<14} "
-                f"c1={r['c1']:<10} c2={r['c2']:<10} {r['verdict']}"
-            )
-        print(f"all {len(table)} indices violate the inequality")
+    table = [_certificate_row(row.certificate, row.family) for row in rows]
+    _emit(fmt, table, ["k", "family", "c_sum", "c1", "c2", "verdict"], table, lambda: [
+        *(f"k={r['k']:>4} {r['family']:<5} c_sum={r['c_sum']:<14} c1={r['c1']:<10} c2={r['c2']:<10} {r['verdict']}"
+          for r in table),
+        f"all {len(table)} indices violate the inequality",
+    ])
 
 
 def cmd_omega(domain1, domain2, samples, out, fmt):
@@ -261,6 +238,8 @@ def cmd_omega(domain1, domain2, samples, out, fmt):
         points = omega_curve(pair, samples)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    except ImportError as exc:
+        raise CliError(f"omega samples the curve with numpy, which cannot be imported: {exc}") from None
     if fmt == "json":
         body = json.dumps([[p.psi, p.x1, p.x2] for p in points])
     else:
@@ -294,13 +273,9 @@ def cmd_mean_width(domain, fmt):
         "exact": format_rational(value),
         "decimal": format_decimal(value),
     }
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        columns = ["domain", "exact", "decimal"]
-        print(_emit_csv(columns, [{name: payload[name] for name in columns}]))
-    else:
-        print(f"M({payload['domain']}) = {payload['exact']} = {payload['decimal']}")
+    _emit(fmt, payload, ["domain", "exact", "decimal"], [payload], lambda: [
+        f"M({payload['domain']}) = {payload['exact']} = {payload['decimal']}"
+    ])
 
 
 def cmd_criterion(k_range, fmt):
@@ -308,28 +283,21 @@ def cmd_criterion(k_range, fmt):
 
     K_RANGE is 'k' or 'lo..hi'.
     """
-    ks = _parse_krange(k_range)
-    rows = []
-    for k in ks:
-        rep = ostrover_criterion(k)
-        rows.append(
-            {
-                "k": k,
-                "violating": rep.violating,
-                "lhs": format_rational(rep.lhs),
-                "rhs": format_rational(rep.rhs),
-                "c_polydisk": format_rational(rep.c_polydisk.coeff),
-                "c_ball": format_rational(rep.c_ball.coeff),
-            }
-        )
-    if fmt == "json":
-        print(json.dumps(rows, indent=2))
-    elif fmt == "csv":
-        print(_emit_csv(["k", "violating", "lhs", "rhs", "c_polydisk", "c_ball"], rows))
-    else:
-        for r in rows:
-            mark = "violating" if r["violating"] else "inconclusive"
-            print(f"k={r['k']:>3}: {mark:<13} ({r['lhs']} vs {r['rhs']})")
+    rows = [
+        {
+            "k": rep.k,
+            "violating": rep.violating,
+            "lhs": format_rational(rep.lhs),
+            "rhs": format_rational(rep.rhs),
+            "c_polydisk": format_rational(rep.c_polydisk.coeff),
+            "c_ball": format_rational(rep.c_ball.coeff),
+        }
+        for rep in map(ostrover_criterion, _parse_krange(k_range))
+    ]
+    _emit(fmt, rows, list(rows[0]), rows, lambda: [
+        f"k={r['k']:>3}: {'violating' if r['violating'] else 'inconclusive':<13} ({r['lhs']} vs {r['rhs']})"
+        for r in rows
+    ])
 
 
 def _height_bounded_rationals(bound: int) -> list[Fraction]:
@@ -368,17 +336,14 @@ def cmd_search(bound, k_range, fmt):
         for k in ks
     )
     violating = [c for c in certs if c.verdict is Verdict.VIOLATES]
-    if fmt == "json":
-        print(json.dumps([c.to_dict() for c in violating], indent=2))
-    elif fmt == "csv":
-        print(_emit_csv(["k", "domain1", "domain2", "c_sum", "c1", "c2", "verdict"], _certificate_rows(violating)))
-    else:
-        for c in violating:
-            print(
-                f"k={c.k} {format_domain(c.domain1)} + {format_domain(c.domain2)}: "
-                f"c_sum={c.c_sum} c1={c.c_1} c2={c.c_2} margin={c.margin():.6g}"
-            )
-        print(f"{len(violating)} violating certificates among {checks} checks")
+    _emit(fmt, [c.to_dict() for c in violating], CERTIFICATE_COLUMNS, map(_certificate_row, violating), lambda: [
+        *(
+            f"k={c.k} {format_domain(c.domain1)} + {format_domain(c.domain2)}: "
+            f"c_sum={c.c_sum} c1={c.c_1} c2={c.c_2} margin={c.margin():.6g}"
+            for c in violating
+        ),
+        f"{len(violating)} violating certificates among {checks} checks",
+    ])
 
 
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -387,13 +352,13 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     parser.add_argument("--version", action="version", version=f"capacity-lab, version {__version__}")
     subparsers = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
 
-    def command(name, run, *positionals, verify=False):
+    def command(name, run, *positionals, verify=False, formats=("json", "csv", "text")):
         sub = subparsers.add_parser(name, help=run.__doc__.split("\n")[0], description=run.__doc__, allow_abbrev=False)
         sub.set_defaults(run=run)
         for dest, kind, nargs in positionals:
             sub.add_argument(dest, metavar=dest.upper(), type=kind, nargs=nargs)
         sub.add_argument(
-            "--format", dest="fmt", choices=["json", "csv", "text"], default="json",
+            "--format", dest="fmt", choices=formats, default="json",
             help="Output format (default: %(default)s).",
         )
         if verify:
@@ -409,7 +374,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         help="Re-validate a serialized certificate instead of computing a new one.",
     )
     command("reproduce", cmd_reproduce, ("k_max", int, None), verify=True)
-    omega = command("omega", cmd_omega, ("domain1", str, None), ("domain2", str, None))
+    omega = command("omega", cmd_omega, ("domain1", str, None), ("domain2", str, None), formats=("json", "csv"))
     omega.add_argument("--samples", type=int, default=256, help="Number of psi intervals (default: %(default)s).")
     omega.add_argument("--out", default="-", help="Output path, '-' for stdout (default: %(default)s).")
     command("mean-width", cmd_mean_width, ("domain", str, None))

@@ -9,7 +9,9 @@ of pi.
 For an ellipsoid, the k-th capacity is the k-th smallest element (with
 multiplicity) of the merged multiples {i*pi*a^2} and {j*pi*b^2}; the
 counting function N(t) = floor(t/a^2) + floor(t/b^2) gives it in closed
-form, in O(1) at any k, rather than from a sorted list.
+form, in O(1) at any k, rather than from a sorted list.  The same closed
+form gives the smallest index vector (v1, k - v1) whose norm
+max(v1 pi a^2, (k - v1) pi b^2) attains it (``ellipsoid_norm_argmin``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Union
 
-from .exact import Ordering, PiRational, cmp_rational_sqrt, format_rational, parse_rational
+from .exact import PiRational, format_rational, parse_rational
 
 __all__ = [
     "Ellipsoid",
@@ -223,37 +225,38 @@ def convex_argmin(h: Callable[[int], tuple[int, int]], k: int) -> tuple[Fraction
     return Fraction(*h(j)), j
 
 
-def _kth_merged_multiple(k: int, alpha: Fraction, beta: Fraction) -> Fraction:
-    """k-th smallest element of {i*alpha : i >= 1} merged with {j*beta : j >= 1}.
+def _kth_merged_multiple(k: int, alpha: Fraction, beta: Fraction) -> tuple[Fraction, int]:
+    """k-th smallest element of {i*alpha : i >= 1} merged with {j*beta : j >= 1},
+    and the smallest v1 in 0..k at which max(v1*alpha, (k - v1)*beta) equals it.
 
     Ties count twice.  With alpha/beta = p/q in integers, the count of merged
     multiples <= m*alpha is m + floor(mp/q) = floor(m(p+q)/q), which reaches k
     exactly when m >= kq/(p+q).  So m = ceil(kq/(p+q)) for alpha and
     n = ceil(kp/(p+q)) for beta, and the answer is the smaller of m*alpha and
-    n*beta: O(1) at any k.
+    n*beta: O(1) at any k.  That answer is also the minimum over v1 of
+    max(v1*alpha, (k - v1)*beta), first reached at v1 = k - n when it is
+    n*beta and at v1 = m otherwise.
     """
     p, q = alpha.numerator * beta.denominator, alpha.denominator * beta.numerator
     m, n = -(-k * q // (p + q)), -(-k * p // (p + q))
-    return m * alpha if m * p <= n * q else n * beta
+    return (n * beta, k - n) if n * q <= m * p else (m * alpha, m)
 
 
 def ellipsoid_capacity(k: int, e: Ellipsoid) -> PiRational:
     """k-th capacity of E(a,b): the k-th smallest merged multiple of pi a^2, pi b^2."""
     _require_positive_k(k)
-    return PiRational(_kth_merged_multiple(k, e.a * e.a, e.b * e.b))
+    return PiRational(_kth_merged_multiple(k, e.a * e.a, e.b * e.b)[0])
 
 
 def ellipsoid_norm_argmin(k: int, e: Ellipsoid) -> tuple[PiRational, IndexVector]:
     """Minimum over v1 + v2 = k of max(v1 * pi a^2, v2 * pi b^2), with argmin.
 
-    a^2 = A/L and b^2 = B/L over one common denominator, so the norms are
-    the integer pairs (max(v1 A, v2 B), L).  Ties go to the smallest v1
-    (``convex_argmin``).  The value always equals ellipsoid_capacity(k, e);
-    the argmin is what the strictness criterion needs.
+    The minimum is ellipsoid_capacity(k, e) and ties go to the smallest v1,
+    both from ``_kth_merged_multiple`` in O(1); the argmin is what the
+    strictness criterion needs.
     """
     _require_positive_k(k)
-    (A, B), L = _common_denominator(e.a * e.a, e.b * e.b)
-    value, v1 = convex_argmin(lambda j: (max(j * A, (k - j) * B), L), k)
+    value, v1 = _kth_merged_multiple(k, e.a * e.a, e.b * e.b)
     return PiRational(value), IndexVector(v1, k - v1)
 
 
@@ -276,7 +279,7 @@ def product_with_ball_capacity(k: int, inner: DomainSpec, m: int, R: Fraction) -
         raise ValueError(f"ball dimension m must be >= 1, got {m}")
     R = _as_positive_radius(R, "R")
     inner_cap = capacity(k, inner)
-    if cmp_rational_sqrt(R, inner_cap.coeff) is not Ordering.GREATER:
+    if R * R <= inner_cap.coeff:
         raise StabilizationError(
             f"stabilization condition unmet: need pi*R^2 > c_{k}(X), i.e. "
             f"R^2 > {format_rational(inner_cap.coeff)}, got R = {format_rational(R)}"
@@ -346,10 +349,6 @@ class _Scanner:
 
     def _skip_ws(self) -> None:
         self.pos = _SPACE_RE.match(self.text, self.pos).end()
-
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expect(self, ch: str) -> None:
         self._skip_ws()

@@ -21,7 +21,6 @@ __all__ = [
     "Ordering",
     "PiRational",
     "cmp",
-    "cmp_rational_sqrt",
     "cmp_sqrt_combination",
     "parse_rational",
     "format_rational",
@@ -91,21 +90,6 @@ def format_decimal(q: Fraction, digits: int = 12, factor=1) -> str:
     return f"{val:g}"
 
 
-def cmp_rational_sqrt(q: Rational, r: Rational) -> Ordering:
-    """Sign of q - sqrt(r), decided exactly. Requires r >= 0.
-
-    A negative q loses to any nonnegative root except sqrt(0) > q; for
-    q >= 0 the comparison reduces to q^2 versus r.
-    """
-    q = Fraction(q)
-    r = Fraction(r)
-    if r < 0:
-        raise ValueError(f"cmp_rational_sqrt requires r >= 0, got r = {r}")
-    if q < 0:
-        return Ordering.LESS
-    return cmp(q * q, r)
-
-
 def cmp_sqrt_combination(s: Rational, t: Rational, u: Rational) -> Ordering:
     """Sign of sqrt(s) - sqrt(t) - sqrt(u), decided exactly.
 
@@ -140,17 +124,6 @@ class PiRational:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", self.coeff if type(self.coeff) is Fraction else Fraction(self.coeff))
-
-    def __add__(self, other: "PiRational") -> "PiRational":
-        return PiRational(self.coeff + other.coeff)
-
-    def __sub__(self, other: "PiRational") -> "PiRational":
-        return PiRational(self.coeff - other.coeff)
-
-    def __mul__(self, scalar) -> "PiRational":
-        return PiRational(self.coeff * Fraction(scalar))
-
-    __rmul__ = __mul__
 
     def __float__(self) -> float:
         return float(self.coeff) * math.pi

@@ -617,7 +617,7 @@ def run_with_importtime(*args):
 
 # every name the package namespace exports, as the eagerly importing package did
 PACKAGE_NAMES = """
-    Ordering PiRational Rational cmp_rational_sqrt cmp_sqrt_combination format_rational parse_rational
+    Ordering PiRational Rational cmp_sqrt_combination format_rational parse_rational
     DomainParseError DomainSpec Ellipsoid EllipsoidPair EllipsoidSum IndexVector Polydisk ProductWithBall
     StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin
     format_domain parse_domain polydisk_capacity product_with_ball_capacity scale_domain
@@ -689,6 +689,18 @@ class TestExactPathImports:
         assert res.returncode == 0, res.stderr
         assert res.stdout == "M(sum(E(1,1),E(2/3,1))) = 83/45 = 1.84444444444\n"
         assert res.stderr == ""
+
+    def test_omega_without_numpy_is_one_error_line(self):
+        script = (
+            "import sys\nsys.modules['numpy'] = None\nfrom capacity_lab.cli import main\n"
+            "sys.exit(main(['omega', 'E(1,1)', 'E(2/3,1)']))"
+        )
+        res = run_fresh("-c", script)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == (
+            "Error: omega samples the curve with numpy, which cannot be imported: "
+            "import of numpy halted; None in sys.modules\n"
+        )
 
     def test_sum_verify_never_imports_numpy(self):
         res = run_with_importtime("capacity", "5", "sum(E(3/2,1),E(1,3/2))", "--verify")

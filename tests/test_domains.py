@@ -28,7 +28,7 @@ from capacity_lab import (
     product_with_ball_capacity,
     scale_domain,
 )
-from capacity_lab.domains import _kth_merged_multiple, _require_positive_k, convex_argmin
+from capacity_lab.domains import _common_denominator, _kth_merged_multiple, _require_positive_k, convex_argmin
 from capacity_lab.oracle import _is_kth_merged_multiple
 from conftest import ellipsoids_st, radii_st, random_ellipsoid
 
@@ -212,7 +212,7 @@ class TestClosedFormKth:
     @settings(max_examples=300)
     def test_matches_the_bisection(self, a, b, k):
         alpha, beta = a * a, b * b
-        assert _kth_merged_multiple(k, alpha, beta) == reference_bisect_kth_merged_multiple(k, alpha, beta)
+        assert _kth_merged_multiple(k, alpha, beta)[0] == reference_bisect_kth_merged_multiple(k, alpha, beta)
 
     @given(radii_50_st, radii_50_st, st.integers(1, 10**4))
     @settings(max_examples=200)
@@ -221,7 +221,7 @@ class TestClosedFormKth:
         alpha, beta = a * a, b * b
         ratio = alpha / beta
         k = j * (ratio.numerator + ratio.denominator)
-        assert _kth_merged_multiple(k, alpha, beta) == reference_bisect_kth_merged_multiple(k, alpha, beta)
+        assert _kth_merged_multiple(k, alpha, beta)[0] == reference_bisect_kth_merged_multiple(k, alpha, beta)
 
     @pytest.mark.parametrize("e", [Ellipsoid(1, 1), Ellipsoid(2, 1), Ellipsoid(F(3, 2), 1)])
     def test_every_k_to_200(self, e):
@@ -229,7 +229,43 @@ class TestClosedFormKth:
         alpha, beta = e.a * e.a, e.b * e.b
         for k in range(1, 201):
             want = reference_bisect_kth_merged_multiple(k, alpha, beta)
-            assert _kth_merged_multiple(k, alpha, beta) == want == ellipsoid_capacity_bruteforce(k, e).coeff
+            assert _kth_merged_multiple(k, alpha, beta)[0] == want == ellipsoid_capacity_bruteforce(k, e).coeff
+
+
+def reference_bisect_norm_argmin(k, e):
+    """The bisection that ``ellipsoid_norm_argmin`` ran before its closed form.
+
+    a^2 = A/L and b^2 = B/L over one common denominator, so the norms are
+    the integer pairs (max(v1 A, v2 B), L); ``convex_argmin`` returns their
+    minimum and its smallest minimizer v1.
+    """
+    (A, B), L = _common_denominator(e.a * e.a, e.b * e.b)
+    return convex_argmin(lambda j: (max(j * A, (k - j) * B), L), k)
+
+
+class TestClosedFormNormArgmin:
+    """``ellipsoid_norm_argmin``'s v1 = k - n or m against the bisection it replaced."""
+
+    @given(radii_50_st, radii_50_st, st.integers(1, 10**6))
+    @settings(max_examples=300)
+    def test_matches_the_bisection(self, a, b, k):
+        value, argmin = ellipsoid_norm_argmin(k, Ellipsoid(a, b))
+        assert (value.coeff, argmin.v1) == reference_bisect_norm_argmin(k, Ellipsoid(a, b))
+
+    @given(radii_50_st, radii_50_st, st.integers(1, 10**4))
+    @settings(max_examples=200)
+    def test_matches_the_bisection_where_the_multiples_tie(self, a, b, j):
+        # k a multiple of p + q, so m*a^2 = n*b^2 and both progressions reach the k-th value
+        ratio = (a * a) / (b * b)
+        k = j * (ratio.numerator + ratio.denominator)
+        value, argmin = ellipsoid_norm_argmin(k, Ellipsoid(a, b))
+        assert (value.coeff, argmin.v1) == reference_bisect_norm_argmin(k, Ellipsoid(a, b))
+
+    @pytest.mark.parametrize("e", [Ellipsoid(1, 1), Ellipsoid(2, 1), Ellipsoid(F(3, 2), 1), Ellipsoid(1, 2)])
+    def test_every_k_to_300(self, e):
+        for k in range(1, 301):
+            value, argmin = ellipsoid_norm_argmin(k, e)
+            assert (value.coeff, argmin.v1) == reference_bisect_norm_argmin(k, e)
 
 
 def reference_sorted_bruteforce(k, e):
