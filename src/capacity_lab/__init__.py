@@ -1,18 +1,19 @@
 """Exact Gutt-Hutchings capacities of 4-dimensional ellipsoids, polydisks,
 and Minkowski sums of ellipsoids, with certified Brunn-Minkowski checks.
 
-Capacity values are exact rational multiples of pi, and ``cross_check``
-re-derives them exactly as well.  A Brunn-Minkowski certificate carries
-the argmin of the sum as its witness, and ``verify_certificate``, the one
-certificate verifier, checks every field with ``cross_check`` and never
-reruns the engine that wrote it.  Floating point is confined to the
-numeric oracles, which are library cross-checks, the boundary-curve
-samplers, and the Monte Carlo mean-width estimator.  Those that need
-numpy import it and ``_kernels`` when called, so running an exact
-computation or verifying one never loads numpy.
+A sum E(a,b) + E(c,d) is an ``EllipsoidPair``, as ``parse_domain`` returns
+it for ``sum(...)``.  Capacities are exact rational multiples of pi, and
+``cross_check`` re-derives them exactly.  A Brunn-Minkowski certificate
+carries the argmin of the sum as its witness, and ``verify_certificate``,
+the one certificate verifier, checks every field with ``cross_check``
+without the engine that wrote it.  Floating point is confined to the
+numeric oracles, the boundary-curve samplers and the Monte Carlo
+mean-width estimator, which import numpy when called; an exact
+computation or its verification never loads numpy.
 
 The namespace is lazy (PEP 562): importing the package loads none of its
 modules, and each public name loads its module on first access.
+``_MODULES`` is the one list of public names.
 """
 
 import importlib
@@ -24,9 +25,9 @@ _MODULES = {
         "Ordering PiRational Rational cmp_sqrt_combination format_decimal format_rational parse_rational"
     ),
     "domains": (
-        "DomainParseError DomainSpec Ellipsoid EllipsoidPair EllipsoidSum IndexVector Polydisk ProductWithBall"
+        "DomainParseError DomainSpec Ellipsoid EllipsoidPair IndexVector Polydisk ProductWithBall"
         " StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin"
-        " format_domain parse_domain polydisk_capacity product_with_ball_capacity scale_domain"
+        " format_domain parse_domain polydisk_capacity product_with_ball_capacity"
     ),
     "minkowski": (
         "ConvexityReport OmegaSample StrictnessReport convexity_check omega_curve strictness_check sum_capacity"

@@ -27,17 +27,6 @@ import numpy as np
 
 from .oracle import golden_max
 
-__all__ = [
-    "backend_name",
-    "gh_profiles",
-    "golden_max",
-    "support_max",
-    "omega_xy",
-    "convexity_grid",
-    "polydisk_support_split",
-    "ellipsoid_support_split",
-]
-
 _HALF_PI = 0.5 * math.pi
 
 

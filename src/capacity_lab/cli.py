@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from collections.abc import Callable, Iterable
@@ -89,17 +90,25 @@ def _parse_krange(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _emit(fmt: str, payload, columns: list[str], rows, text: Callable[[], Iterable[str]]) -> None:
-    """Print PAYLOAD as JSON, the COLUMNS of each dict in ROWS as CSV, or the
-    lines of text().  Only ``--format text`` calls TEXT."""
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        writer = csv.DictWriter(sys.stdout, columns, extrasaction="ignore", lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        print("\n".join(text()))
+def _emit(fmt: str, payload: Callable, columns: list[str], rows: Callable, text: Callable[[], Iterable[str]]) -> None:
+    """Print payload() as JSON, the COLUMNS of each dict in rows() as CSV, or the lines of text().
+    Only the chosen format's callable runs, and nothing is written unless all of the output formats."""
+    try:
+        if fmt == "json":
+            out = json.dumps(payload(), indent=2) + "\n"
+        elif fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.DictWriter(buf, columns, extrasaction="ignore", lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows())
+            out = buf.getvalue()
+        else:
+            out = "\n".join(text()) + "\n"
+    except ValueError:  # the int-to-str digit limit
+        raise CliError(f"the result has an integer of more than {sys.get_int_max_str_digits()} digits") from None
+    except OverflowError:
+        raise CliError("the margin of the certificate is beyond float range") from None
+    sys.stdout.write(out)
 
 
 def cmd_capacity(k, domain, fmt, verify):
@@ -121,16 +130,19 @@ def cmd_capacity(k, domain, fmt, verify):
             cross_check(k, dom, value)
         except ValueError as exc:
             raise CliError(f"verification failed: {exc}") from None
-    payload = {
-        "k": k,
-        "domain": format_domain(dom),
-        "value": value.as_dict(),
-        "exact": str(value),
-        "decimal": value.decimal(),
-        "verified": bool(verify),
-    }
-    _emit(fmt, payload, ["k", "domain", "exact", "decimal"], [payload], lambda: [
-        f"c_{k}({payload['domain']}) = {payload['exact']} = {payload['decimal']}{'  [verified]' if verify else ''}"
+
+    def payload():
+        return {
+            "k": k,
+            "domain": format_domain(dom),
+            "value": value.as_dict(),
+            "exact": str(value),
+            "decimal": value.decimal(),
+            "verified": bool(verify),
+        }
+
+    _emit(fmt, payload, ["k", "domain", "exact", "decimal"], lambda: [payload()], lambda: [
+        "c_{k}({domain}) = {exact} = {decimal}".format(**payload()) + "  [verified]" * verify
     ])
 
 
@@ -187,16 +199,21 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
     cert = bm_check(k, pair)
     if verify and not verify_certificate(cert, reasons := []):
         raise CliError(f"verification failed: {reasons[0]}")
-    row = _certificate_row(cert)
-    rel = {"LESS": "<", "EQUAL": "=", "GREATER": ">"}[cert.comparison.name]
-    _emit(fmt, {**cert.to_dict(), "margin": f"{cert.margin():.12g}"}, CERTIFICATE_COLUMNS, [row], lambda: [
-        f"k = {cert.k}",
-        f"c_k({row['domain1']}) = {cert.c_1.render()}",
-        f"c_k({row['domain2']}) = {cert.c_2.render()}",
-        f"c_k(sum) = {cert.c_sum.render()}",
-        f"sqrt({row['c_sum']}) {rel} sqrt({row['c1']}) + sqrt({row['c2']})   [margin {cert.margin():.6g}]",
-        f"verdict: {row['verdict']}",
-    ])
+
+    def text():
+        row = _certificate_row(cert)
+        rel = {"LESS": "<", "EQUAL": "=", "GREATER": ">"}[cert.comparison.name]
+        return [
+            f"k = {cert.k}",
+            f"c_k({row['domain1']}) = {cert.c_1.render()}",
+            f"c_k({row['domain2']}) = {cert.c_2.render()}",
+            f"c_k(sum) = {cert.c_sum.render()}",
+            f"sqrt({row['c_sum']}) {rel} sqrt({row['c1']}) + sqrt({row['c2']})   [margin {cert.margin():.6g}]",
+            f"verdict: {row['verdict']}",
+        ]
+
+    _emit(fmt, lambda: {**cert.to_dict(), "margin": f"{cert.margin():.12g}"}, CERTIFICATE_COLUMNS,
+          lambda: [_certificate_row(cert)], text)
 
 
 def cmd_reproduce(k_max, fmt, verify):
@@ -220,7 +237,7 @@ def cmd_reproduce(k_max, fmt, verify):
                 print(f"reproduction FAILED: oracle disagrees at k={row.k}: {reasons[0]}", file=sys.stderr)
                 return 3
     table = [_certificate_row(row.certificate, row.family) for row in rows]
-    _emit(fmt, table, ["k", "family", "c_sum", "c1", "c2", "verdict"], table, lambda: [
+    _emit(fmt, lambda: table, ["k", "family", "c_sum", "c1", "c2", "verdict"], lambda: table, lambda: [
         *(f"k={r['k']:>4} {r['family']:<5} c_sum={r['c_sum']:<14} c1={r['c1']:<10} c2={r['c2']:<10} {r['verdict']}"
           for r in table),
         f"all {len(table)} indices violate the inequality",
@@ -267,14 +284,17 @@ def cmd_mean_width(domain, fmt):
         value = mean_width(dom)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    payload = {
-        "domain": format_domain(dom),
-        "value": {"num": value.numerator, "den": value.denominator},
-        "exact": format_rational(value),
-        "decimal": format_decimal(value),
-    }
-    _emit(fmt, payload, ["domain", "exact", "decimal"], [payload], lambda: [
-        f"M({payload['domain']}) = {payload['exact']} = {payload['decimal']}"
+
+    def payload():
+        return {
+            "domain": format_domain(dom),
+            "value": {"num": value.numerator, "den": value.denominator},
+            "exact": format_rational(value),
+            "decimal": format_decimal(value),
+        }
+
+    _emit(fmt, payload, ["domain", "exact", "decimal"], lambda: [payload()], lambda: [
+        "M({domain}) = {exact} = {decimal}".format(**payload())
     ])
 
 
@@ -294,7 +314,7 @@ def cmd_criterion(k_range, fmt):
         }
         for rep in map(ostrover_criterion, _parse_krange(k_range))
     ]
-    _emit(fmt, rows, list(rows[0]), rows, lambda: [
+    _emit(fmt, lambda: rows, list(rows[0]), lambda: rows, lambda: [
         f"k={r['k']:>3}: {'violating' if r['violating'] else 'inconclusive':<13} ({r['lhs']} vs {r['rhs']})"
         for r in rows
     ])
@@ -336,7 +356,8 @@ def cmd_search(bound, k_range, fmt):
         for k in ks
     )
     violating = [c for c in certs if c.verdict is Verdict.VIOLATES]
-    _emit(fmt, [c.to_dict() for c in violating], CERTIFICATE_COLUMNS, map(_certificate_row, violating), lambda: [
+    _emit(fmt, lambda: [c.to_dict() for c in violating], CERTIFICATE_COLUMNS,
+          lambda: map(_certificate_row, violating), lambda: [
         *(
             f"k={c.k} {format_domain(c.domain1)} + {format_domain(c.domain2)}: "
             f"c_sum={c.c_sum} c1={c.c_1} c2={c.c_2} margin={c.margin():.6g}"

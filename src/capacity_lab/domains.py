@@ -1,10 +1,12 @@
 """Symplectic domains and their closed-form capacities.
 
 The domains handled here are the 4-dimensional symplectic ellipsoid E(a,b)
-and polydisk P(a,b) with exact rational radii, Minkowski sums of two
-ellipsoids, and products with a stabilizing ball factor.  Capacities are
-indexed by a positive integer k and returned as exact rational multiples
-of pi.
+and polydisk P(a,b) with exact rational radii, the Minkowski sum of two
+ellipsoids, and products with a stabilizing ball factor.  The sum
+E(a,b) + E(c,d) is the normalized ``EllipsoidPair`` of its summands, which
+is what ``parse_domain("sum(...)")`` returns and what ``capacity``,
+``format_domain`` and the verifier take.  Capacities are indexed by a
+positive integer k and returned as exact rational multiples of pi.
 
 For an ellipsoid, the k-th capacity is the k-th smallest element (with
 multiplicity) of the merged multiples {i*pi*a^2} and {j*pi*b^2}; the
@@ -26,27 +28,6 @@ from typing import Callable, Union
 
 from .exact import PiRational, format_rational, parse_rational
 
-__all__ = [
-    "Ellipsoid",
-    "Polydisk",
-    "EllipsoidPair",
-    "EllipsoidSum",
-    "ProductWithBall",
-    "DomainSpec",
-    "IndexVector",
-    "DomainParseError",
-    "StabilizationError",
-    "ellipsoid_capacity",
-    "ellipsoid_norm_argmin",
-    "convex_argmin",
-    "polydisk_capacity",
-    "product_with_ball_capacity",
-    "capacity",
-    "scale_domain",
-    "parse_domain",
-    "format_domain",
-]
-
 
 def _as_positive_radius(value, name: str) -> Fraction:
     q = value if type(value) is Fraction else Fraction(value)
@@ -56,8 +37,8 @@ def _as_positive_radius(value, name: str) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Ellipsoid:
-    """Open symplectic ellipsoid E(a,b) in C^2 with rational radii a, b."""
+class _TwoRadii:
+    """A 4-dimensional domain given by two positive rational radii a and b."""
 
     a: Fraction
     b: Fraction
@@ -66,23 +47,19 @@ class Ellipsoid:
         object.__setattr__(self, "a", _as_positive_radius(self.a, "a"))
         object.__setattr__(self, "b", _as_positive_radius(self.b, "b"))
 
-    def scaled(self, lam: Fraction) -> "Ellipsoid":
-        return Ellipsoid(self.a * lam, self.b * lam)
+    def scaled(self, lam: Fraction):
+        """The same kind of domain with both radii multiplied by lam."""
+        return type(self)(self.a * lam, self.b * lam)
 
 
 @dataclass(frozen=True)
-class Polydisk:
+class Ellipsoid(_TwoRadii):
+    """Open symplectic ellipsoid E(a,b) in C^2 with rational radii a, b."""
+
+
+@dataclass(frozen=True)
+class Polydisk(_TwoRadii):
     """Product of two open disks of radii a and b."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_positive_radius(self.a, "a"))
-        object.__setattr__(self, "b", _as_positive_radius(self.b, "b"))
-
-    def scaled(self, lam: Fraction) -> "Polydisk":
-        return Polydisk(self.a * lam, self.b * lam)
 
 
 def _order(e1: Ellipsoid, e2: Ellipsoid) -> int:
@@ -94,18 +71,16 @@ def _order(e1: Ellipsoid, e2: Ellipsoid) -> int:
 
 @dataclass(frozen=True)
 class EllipsoidPair:
-    """An ordered pair of ellipsoids whose Minkowski sum is analyzed.
+    """The Minkowski sum E(a,b) + E(c,d), as the ordered pair of its summands.
 
     The stored order always satisfies c*b <= a*d, i.e. c/a <= d/b for
     first = E(a,b) and second = E(c,d).  Build pairs through
     ``EllipsoidPair.normalized``, which swaps the operands when needed
-    (Minkowski addition is symmetric, so only the labels can flip; the
-    ``swapped`` field records whether they did).
+    (Minkowski addition is symmetric, so only the labels can flip).
     """
 
     first: Ellipsoid
     second: Ellipsoid
-    swapped: bool = field(default=False, compare=False)
     # True when second = lam * first, so the sum is itself an ellipsoid;
     # set once here, since every capacity and check of the pair asks
     proportional: bool = field(init=False, repr=False, compare=False)
@@ -121,9 +96,7 @@ class EllipsoidPair:
 
     @classmethod
     def normalized(cls, e1: Ellipsoid, e2: Ellipsoid) -> "EllipsoidPair":
-        if _order(e1, e2) > 0:
-            return cls(e2, e1, swapped=True)
-        return cls(e1, e2, swapped=False)
+        return cls(e2, e1) if _order(e1, e2) > 0 else cls(e1, e2)
 
     @property
     def radii(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -135,19 +108,7 @@ class EllipsoidPair:
         return Ellipsoid(self.first.a + self.second.a, self.first.b + self.second.b)
 
     def scaled(self, lam: Fraction) -> "EllipsoidPair":
-        lam = Fraction(lam)
-        return EllipsoidPair(self.first.scaled(lam), self.second.scaled(lam), self.swapped)
-
-
-@dataclass(frozen=True)
-class EllipsoidSum:
-    """The Minkowski sum of the two ellipsoids of a normalized pair."""
-
-    pair: EllipsoidPair
-
-    @classmethod
-    def of(cls, e1: Ellipsoid, e2: Ellipsoid) -> "EllipsoidSum":
-        return cls(EllipsoidPair.normalized(e1, e2))
+        return EllipsoidPair(self.first.scaled(lam), self.second.scaled(lam))
 
 
 @dataclass(frozen=True)
@@ -169,7 +130,7 @@ class ProductWithBall:
         object.__setattr__(self, "R", _as_positive_radius(self.R, "R"))
 
 
-DomainSpec = Union[Ellipsoid, Polydisk, EllipsoidSum, ProductWithBall]
+DomainSpec = Union[Ellipsoid, Polydisk, EllipsoidPair, ProductWithBall]
 
 
 @dataclass(frozen=True)
@@ -294,26 +255,12 @@ def capacity(k: int, domain: DomainSpec) -> PiRational:
         return ellipsoid_capacity(k, domain)
     if isinstance(domain, Polydisk):
         return polydisk_capacity(k, domain)
-    if isinstance(domain, EllipsoidSum):
+    if isinstance(domain, EllipsoidPair):
         from .minkowski import sum_capacity
 
-        return sum_capacity(k, domain.pair)
+        return sum_capacity(k, domain)
     if isinstance(domain, ProductWithBall):
         return product_with_ball_capacity(k, domain.inner, domain.m, domain.R)
-    raise TypeError(f"unsupported domain: {domain!r}")
-
-
-def scale_domain(lam: Fraction, domain: DomainSpec) -> DomainSpec:
-    """Scale every linear dimension (radii and R) by lam > 0."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError(f"scale factor must be positive, got {lam}")
-    if isinstance(domain, (Ellipsoid, Polydisk)):
-        return domain.scaled(lam)
-    if isinstance(domain, EllipsoidSum):
-        return EllipsoidSum(domain.pair.scaled(lam))
-    if isinstance(domain, ProductWithBall):
-        return ProductWithBall(scale_domain(lam, domain.inner), domain.m, domain.R * lam)
     raise TypeError(f"unsupported domain: {domain!r}")
 
 
@@ -428,7 +375,7 @@ def _parse_domain(sc: _Scanner, prod_start: int | None = None) -> DomainSpec:
         sc.expect(",")
         e2 = _sum_operand(sc, start)
         sc.expect(")")
-        return EllipsoidSum.of(e1, e2)
+        return EllipsoidPair.normalized(e1, e2)
     if kind == "prod":
         if prod_start is not None:
             raise DomainParseError("prod(...) cannot nest another prod", sc.text, prod_start)
@@ -457,9 +404,8 @@ def format_domain(domain: DomainSpec) -> str:
         return f"E({format_rational(domain.a)},{format_rational(domain.b)})"
     if isinstance(domain, Polydisk):
         return f"P({format_rational(domain.a)},{format_rational(domain.b)})"
-    if isinstance(domain, EllipsoidSum):
-        e1, e2 = domain.pair.first, domain.pair.second
-        return f"sum({format_domain(e1)},{format_domain(e2)})"
+    if isinstance(domain, EllipsoidPair):
+        return f"sum({format_domain(domain.first)},{format_domain(domain.second)})"
     if isinstance(domain, ProductWithBall):
         return f"prod({format_domain(domain.inner)},{domain.m},{format_rational(domain.R)})"
     raise TypeError(f"unsupported domain: {domain!r}")

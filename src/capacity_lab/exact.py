@@ -16,17 +16,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-__all__ = [
-    "Rational",
-    "Ordering",
-    "PiRational",
-    "cmp",
-    "cmp_sqrt_combination",
-    "parse_rational",
-    "format_rational",
-    "format_decimal",
-]
-
 # The universal exact scalar. Fraction guarantees the canonical-form
 # invariants this package relies on: gcd(|num|, den) = 1 and den > 0.
 Rational = Fraction

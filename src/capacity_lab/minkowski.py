@@ -39,18 +39,6 @@ from .domains import (
 )
 from .exact import PiRational
 
-__all__ = [
-    "OmegaSample",
-    "ConvexityReport",
-    "StrictnessReport",
-    "omega_curve",
-    "convexity_check",
-    "support_norm",
-    "sum_capacity",
-    "sum_capacity_with_argmin",
-    "strictness_check",
-]
-
 
 @dataclass(frozen=True)
 class OmegaSample:
@@ -100,9 +88,10 @@ def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
     """samples+1 moment-image boundary points at uniformly spaced psi.
 
     The first and last entries are exactly (pi (a+c)^2, 0) and
-    (0, pi (b+d)^2) as floats of the rational radii.
+    (0, pi (b+d)^2) as floats of the rational radii.  Radii whose curve
+    leaves float range raise ValueError.
     """
-    af, bf, cf, df = _float_radii(pair, "omega_curve")
+    _require_nonproportional(pair, "omega_curve")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     import numpy as np
@@ -111,10 +100,18 @@ def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
 
     a, b, c, d = pair.radii
     psis = 0.5 * math.pi * np.arange(samples + 1) / samples
-    x1, x2 = _kernels.omega_xy(af, bf, cf, df, psis)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x1, x2 = _kernels.omega_xy(float(a), float(b), float(c), float(d), psis)
+        ends = math.pi * float((a + c) ** 2), math.pi * float((b + d) ** 2)
+        finite = math.isfinite(max(ends)) and np.isfinite(x1).all() and np.isfinite(x2).all()
+    except ArithmeticError:  # a radius or an intermediate beyond float range, or a division by zero
+        finite = False
+    if not finite:
+        raise ValueError("omega_curve samples of these radii lie beyond float range")
     out = [OmegaSample(float(p), float(u), float(w)) for p, u, w in zip(psis, x1, x2)]
-    out[0] = OmegaSample(0.0, math.pi * float((a + c) ** 2), 0.0)
-    out[-1] = OmegaSample(float(psis[-1]), 0.0, math.pi * float((b + d) ** 2))
+    out[0] = OmegaSample(0.0, ends[0], 0.0)
+    out[-1] = OmegaSample(float(psis[-1]), 0.0, ends[1])
     return out
 
 

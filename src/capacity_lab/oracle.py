@@ -34,7 +34,6 @@ from .domains import (
     DomainSpec,
     Ellipsoid,
     EllipsoidPair,
-    EllipsoidSum,
     IndexVector,
     Polydisk,
     ProductWithBall,
@@ -45,15 +44,6 @@ from .domains import (
 )
 from .exact import PiRational
 from .minkowski import _float_radii, sum_capacity_with_argmin
-
-__all__ = [
-    "OracleConfig",
-    "SignCheckReport",
-    "support_norm_numeric",
-    "s_derivative_signcheck",
-    "golden_max",
-    "cross_check",
-]
 
 
 @dataclass(frozen=True)
@@ -117,8 +107,8 @@ def cross_check(k: int, domain: DomainSpec, value: PiRational, witness: IndexVec
     float and no numpy is involved.
     """
     _require_positive_k(k)
-    if isinstance(domain, EllipsoidSum) and not domain.pair.proportional:
-        _cross_check_sum(k, domain.pair, value, witness)
+    if isinstance(domain, EllipsoidPair) and not domain.proportional:
+        _cross_check_sum(k, domain, value, witness)
     elif witness is not None:
         raise ValueError(f"{format_domain(domain)} has no argmin to witness; only a non-proportional sum does")
     elif isinstance(domain, Ellipsoid):
@@ -132,8 +122,8 @@ def cross_check(k: int, domain: DomainSpec, value: PiRational, witness: IndexVec
             raise ValueError(f"rectangle norm minimum {against} != {value.coeff}")
     elif isinstance(domain, ProductWithBall):
         cross_check(k, domain.inner, value)
-    elif isinstance(domain, EllipsoidSum):
-        cross_check(k, domain.pair.outer_ellipsoid, value)
+    elif isinstance(domain, EllipsoidPair):
+        cross_check(k, domain.outer_ellipsoid, value)
     else:
         raise TypeError(f"unsupported domain: {domain!r}")
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from capacity_lab import Ellipsoid, EllipsoidPair
+from capacity_lab import Ellipsoid, EllipsoidPair, Polydisk, ProductWithBall
 
 MAX_HEIGHT = 20
 
@@ -33,6 +33,18 @@ def random_nonprop_pair(rng: random.Random, max_height: int = MAX_HEIGHT) -> Ell
         pair = random_pair(rng, max_height)
         if not pair.proportional:
             return pair
+
+
+def scale_domain(lam: Fraction, domain):
+    """Reference scaling: every linear dimension of a domain (radii and R) times lam > 0."""
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError(f"scale factor must be positive, got {lam}")
+    if isinstance(domain, (Ellipsoid, Polydisk, EllipsoidPair)):
+        return domain.scaled(lam)
+    if isinstance(domain, ProductWithBall):
+        return ProductWithBall(scale_domain(lam, domain.inner), domain.m, domain.R * lam)
+    raise TypeError(f"unsupported domain: {domain!r}")
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from capacity_lab import (
     Ellipsoid,
-    EllipsoidSum,
     IndexVector,
     OracleConfig,
     Polydisk,
@@ -30,12 +29,11 @@ from capacity_lab import (
     product_with_ball_capacity,
     ostrover_criterion,
     s_derivative_signcheck,
-    scale_domain,
     sum_capacity,
     support_norm,
     support_norm_numeric,
 )
-from conftest import random_nonprop_pair, random_pair
+from conftest import random_nonprop_pair, random_pair, scale_domain
 
 F = Fraction
 
@@ -156,7 +154,7 @@ def test_criterion_07_monotone_containment_conformal():
                 for lam in lambdas:
                     assert sum_capacity(k, pair.scaled(lam)).coeff == lam * lam * base
         # conformality through the generic dispatcher as well
-        dom = EllipsoidSum(even_family(2))
+        dom = even_family(2)
         for lam in lambdas:
             assert capacity(5, scale_domain(lam, dom)).coeff == lam * lam * capacity(5, dom).coeff
 
@@ -198,9 +196,8 @@ def test_criterion_11_product_stabilization():
         R = F(10)
         for k in range(2, 21):
             pair = even_family(k) if k % 2 == 0 else odd_family(k)
-            dom = EllipsoidSum(pair)
             direct = sum_capacity(k, pair)
-            assert product_with_ball_capacity(k, dom, 2, R) == direct
-            assert product_with_ball_capacity(k, dom, 6, R) == direct
+            assert product_with_ball_capacity(k, pair, 2, R) == direct
+            assert product_with_ball_capacity(k, pair, 6, R) == direct
             for e in (pair.first, pair.second):
                 assert product_with_ball_capacity(k, e, 2, R) == ellipsoid_capacity(k, e)

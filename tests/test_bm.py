@@ -13,7 +13,6 @@ from capacity_lab import (
     BMCertificate,
     Ellipsoid,
     EllipsoidPair,
-    EllipsoidSum,
     IndexVector,
     MeanWidthEstimate,
     Ordering,
@@ -107,6 +106,19 @@ class TestBmCheck:
         if abs(cert.margin()) > 1e-9:
             assert (cert.margin() < 0) == (cert.comparison is Ordering.LESS)
 
+    @given(pairs_st, st.integers(1, 30), st.sampled_from([1, 250, 520, 700]))
+    @settings(max_examples=60, deadline=None)
+    def test_margin_scales_exactly_beyond_float_range(self, pair, k, m):
+        # scaling both ellipsoids by 2^m multiplies each c_k by 4^m and the margin by 2^m
+        # exactly; beyond m = 511 the coefficients themselves exceed float range
+        cert, big = bm_check(k, pair), bm_check(k, pair.scaled(2**m))
+        assert big.comparison is cert.comparison
+        assert big.margin() == math.ldexp(cert.margin(), m)
+
+    def test_margin_beyond_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            bm_check(2, even_family(2).scaled(2**1100)).margin()
+
     @given(pairs_st)
     @settings(max_examples=150, deadline=None)
     def test_k1_never_violates(self, pair):
@@ -124,7 +136,7 @@ class TestReproduce:
         assert [r.k for r in rows] == list(range(2, 13))
         for row in rows:
             assert row.certificate.verdict is Verdict.VIOLATES
-            assert row.certificate.c_sum == row.expected_c_sum
+            assert row.certificate.c_sum.coeff == expected_family_coeff(row.k)
             assert row.family == ("even" if row.k % 2 == 0 else "odd")
 
     def test_k_max_validated(self):
@@ -331,7 +343,7 @@ class TestExactMeanWidth:
     @given(pairs_st)
     @settings(max_examples=100, deadline=None)
     def test_sum_adds(self, pair):
-        assert mean_width(EllipsoidSum(pair)) == mean_width(pair.first) + mean_width(pair.second)
+        assert mean_width(pair) == mean_width(pair.first) + mean_width(pair.second)
 
 
 class TestMeanWidth:
@@ -449,10 +461,8 @@ class TestMeanWidth:
             mean_width_estimate(Polydisk(1, 1), 99, seed=0)
 
     def test_unsupported_domain(self):
-        from capacity_lab import EllipsoidSum
-
         with pytest.raises(ValueError):
-            mean_width_estimate(EllipsoidSum(odd_family(3)), 1000, seed=0)
+            mean_width_estimate(odd_family(3), 1000, seed=0)
 
 
 class TestOstroverCriterion:

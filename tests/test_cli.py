@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from capacity_lab import Ellipsoid, EllipsoidPair, Verdict, __version__, bm_check, cli, minkowski
+import capacity_lab
+import cli_golden
+from capacity_lab import BMCertificate, Ellipsoid, EllipsoidPair, Verdict, __version__, bm_check, cli, minkowski
 from capacity_lab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -615,22 +618,6 @@ def run_with_importtime(*args):
     return run_fresh("-X", "importtime", "-m", "capacity_lab.cli", *args)
 
 
-# every name the package namespace exports, as the eagerly importing package did
-PACKAGE_NAMES = """
-    Ordering PiRational Rational cmp_sqrt_combination format_rational parse_rational
-    DomainParseError DomainSpec Ellipsoid EllipsoidPair EllipsoidSum IndexVector Polydisk ProductWithBall
-    StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin
-    format_domain parse_domain polydisk_capacity product_with_ball_capacity scale_domain
-    ConvexityReport OmegaSample StrictnessReport convexity_check
-    omega_curve strictness_check sum_capacity sum_capacity_with_argmin support_norm
-    OracleConfig SignCheckReport cross_check golden_max s_derivative_signcheck
-    support_norm_numeric
-    BMCertificate CriterionReport MeanWidthEstimate ReproduceRow ReproductionError Verdict bm_check
-    even_family expected_family_coeff mean_width_estimate odd_family ostrover_criterion
-    reproduce_theorem verify_certificate __version__
-""".split()
-
-
 def imports_numpy(res):
     return "numpy" in res.stderr
 
@@ -663,7 +650,7 @@ class TestExactPathImports:
     def test_package_import_leaves_float_modules_unloaded(self):
         script = (
             "import json, sys, capacity_lab, capacity_lab.cli; loaded = list(sys.modules); "
-            f"from capacity_lab import {', '.join(PACKAGE_NAMES)}; print(json.dumps(loaded))"
+            "from capacity_lab import *; print(json.dumps(loaded))"
         )
         res = run_fresh("-c", script)
         assert res.returncode == 0, res.stderr
@@ -708,3 +695,60 @@ class TestExactPathImports:
         assert json.loads(res.stdout)["verified"] is True
         assert "capacity_lab.oracle" in res.stderr
         assert not imports_numpy(res)
+
+
+class TestValuesTooLargeToPrint:
+    """Radii beyond float range, or results beyond the int-to-str digit limit:
+    the exact certificate when it prints, else one error line and exit 2."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_bm_check_prints_the_exact_certificate(self, fmt):
+        x = 10**155  # c_k of E(x,x) is about 10^310, beyond float range
+        res = cli_golden.run(["bm-check", "2", f"E({x},{x})", "E(1,2)", "--format", fmt])
+        assert (res["exit"], res["stderr"]) == (0, "")
+        cert = bm_check(2, EllipsoidPair.normalized(Ellipsoid(x, x), Ellipsoid(1, 2)))
+        if fmt == "json":
+            data = json.loads(res["stdout"])
+            assert BMCertificate.from_dict(data) == cert
+            assert data["margin"] == f"{cert.margin():.12g}"
+        else:
+            assert all(str(value.coeff) in res["stdout"] for value in (cert.c_sum, cert.c_1, cert.c_2))
+
+    def test_bm_check_margin_beyond_float_range(self):
+        x = 10**400
+        argv = ["bm-check", "2", f"E({3 * x}/2,{x})", f"E({x},{3 * x}/2)"]
+        for fmt in ("json", "text"):
+            res = cli_golden.run([*argv, "--format", fmt])
+            assert (res["exit"], res["stdout"]) == (2, "")
+            assert res["stderr"] == "Error: the margin of the certificate is beyond float range\n"
+        # CSV has no margin column
+        assert cli_golden.run([*argv, "--format", "csv"])["exit"] == 0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("command", ["bm-check", "capacity"])
+    def test_integers_beyond_the_digit_limit(self, command, fmt):
+        rng = random.Random(1)
+        a, b, c, d, e, f, g, h = (rng.randrange(10**499, 10**500) for _ in range(8))
+        e1, e2 = f"E({a}/{b},{c}/{d})", f"E({e}/{f},{g}/{h})"
+        argv = [command, "1000", *((e1, e2) if command == "bm-check" else (f"sum({e1},{e2})",))]
+        res = cli_golden.run([*argv, "--format", fmt])
+        assert (res["exit"], res["stdout"]) == (2, "")
+        assert res["stderr"] == f"Error: the result has an integer of more than {sys.get_int_max_str_digits()} digits\n"
+
+    @pytest.mark.parametrize("exponent", [154, 155, 400])
+    def test_omega_refuses_samples_beyond_float_range(self, exponent):
+        # a fresh process, so that a numpy RuntimeWarning would reach stderr
+        x = 10**exponent
+        res = run_fresh("-m", "capacity_lab.cli", "omega", f"E({x},{x})", "E(1,2)")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "Error: omega_curve samples of these radii lie beyond float range\n"
+
+
+def test_public_names_are_declared_once():
+    names = [name for names in capacity_lab._MODULES.values() for name in names.split()]
+    assert len(names) == len(set(names))
+    assert capacity_lab.__all__ == ["__version__", *names]
+    for module in capacity_lab._MODULES:
+        assert not hasattr(getattr(capacity_lab, module), "__all__")
+    for name in names:
+        assert getattr(capacity_lab, name) is getattr(getattr(capacity_lab, capacity_lab._EXPORTS[name]), name)

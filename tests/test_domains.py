@@ -1,5 +1,6 @@
 import heapq
 import math
+from dataclasses import FrozenInstanceError
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
@@ -12,7 +13,6 @@ from capacity_lab import (
     DomainParseError,
     Ellipsoid,
     EllipsoidPair,
-    EllipsoidSum,
     IndexVector,
     PiRational,
     Polydisk,
@@ -21,16 +21,17 @@ from capacity_lab import (
     capacity,
     ellipsoid_capacity,
     ellipsoid_norm_argmin,
+    even_family,
     format_domain,
     odd_family,
     parse_domain,
     polydisk_capacity,
     product_with_ball_capacity,
-    scale_domain,
+    sum_capacity,
 )
 from capacity_lab.domains import _common_denominator, _kth_merged_multiple, _require_positive_k, convex_argmin
 from capacity_lab.oracle import _is_kth_merged_multiple
-from conftest import ellipsoids_st, radii_st, random_ellipsoid
+from conftest import ellipsoids_st, radii_st, random_ellipsoid, scale_domain
 
 F = Fraction
 
@@ -54,7 +55,19 @@ class TestTypes:
         # c/a <= d/b must hold after normalization
         a, b, c, d = pair.radii
         assert c * b <= a * d
-        assert pair.swapped
+        assert (pair.first, pair.second) == (Ellipsoid(3, 1), Ellipsoid(1, 2))
+
+    def test_ellipsoid_and_polydisk_stay_distinct(self):
+        e, p = Ellipsoid(F(3, 2), 1), Polydisk(F(3, 2), 1)
+        assert repr(e) == "Ellipsoid(a=Fraction(3, 2), b=Fraction(1, 1))"
+        assert repr(p) == "Polydisk(a=Fraction(3, 2), b=Fraction(1, 1))"
+        assert e != p and e == Ellipsoid(F(6, 4), F(2, 2)) and p == Polydisk(F(3, 2), 1)
+        assert not isinstance(e, Polydisk) and not isinstance(p, Ellipsoid)
+        assert (e.scaled(2), p.scaled(2)) == (Ellipsoid(3, 2), Polydisk(3, 2))
+        with pytest.raises(FrozenInstanceError):
+            e.a = F(1)
+        with pytest.raises(FrozenInstanceError):
+            p.c = F(1)
 
     def test_pair_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -77,7 +90,6 @@ class TestTypes:
         e1, e2 = operands
         cb, ad = e2.a * e1.b, e1.a * e2.b
         pair = EllipsoidPair.normalized(e1, e2)
-        assert pair.swapped is (cb > ad)
         assert (pair.first, pair.second) == ((e2, e1) if cb > ad else (e1, e2))
         assert pair.proportional is (cb == ad)
         if cb > ad:
@@ -441,7 +453,7 @@ class TestProductWithBall:
         assert product_with_ball_capacity(1, Ellipsoid(1, 1), 4, F(2)).coeff == 1
 
     def test_sum_inner_domain(self):
-        dom = EllipsoidSum(odd_family(3))
+        dom = odd_family(3)
         assert product_with_ball_capacity(3, dom, 2, F(10)).coeff == F(50, 9)
 
     def test_small_ball_refused(self):
@@ -471,6 +483,17 @@ class TestDispatchAndScaling:
         assert capacity(4, Polydisk(1, 1)).coeff == 4
         assert capacity(2, parse_domain("sum(E(3/2,1),E(1,3/2))")).coeff == F(13, 2)
         assert capacity(2, parse_domain("prod(E(3/2,1),2,10)")).coeff == 2
+
+    @given(pair_operands_st, st.integers(1, 60))
+    def test_capacity_of_a_pair_is_its_sum_capacity(self, operands, k):
+        pair = EllipsoidPair.normalized(*operands)
+        assert capacity(k, pair) == sum_capacity(k, pair)
+
+    def test_capacity_of_a_proportional_pair(self):
+        pair = EllipsoidPair.normalized(Ellipsoid(2, 4), Ellipsoid(1, 2))
+        assert pair.proportional
+        for k in (1, 2, 5, 40, 10**6):
+            assert capacity(k, pair) == sum_capacity(k, pair) == ellipsoid_capacity(k, Ellipsoid(3, 6))
 
     def test_scale_examples(self):
         assert scale_domain(F(2), Ellipsoid(1, 1)) == Ellipsoid(2, 2)
@@ -558,12 +581,12 @@ PARSE_TABLE = [
     ("e(1,1)", Ellipsoid(1, 1)),
     ("E(007,010)", Ellipsoid(7, 10)),
     ("P(٣,1)", Polydisk(3, 1)),  # ARABIC-INDIC DIGIT THREE is a decimal digit
-    ("sum(E(1,1),E(2/3,1))", EllipsoidSum.of(Ellipsoid(1, 1), Ellipsoid(F(2, 3), 1))),
-    ("SUM( e(1,3/2) , E(3/2,1) )", EllipsoidSum.of(Ellipsoid(1, F(3, 2)), Ellipsoid(F(3, 2), 1))),
+    ("sum(E(1,1),E(2/3,1))", EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(F(2, 3), 1))),
+    ("SUM( e(1,3/2) , E(3/2,1) )", EllipsoidPair.normalized(Ellipsoid(1, F(3, 2)), Ellipsoid(F(3, 2), 1))),
     ("prod(E(1,1),2,10)", ProductWithBall(Ellipsoid(1, 1), 2, 10)),
     (
         "prod(sum(E(1,1),E(2/3,1)),4,35/2)",
-        ProductWithBall(EllipsoidSum.of(Ellipsoid(1, 1), Ellipsoid(F(2, 3), 1)), 4, F(35, 2)),
+        ProductWithBall(EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(F(2, 3), 1)), 4, F(35, 2)),
     ),
     ("prod(P(1,1), 2 , 20/2)", ProductWithBall(Polydisk(1, 1), 2, 10)),
     ("E(-1,1)", (ValueError, "a must be a positive rational, got -1")),
@@ -631,6 +654,17 @@ class TestParseTable:
             parse_domain(text)
         assert (type(exc.value), str(exc.value)) == (kind, message)
 
+    @given(pair_operands_st)
+    def test_sum_round_trip(self, operands):
+        pair = EllipsoidPair.normalized(*operands)
+        assert parse_domain(format_domain(pair)) == pair
+        assert parse_domain(f"prod({format_domain(pair)},2,7)") == ProductWithBall(pair, 2, 7)
+
+    @pytest.mark.parametrize("k", [2, 4, 100, 10**6])
+    def test_even_family_round_trip(self, k):
+        assert format_domain(even_family(k)) == f"sum(E({k + 1}/{k},1),E(1,{k + 1}/{k}))"
+        assert parse_domain(format_domain(even_family(k))) == even_family(k)
+
     def test_sum_keeps_the_swap(self):
         dom = parse_domain("SUM( e(1,3/2) , E(3/2,1) )")
-        assert dom.pair.swapped and dom.pair.first == Ellipsoid(F(3, 2), 1)
+        assert dom.first == Ellipsoid(F(3, 2), 1)

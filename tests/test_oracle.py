@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from capacity_lab import (
     Ellipsoid,
     EllipsoidPair,
-    EllipsoidSum,
     IndexVector,
     OracleConfig,
     PiRational,
@@ -104,9 +103,9 @@ class TestCrossCheck:
     DOMAINS = [
         Ellipsoid(F(3, 2), 1),
         Polydisk(2, 3),
-        EllipsoidSum(EVEN2),
-        EllipsoidSum(ODD3),
-        EllipsoidSum.of(Ellipsoid(1, 2), Ellipsoid(2, 4)),
+        EVEN2,
+        ODD3,
+        EllipsoidPair.normalized(Ellipsoid(1, 2), Ellipsoid(2, 4)),
         ProductWithBall(Ellipsoid(1, 1), 2, 10),
     ]
 
@@ -117,7 +116,7 @@ class TestCrossCheck:
 
     def test_accepts_random_sums(self, rng):
         for _ in range(10):
-            domain = EllipsoidSum(random_nonprop_pair(rng))
+            domain = random_nonprop_pair(rng)
             k = rng.randint(1, 60)
             cross_check(k, domain, capacity(k, domain))
 
@@ -135,7 +134,7 @@ class TestCrossCheck:
         norm = support_norm(IndexVector(v1, k - v1), pair)
         monkeypatch.setattr(oracle, "sum_capacity_with_argmin", lambda k, pair: (norm, IndexVector(v1, k - v1)))
         with pytest.raises(ValueError, match="minimizer|local minimum"):
-            cross_check(k, EllipsoidSum(pair), norm)
+            cross_check(k, pair, norm)
 
     @pytest.mark.parametrize("k", [2, 40, 4000])
     def test_rejects_a_wrong_branch_norm(self, monkeypatch, k):
@@ -150,7 +149,7 @@ class TestCrossCheck:
 
             return h
 
-        domain = EllipsoidSum(even_family(k))
+        domain = even_family(k)
         monkeypatch.setattr(minkowski, "_norm_coeff", corner_only)
         forged = capacity(k, domain)
         assert forged.coeff != expected_family_coeff(k)
@@ -161,13 +160,13 @@ class TestCrossCheck:
     def test_rejects_a_shifted_witness(self, shift):
         k, pair = 4000, even_family(4000)
         value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
-        cross_check(k, EllipsoidSum(pair), value, argmin)
+        cross_check(k, pair, value, argmin)
         shifted = IndexVector(argmin.v1 + shift, argmin.v2 - shift)
         with pytest.raises(ValueError):
-            cross_check(k, EllipsoidSum(pair), value, shifted)
+            cross_check(k, pair, value, shifted)
         # nor does the witness's own norm pass: it is not the minimum
         with pytest.raises(ValueError, match="minimizer|local minimum"):
-            cross_check(k, EllipsoidSum(pair), support_norm(shifted, pair), shifted)
+            cross_check(k, pair, support_norm(shifted, pair), shifted)
 
     @pytest.mark.parametrize("k", [5, 7])
     def test_rejects_the_larger_of_tied_minimizers(self, k):
@@ -176,24 +175,24 @@ class TestCrossCheck:
         value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
         later = IndexVector(argmin.v1 + 1, argmin.v2 - 1)
         assert argmin.v1 == (k - 1) // 2 and support_norm(later, pair) == value
-        cross_check(k, EllipsoidSum(pair), value, argmin)
+        cross_check(k, pair, value, argmin)
         with pytest.raises(ValueError, match="smallest minimizer"):
-            cross_check(k, EllipsoidSum(pair), value, later)
+            cross_check(k, pair, value, later)
 
     def test_witness_never_runs_the_engine(self, monkeypatch):
         k, pair = 10**6, even_family(10**6)
         value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
         monkeypatch.setattr(oracle, "sum_capacity_with_argmin", lambda *args: pytest.fail("engine ran"))
-        cross_check(k, EllipsoidSum(pair), value, argmin)
+        cross_check(k, pair, value, argmin)
 
     def test_witness_must_sum_to_k(self):
         value, argmin = minkowski.sum_capacity_with_argmin(4, EVEN2)
         with pytest.raises(ValueError, match="does not sum to k"):
-            cross_check(5, EllipsoidSum(EVEN2), value, argmin)
+            cross_check(5, EVEN2, value, argmin)
 
     @pytest.mark.parametrize(
         "domain",
-        [Ellipsoid(F(3, 2), 1), Polydisk(2, 3), EllipsoidSum.of(Ellipsoid(1, 2), Ellipsoid(2, 4))],
+        [Ellipsoid(F(3, 2), 1), Polydisk(2, 3), EllipsoidPair.normalized(Ellipsoid(1, 2), Ellipsoid(2, 4))],
     )
     def test_witness_only_on_a_nonproportional_sum(self, domain):
         with pytest.raises(ValueError, match="no argmin to witness"):
@@ -209,7 +208,7 @@ class TestCrossCheck:
             (0, Ellipsoid(1, 1), 0),
             (-2, Ellipsoid(1, 1), -1),
             (0, Polydisk(1, 1), 0),
-            (0, EllipsoidSum.of(Ellipsoid(1, 1), Ellipsoid(2, 2)), 0),
+            (0, EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(2, 2)), 0),
         ],
     )
     def test_nonpositive_k_refused(self, k, domain, coeff):
@@ -219,7 +218,7 @@ class TestCrossCheck:
 
     @pytest.mark.parametrize(
         "domain",
-        [EllipsoidSum(even_family(10**6)), EllipsoidSum(EVEN2), Ellipsoid(F(3, 2), 1), Polydisk(F(3, 2), 1)],
+        [even_family(10**6), EVEN2, Ellipsoid(F(3, 2), 1), Polydisk(F(3, 2), 1)],
     )
     def test_accepts_exact_values_at_the_cli_cap(self, domain):
         k = 10**6
