@@ -6,7 +6,7 @@ it for ``sum(...)``.  Capacities are exact rational multiples of pi, and
 ``cross_check`` re-derives them exactly.  A Brunn-Minkowski certificate
 carries the argmin of the sum as its witness, and ``verify_certificate``,
 the one certificate verifier, checks every field with ``cross_check``
-without the engine that wrote it.  Floating point is confined to the
+and its own square-root comparison, without the engine that wrote it.  Floating point is confined to the
 numeric oracles, the boundary-curve samplers and the Monte Carlo
 mean-width estimator, which import numpy when called; an exact
 computation or its verification never loads numpy.

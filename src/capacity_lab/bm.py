@@ -6,8 +6,12 @@ A certificate records the exact capacities c_k of a Minkowski sum and of
 its two summands together with the exact ordering of sqrt(c_sum) against
 sqrt(c_1) + sqrt(c_2); the pi factors cancel, so the square-root
 comparison runs on rational coefficients and needs no floating point.
-With the sum's argmin as its witness, ``verify_certificate`` re-derives
-every field in O(1) exact operations, without the engine that wrote it.
+``bm_check`` decides that ordering with the engine's
+``exact.cmp_sqrt_combination``.  With the sum's argmin as its witness,
+``verify_certificate`` re-derives every field in O(1) exact operations,
+without the engine that wrote it: the capacities through
+``oracle.cross_check`` and the ordering through ``oracle``'s own
+comparison, which shares no code with the engine's.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .domains import (
@@ -27,7 +32,7 @@ from .domains import (
     format_domain,
     parse_domain,
 )
-from .exact import Ordering, PiRational, cmp_sqrt_combination
+from .exact import _PI_DECIMAL, Ordering, PiRational, cmp_sqrt_combination
 from .minkowski import sum_capacity_with_argmin
 
 
@@ -65,7 +70,7 @@ class BMCertificate:
     witness: IndexVector | None = None  # the sum's argmin over the normalized pair; None if proportional
 
     def margin(self) -> float:
-        """Float value of sqrt(c_sum) - sqrt(c_1) - sqrt(c_2); sign matches comparison.
+        """Float value of sqrt(c_sum) - sqrt(c_1) - sqrt(c_2); its sign is that of comparison.
 
         OverflowError only when the margin itself is beyond float range.
         """
@@ -76,7 +81,10 @@ class BMCertificate:
         # by 2^j: powers of two scale every rounding step exactly, so no bit changes
         j = max(0, max(q.numerator.bit_length() - q.denominator.bit_length() for q in coeffs) - 1000) // 2
         s, t, u = (math.sqrt(float(q / 4**j if j else q) * math.pi) for q in coeffs)
-        return math.ldexp(s - t - u, j)
+        margin = math.ldexp(s - t - u, j)
+        if margin != 0 and (margin > 0) == (self.comparison is Ordering.GREATER):
+            return margin
+        return _cancellation_free_margin(*coeffs)
 
     def to_dict(self) -> dict:
         return {
@@ -113,11 +121,35 @@ class BMCertificate:
         )
 
 
+def _cancellation_free_margin(s: Fraction, t: Fraction, u: Fraction) -> float:
+    """sqrt(pi) (sqrt(s) - sqrt(t) - sqrt(u)) for s, t, u >= 0, where the float difference cancels.
+
+    With d = s - t - u exact, the value is sqrt(pi) (d - 2 sqrt(tu)) / (sqrt(s) + sqrt(t) + sqrt(u)).
+    For d < 0 both terms of d - 2 sqrt(tu) are negative; otherwise it is written
+    (d^2 - 4tu) / (d + 2 sqrt(tu)), whose numerator is exact.  No step subtracts two
+    rounded values, so 40 significant digits leave only the final rounding to float.
+    """
+    d = s - t - u
+    with localcontext() as ctx:
+        ctx.prec = 40
+        S, T, U = (Decimal(q.numerator) / q.denominator for q in (s, t, u))
+        root_tu = (T * U).sqrt()
+        if d < 0:
+            gap = Decimal(d.numerator) / d.denominator - 2 * root_tu
+        else:
+            n = d * d - 4 * t * u
+            gap = Decimal(n.numerator) / n.denominator / (Decimal(d.numerator) / d.denominator + 2 * root_tu)
+        margin = float(_PI_DECIMAL.sqrt() * gap / (S.sqrt() + T.sqrt() + U.sqrt()))
+    if margin == 0 or math.isinf(margin):
+        raise OverflowError("the margin is beyond float range")
+    return margin
+
+
 def _witness_from_dict(w, k: int) -> IndexVector:
-    v = (w.get("v1"), w.get("v2")) if isinstance(w, dict) else (None,)
-    if {type(x) for x in v} != {int} or min(v) < 0 or sum(v) != k:
+    v1, v2 = (w.get("v1"), w.get("v2")) if isinstance(w, dict) else (None, None)
+    if type(v1) is not int or type(v2) is not int or v1 < 0 or v2 < 0 or v1 + v2 != k:
         raise ValueError(f'witness must be null or {{"v1": v1, "v2": v2}}, JSON integers >= 0 with sum {k}')
-    return IndexVector(*v)
+    return IndexVector(v1, v2)
 
 
 def even_family(k: int) -> EllipsoidPair:
@@ -155,13 +187,15 @@ def bm_check(k: int, pair: EllipsoidPair) -> BMCertificate:
 
 
 def verify_certificate(cert: BMCertificate, reasons: list[str] | None = None) -> bool:
-    """Re-derive every field of cert with ``oracle.cross_check``, never with the engine that wrote it.
+    """Re-derive every field of cert with ``oracle``, never with the engine that wrote it.
 
-    c_sum is checked at the witness (found by bisection when missing; a wrong one can only fail),
-    c_1 against domain1 and c_2 against domain2; comparison and verdict are recomputed from them.
-    The message of the first failed check is appended to reasons.
+    c_sum is checked at the witness by ``cross_check`` (found by bisection when missing; a wrong
+    one can only fail), c_1 against domain1 and c_2 against domain2; comparison and verdict are
+    recomputed from them by the oracle's own square-root comparison, which shares no code with
+    the engine's ``cmp_sqrt_combination``.  The message of the first failed check is appended
+    to reasons.
     """
-    from .oracle import cross_check
+    from .oracle import _cmp_root_sum, cross_check
 
     def failed(reason: str) -> bool:
         if reasons is not None:
@@ -177,7 +211,7 @@ def verify_certificate(cert: BMCertificate, reasons: list[str] | None = None) ->
             cross_check(cert.k, domain, value, witness)
         except ValueError as exc:
             return failed(f"{field}: {exc}")
-    comparison = cmp_sqrt_combination(cert.c_sum.coeff, cert.c_1.coeff, cert.c_2.coeff)
+    comparison = _cmp_root_sum(cert.c_sum.coeff, cert.c_1.coeff, cert.c_2.coeff)
     if (comparison, _VERDICTS[comparison]) != (cert.comparison, cert.verdict):
         got, claimed = f"{comparison.name} ({_VERDICTS[comparison]})", f"{cert.comparison.name} ({cert.verdict})"
         return failed(f"comparison: the three values give {got}, not {claimed}")

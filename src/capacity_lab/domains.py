@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Union
 
-from .exact import PiRational, format_rational, parse_rational
+from .exact import PiRational, format_rational
 
 
 def _as_positive_radius(value, name: str) -> Fraction:
@@ -171,19 +169,22 @@ def convex_argmin(h: Callable[[int], tuple[int, int]], k: int) -> tuple[Fraction
 
     Each h(j) is an integer pair (num, den) with den > 0 standing for
     num/den.  Bisects for the first j with h(j+1) >= h(j), compared by
-    cross-multiplication, in O(log k) evaluations of h; only the minimum
-    becomes a Fraction.  Dual norms v1 -> |(v1, k - v1)|* are convex
-    because support functions are.
+    cross-multiplication, in O(log k) evaluations of h; a dict keeps each
+    h(j) so that none is evaluated twice, and only the minimum becomes a
+    Fraction.  Dual norms v1 -> |(v1, k - v1)|* are convex because support
+    functions are.
     """
-    h = cache(h)
-
-    def rises(i: int) -> bool:
-        n0, d0 = h(i)
-        n1, d1 = h(i + 1)
-        return n1 * d0 >= n0 * d1
-
-    j = bisect_left(range(k), True, key=rises)
-    return Fraction(*h(j)), j
+    seen = {}
+    lo, hi = 0, k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        n0, d0 = seen[mid] = seen.get(mid) or h(mid)
+        n1, d1 = seen[mid + 1] = seen.get(mid + 1) or h(mid + 1)
+        if n1 * d0 >= n0 * d1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(*(seen.get(lo) or h(lo))), lo
 
 
 def _kth_merged_multiple(k: int, alpha: Fraction, beta: Fraction) -> tuple[Fraction, int]:
@@ -233,12 +234,11 @@ def product_with_ball_capacity(k: int, inner: DomainSpec, m: int, R: Fraction) -
     Under that condition the ball factor is invisible and the capacity of
     the product equals c_k(X).  A too-small R raises StabilizationError;
     the general minimum-over-splittings formula is intentionally not
-    offered here.
+    offered here.  Whatever ``ProductWithBall`` refuses (a nested product,
+    m < 1, R <= 0) raises its ValueError here too.
     """
     _require_positive_k(k)
-    if m < 1:
-        raise ValueError(f"ball dimension m must be >= 1, got {m}")
-    R = _as_positive_radius(R, "R")
+    R = ProductWithBall(inner, m, R).R  # refuses a nested product, m < 1 and R <= 0 as the domain does
     inner_cap = capacity(k, inner)
     if R * R <= inner_cap.coeff:
         raise StabilizationError(
@@ -285,116 +285,166 @@ class DomainParseError(ValueError):
         super().__init__(f"{message} at position {pos} in {_excerpt(text, pos)}")
 
 
-# \s is str.isspace; a rational token is decimal digits, '-' and '/' (see _Scanner.rational for other digits)
-_SPACE_RE, _TOKEN_RE = re.compile(r"\s*"), re.compile(r"[\d/-]*")
+# One token after optional whitespace (\s is str.isspace).  A name applied to
+# two well-formed rationals, as in E(3/2, 1), is a single token, so a canonical
+# ellipsoid or polydisk literal takes one match.  [^\W\d_] takes the letters
+# and also numeric characters that are no decimal digits, such as '²' and '½';
+# _Parser.token splits those off.
+_RATIONAL = r"(-?\d+)(?:/(\d+))?"
+_TOKEN_RE = re.compile(
+    rf"(\s*)(?:"
+    rf"(([^\W\d_]+)\s*\(\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\))"  # 2 name(a, b): 3 the name, 4-7 a and b
+    rf"|([^\W\d_]+)"  # 8 a name
+    rf"|({_RATIONAL})(?![\d/-])"  # 9 a rational p or p/q: 10 and 11
+    rf"|([\d/-]+)"  # 12 any other run of decimal digits, '/' and '-'
+    rf"|(.)"  # 13 any other character
+    rf")?",
+    re.S,
+)
+# token kinds: the index of the group that matched; 1, the whitespace, at the end of input
+_END, _CALL, _NAME, _RATIONAL_TOKEN, _BAD_RATIONAL, _CHAR = 1, 2, 8, 9, 12, 13
 
 
-class _Scanner:
+def _fraction(num: str, den: str | None) -> Fraction | None:
+    """num/den, or None for a zero denominator or an integer beyond int's digit limit."""
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+class _Parser:
+    """Recursive descent over the tokens of ``_TOKEN_RE``, read one at a time."""
+
+    __slots__ = ("text", "pos")
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def _skip_ws(self) -> None:
-        self.pos = _SPACE_RE.match(self.text, self.pos).end()
+    def token(self) -> tuple[int, int, object]:
+        """(kind, start, value) of the next token, and move past it.
+
+        value is (name, a, b) for E(a,b) or P(a,b), the text of a name, the
+        Fraction of a rational, and None otherwise.
+        """
+        text = self.text
+        m = _TOKEN_RE.match(text, self.pos)
+        kind, start, self.pos = m.lastindex, m.end(1), m.end()
+        if kind == _CALL:
+            if m[3].lower() in ("e", "p"):
+                a, b = _fraction(m[4], m[5]), _fraction(m[6], m[7])
+                if a is not None and b is not None:
+                    return kind, start, (m[3], a, b)
+            # as in sum(1,2) or E(1/0,1): the name alone, then token by token
+            kind, self.pos = _NAME, m.end(3)
+        if kind == _NAME:
+            if text[start : self.pos].isalpha():
+                return kind, start, text[start : self.pos]
+            end = start
+            while text[end].isalpha():
+                end += 1
+            if end > start:
+                self.pos = end
+                return kind, start, text[start:end]
+            # a digit such as '²' starts a rational token, which it spoils; '½' is a character
+            kind, self.pos = (_BAD_RATIONAL, start) if text[start].isdigit() else (_CHAR, start + 1)
+        if kind == _RATIONAL_TOKEN or kind == _BAD_RATIONAL:
+            # str.isdigit also takes digits such as '²', which stay inside the token
+            while self.pos < len(text) and text[self.pos].isdigit():
+                kind, after = _BAD_RATIONAL, self.pos + 1
+                run = _TOKEN_RE.match(text, after)
+                joins = run.end(1) == after and run.lastindex in (_RATIONAL_TOKEN, _BAD_RATIONAL)
+                self.pos = run.end() if joins else after
+            if kind == _RATIONAL_TOKEN:
+                q = _fraction(m[10], m[11])
+                if q is not None:
+                    return kind, start, q
+                kind = _BAD_RATIONAL
+        return kind, start, None
+
+    def fail(self, message: str, pos: int) -> DomainParseError:
+        return DomainParseError(message, self.text, pos)
+
+    def found(self, kind: int, start: int) -> str:
+        return repr("end of input" if kind == _END else self.text[start])
 
     def expect(self, ch: str) -> None:
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise DomainParseError(f"expected {ch!r}, found {found!r}", self.text, self.pos)
-        self.pos += 1
-
-    def name(self) -> tuple[str, int]:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        if self.pos == start:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise DomainParseError(f"expected a domain name, found {found!r}", self.text, start)
-        return self.text[start : self.pos], start
+        kind, start, _ = self.token()
+        if kind != _CHAR or self.text[start] != ch:
+            raise self.fail(f"expected {ch!r}, found {self.found(kind, start)}", start)
 
     def rational(self) -> Fraction:
-        self._skip_ws()
-        start = self.pos
-        # \d takes decimal digits only; a digit such as '²', which str.isdigit
-        # also takes, stays inside the token, which is then reported whole
-        self.pos = _TOKEN_RE.match(self.text, start).end()
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos = _TOKEN_RE.match(self.text, self.pos + 1).end()
-        token = self.text[start : self.pos]
-        if not token:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise DomainParseError(f"expected a rational, found {found!r}", self.text, start)
-        try:
-            return parse_rational(token)
-        except ValueError:
-            raise DomainParseError(f"bad rational token {_excerpt(token)}", self.text, start) from None
+        kind, start, q = self.token()
+        if kind == _RATIONAL_TOKEN:
+            return q
+        if kind == _BAD_RATIONAL:
+            raise self.fail(f"bad rational token {_excerpt(self.text[start : self.pos])}", start)
+        raise self.fail(f"expected a rational, found {self.found(kind, start)}", start)
 
-    def integer(self) -> int:
-        q = self.rational()
-        if q.denominator != 1:
-            raise DomainParseError(f"expected an integer, found {_excerpt(format_rational(q))}", self.text, self.pos)
-        return q.numerator
+    def radii(self) -> tuple[Fraction, Fraction]:
+        self.expect("(")
+        a = self.rational()
+        self.expect(",")
+        b = self.rational()
+        self.expect(")")
+        return a, b
 
-    def done(self) -> None:
-        self._skip_ws()
-        if self.pos < len(self.text):
-            raise DomainParseError(f"unexpected trailing input {_excerpt(self.text[self.pos:])}", self.text, self.pos)
+    def head(self) -> tuple[str, int, tuple[Fraction, Fraction] | None]:
+        """A domain name, its position, and the radii when its token carried them."""
+        kind, start, value = self.token()
+        if kind == _CALL:
+            return value[0], start, value[1:]
+        if kind != _NAME:
+            raise self.fail(f"expected a domain name, found {self.found(kind, start)}", start)
+        return value, start, None
 
+    def sum_operand(self, sum_start: int) -> Ellipsoid:
+        name, _, radii = self.head()
+        if name.lower() != "e":
+            raise self.fail("sum(...) takes two ellipsoids", sum_start)
+        return Ellipsoid(*(radii or self.radii()))
 
-def _radii(sc: _Scanner) -> tuple[Fraction, Fraction]:
-    sc.expect("(")
-    a = sc.rational()
-    sc.expect(",")
-    b = sc.rational()
-    sc.expect(")")
-    return a, b
-
-
-def _sum_operand(sc: _Scanner, sum_start: int) -> Ellipsoid:
-    name, _ = sc.name()
-    if name.lower() != "e":
-        raise DomainParseError("sum(...) takes two ellipsoids", sc.text, sum_start)
-    return Ellipsoid(*_radii(sc))
-
-
-def _parse_domain(sc: _Scanner, prod_start: int | None = None) -> DomainSpec:
-    # A sum takes only E(...) literals and a nested prod is refused before
-    # its operands are read, so the recursion is at most two levels deep
-    # whatever the input; prod_start is the position of an enclosing prod.
-    name, start = sc.name()
-    kind = name.lower()
-    if kind == "e":
-        return Ellipsoid(*_radii(sc))
-    if kind == "p":
-        return Polydisk(*_radii(sc))
-    if kind == "sum":
-        sc.expect("(")
-        e1 = _sum_operand(sc, start)
-        sc.expect(",")
-        e2 = _sum_operand(sc, start)
-        sc.expect(")")
-        return EllipsoidPair.normalized(e1, e2)
-    if kind == "prod":
-        if prod_start is not None:
-            raise DomainParseError("prod(...) cannot nest another prod", sc.text, prod_start)
-        sc.expect("(")
-        inner = _parse_domain(sc, start)
-        sc.expect(",")
-        m = sc.integer()
-        sc.expect(",")
-        r = sc.rational()
-        sc.expect(")")
-        return ProductWithBall(inner, m, r)
-    raise DomainParseError(f"unknown domain kind {_excerpt(name)}", sc.text, start)
+    def domain(self, prod_start: int | None = None) -> DomainSpec:
+        # A sum takes only E(...) literals and a nested prod is refused before
+        # its operands are read, so the recursion is at most two levels deep
+        # whatever the input; prod_start is the position of an enclosing prod.
+        name, start, radii = self.head()
+        kind = name.lower()
+        if kind == "e":
+            return Ellipsoid(*(radii or self.radii()))
+        if kind == "p":
+            return Polydisk(*(radii or self.radii()))
+        if kind == "sum":
+            self.expect("(")
+            e1 = self.sum_operand(start)
+            self.expect(",")
+            e2 = self.sum_operand(start)
+            self.expect(")")
+            return EllipsoidPair.normalized(e1, e2)
+        if kind == "prod":
+            if prod_start is not None:
+                raise self.fail("prod(...) cannot nest another prod", prod_start)
+            self.expect("(")
+            inner = self.domain(start)
+            self.expect(",")
+            m = self.rational()
+            if m.denominator != 1:
+                raise self.fail(f"expected an integer, found {_excerpt(format_rational(m))}", self.pos)
+            self.expect(",")
+            r = self.rational()
+            self.expect(")")
+            return ProductWithBall(inner, m.numerator, r)
+        raise self.fail(f"unknown domain kind {_excerpt(name)}", start)
 
 
 def parse_domain(text: str) -> DomainSpec:
-    """Parse a domain literal such as ``sum(E(3/2,1),E(1,3/2))``."""
-    sc = _Scanner(text)
-    domain = _parse_domain(sc)
-    sc.done()
+    """Parse a domain literal such as ``sum(E(3/2,1),E(1,3/2))``, in one pass over its tokens."""
+    parser = _Parser(text)
+    domain = parser.domain()
+    kind, start, _ = parser.token()
+    if kind != _END:
+        raise parser.fail(f"unexpected trailing input {_excerpt(text[start:])}", start)
     return domain
 
 

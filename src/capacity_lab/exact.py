@@ -112,7 +112,8 @@ class PiRational:
     coeff: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", self.coeff if type(self.coeff) is Fraction else Fraction(self.coeff))
+        if type(self.coeff) is not Fraction:
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
 
     def __float__(self) -> float:
         return float(self.coeff) * math.pi

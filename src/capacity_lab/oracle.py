@@ -17,7 +17,10 @@ norm of v, the maximum of S, is thus the largest of S(c/a), S(d/b) and,
 when D < 0 and f0 is interior, S(f0).  ``cross_check``, the one
 re-derivation behind ``bm.verify_certificate`` and the CLI's --verify,
 evaluates these as integer pairs over one common denominator, with no
-float and without the branch formula of ``minkowski``.  The float
+float and without the branch formula of ``minkowski``.  The verifier
+also decides sqrt(c_sum) against sqrt(c_1) + sqrt(c_2) here, with
+``_cmp_root_sum``, which is derived apart from the engine's
+``exact.cmp_sqrt_combination`` and shares no code with it.  The float
 oracles ``support_norm_numeric`` and ``s_derivative_signcheck`` are
 library cross-checks that import numpy when called.  Disagreement with
 the exact engine is a test failure, never a fallback.
@@ -42,7 +45,7 @@ from .domains import (
     convex_argmin,
     format_domain,
 )
-from .exact import PiRational
+from .exact import Ordering, PiRational
 from .minkowski import _float_radii, sum_capacity_with_argmin
 
 
@@ -112,8 +115,9 @@ def cross_check(k: int, domain: DomainSpec, value: PiRational, witness: IndexVec
     elif witness is not None:
         raise ValueError(f"{format_domain(domain)} has no argmin to witness; only a non-proportional sum does")
     elif isinstance(domain, Ellipsoid):
-        steps = ((r.numerator**2, r.denominator**2) for r in (domain.a, domain.b))
-        if not _is_kth_merged_multiple(k, value.coeff, *steps):
+        a, b = domain.a, domain.b
+        alpha, beta = (a.numerator**2, a.denominator**2), (b.numerator**2, b.denominator**2)
+        if not _is_kth_merged_multiple(k, value.coeff, alpha, beta):
             raise ValueError(f"{value} is not the {k}-th merged multiple of pi a^2 and pi b^2")
     elif isinstance(domain, Polydisk):
         (A, B), L = _common_denominator(domain.a**2, domain.b**2)
@@ -152,6 +156,27 @@ def _cross_check_sum(k: int, pair: EllipsoidPair, value: PiRational, witness: In
         raise ValueError(f"v1 = {v1} is not the smallest minimizer: h(v1-1) = {_pi(norms[v1 - 1])}")
     if v1 + 1 in norms and _exceeds(norms[v1], norms[v1 + 1]):
         raise ValueError(f"v1 = {v1} is not a local minimum: h(v1+1) = {_pi(norms[v1 + 1])}")
+
+
+def _cmp_root_sum(s: Fraction, t: Fraction, u: Fraction) -> Ordering:
+    """Sign of sqrt(s) - sqrt(t) - sqrt(u) for s, t, u >= 0, derived apart from ``exact.cmp_sqrt_combination``.
+
+    If s < t, then sqrt(s) < sqrt(t) <= sqrt(t) + sqrt(u).  Otherwise
+    sqrt(s) - sqrt(t) >= 0, so the sign is that of (sqrt(s) - sqrt(t))^2 - u
+    = e - 2 sqrt(st) with e = s + t - u: LESS when e < 0, else the sign of
+    e^2 - 4st.  All of it runs on the integer numerators over one common
+    denominator.
+    """
+    sd, td, ud = s.denominator, t.denominator, u.denominator
+    L = math.lcm(sd, td, ud)
+    S, T, U = s.numerator * (L // sd), t.numerator * (L // td), u.numerator * (L // ud)
+    if S < T:
+        return Ordering.LESS
+    e = S + T - U
+    if e < 0:
+        return Ordering.LESS
+    x = e * e - 4 * S * T
+    return Ordering((x > 0) - (x < 0))
 
 
 def _exceeds(x: tuple[int, int], y: tuple[int, int]) -> bool:
@@ -208,26 +233,33 @@ def _s_max(pair: EllipsoidPair) -> Callable[[int, int], tuple[int, int]]:
     """
     a, b, c, d = pair.radii
     # a, b, c/a and d/b as integer pairs (num, den); L = l^2 for l the lcm of their denominators
-    pairs = [(x.numerator * y.denominator, x.denominator * y.numerator) for x, y in ((a, 1), (b, 1), (c, a), (d, b))]
-    lo, hi = pairs[2:]
-    L = (l := math.lcm(*(m for _, m in pairs))) ** 2
-    A2, B2, R2, S2 = ((n * (l // m)) ** 2 for n, m in pairs)
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    lo, hi = (c.numerator * ad, c.denominator * an), (d.numerator * bd, d.denominator * bn)
+    l = math.lcm(ad, bd, lo[1], hi[1])
+    A2, B2 = (an * (l // ad)) ** 2, (bn * (l // bd)) ** 2
+    R2, S2 = (lo[0] * (l // lo[1])) ** 2, (hi[0] * (l // hi[1])) ** 2
+    L = l * l
     scale = L**3 * (S2 - R2)
 
-    def S(v1: int, v2: int, p: int, q: int) -> tuple[int, int]:
+    def S(p: int, q: int) -> tuple[int, int, int]:
+        """S/pi at f = p/q as (X, Y, Z): v1 X / Z + v2 Y / Z, linear in (v1, v2)."""
         Lp, Lp2, q2 = L * p, L * p * p, q * q
-        num = v1 * A2 * (S2 * q2 - Lp2) * (Lp + R2 * q) ** 2 + v2 * B2 * (Lp2 - R2 * q2) * (Lp + S2 * q) ** 2
-        return num, scale * p * p * q2
+        return A2 * (S2 * q2 - Lp2) * (Lp + R2 * q) ** 2, B2 * (Lp2 - R2 * q2) * (Lp + S2 * q) ** 2, scale * p * p * q2
+
+    # the ends c/a and d/b do not depend on v, so S is built there once
+    (X0, Y0, Z0), (X1, Y1, Z1) = S(*lo), S(*hi)
 
     def norm(v1: int, v2: int) -> tuple[int, int]:
-        best = S(v1, v2, *lo)
-        if _exceeds(upper := S(v1, v2, *hi), best):
+        best = v1 * X0 + v2 * Y0, Z0
+        if _exceeds(upper := (v1 * X1 + v2 * Y1, Z1), best):
             best = upper
         q = L * (v1 * A2 - v2 * B2)
         if q > 0:
             p = v2 * B2 * S2 - v1 * A2 * R2
-            if p > 0 and R2 * q * q < L * p * p < S2 * q * q and _exceeds(inner := S(v1, v2, p, q), best):
-                best = inner
+            if p > 0 and R2 * q * q < L * p * p < S2 * q * q:
+                X, Y, Z = S(p, q)
+                if _exceeds(inner := (v1 * X + v2 * Y, Z), best):
+                    best = inner
         return best
 
     return norm

@@ -30,7 +30,7 @@ from capacity_lab import (
     reproduce_theorem,
     verify_certificate,
 )
-from capacity_lab import _kernels, bm, minkowski, oracle
+from capacity_lab import _kernels, bm, exact, minkowski, oracle
 from conftest import ellipsoids_st, pairs_st, radii_st
 
 F = Fraction
@@ -102,9 +102,8 @@ class TestBmCheck:
         cert = bm_check(k, pair)
         assert (cert.verdict is Verdict.VIOLATES) == (cert.comparison is Ordering.LESS)
         assert (cert.verdict is Verdict.EQUALITY) == (cert.comparison is Ordering.EQUAL)
-        # float margin must agree in sign whenever it is resolvable
-        if abs(cert.margin()) > 1e-9:
-            assert (cert.margin() < 0) == (cert.comparison is Ordering.LESS)
+        # the float margin always has the sign of the exact comparison
+        assert (cert.margin() > 0) - (cert.margin() < 0) == cert.comparison
 
     @given(pairs_st, st.integers(1, 30), st.sampled_from([1, 250, 520, 700]))
     @settings(max_examples=60, deadline=None)
@@ -114,6 +113,21 @@ class TestBmCheck:
         cert, big = bm_check(k, pair), bm_check(k, pair.scaled(2**m))
         assert big.comparison is cert.comparison
         assert big.margin() == math.ldexp(cert.margin(), m)
+
+    def test_margin_sign_where_the_float_difference_cancels(self):
+        # sqrt(pi c) rounds to the same float for c_sum and c1 + c2 here; the plain
+        # difference read -2.50662827463 for a pair that satisfies the inequality
+        X = 10**155
+        cert = bm_check(2, EllipsoidPair.normalized(Ellipsoid(X, X), Ellipsoid(1, 2)))
+        assert cert.comparison is Ordering.GREATER and cert.verdict is Verdict.SATISFIES
+        assert cert.margin() == pytest.approx(1.0382794271800316, rel=1e-15)
+
+    @pytest.mark.parametrize("eps", [F(1, 10**30), F(-1, 10**30), F(1, 2**60), F(-1, 2**60)])
+    def test_margin_sign_next_to_equality(self, eps):
+        # sqrt(4 + eps) - 1 - 1 = eps/4 - ..., far below the rounding of sqrt(4 pi)
+        cert = replace(bm_check(1, even_family(2)), c_sum=PiRational(4 + eps), c_1=PiRational(1), c_2=PiRational(1))
+        cert = replace(cert, comparison=Ordering(1 if eps > 0 else -1))
+        assert cert.margin() == pytest.approx(math.sqrt(math.pi) * float(eps) / 4, rel=1e-9, abs=0)
 
     def test_margin_beyond_float_range_raises(self):
         with pytest.raises(OverflowError):
@@ -222,6 +236,23 @@ class TestCertificates:
             reasons = []
             assert verify_certificate(forged, reasons) is False
             assert reasons[0].startswith("c_sum: norm at the argmin v1 = 2 is 41/4·π")
+
+    def test_patched_engine_comparison_is_caught(self, monkeypatch):
+        # the verifier decides the comparison with its own code, so a flipped engine comparison shows
+        engine = exact.cmp_sqrt_combination
+
+        def flipped(s, t, u):
+            return Ordering(-engine(s, t, u))
+
+        monkeypatch.setattr(bm, "cmp_sqrt_combination", flipped)
+        monkeypatch.setattr(exact, "cmp_sqrt_combination", flipped)
+        cert = bm_check(4, even_family(4))
+        assert (cert.comparison, cert.verdict) == (Ordering.GREATER, Verdict.SATISFIES)
+        again = BMCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
+        for forged in (cert, again, replace(cert, witness=None)):
+            reasons = []
+            assert verify_certificate(forged, reasons) is False
+            assert reasons == ["comparison: the three values give LESS (Violates), not GREATER (Satisfies)"]
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_shifted_witness_fails(self, shift):

@@ -3,6 +3,7 @@ import math
 from dataclasses import FrozenInstanceError
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 import pytest
@@ -32,6 +33,7 @@ from capacity_lab import (
 from capacity_lab.domains import _common_denominator, _kth_merged_multiple, _require_positive_k, convex_argmin
 from capacity_lab.oracle import _is_kth_merged_multiple
 from conftest import ellipsoids_st, radii_st, random_ellipsoid, scale_domain
+from reference_parser import reference_parse_domain
 
 F = Fraction
 
@@ -337,7 +339,38 @@ convex_sequences_st = st.tuples(
 ).map(lambda t: [t[1] + sum(sorted(t[0])[:j]) for j in range(len(t[0]) + 1)])
 
 
+def reference_bisect_convex_argmin(h, k):
+    """``convex_argmin`` as it was before its loop: ``functools.cache`` and ``bisect_left`` with a key."""
+    h = cache(h)
+
+    def rises(i):
+        n0, d0 = h(i)
+        n1, d1 = h(i + 1)
+        return n1 * d0 >= n0 * d1
+
+    j = bisect_left(range(k), True, key=rises)
+    return Fraction(*h(j)), j
+
+
+# convex integer sequences with long plateaus (many zero steps), each value
+# written num/den over its own denominator 1..4, not in lowest terms
+plateau_values_st = st.tuples(st.lists(st.integers(-3, 3), max_size=60), st.integers(-20, 20)).map(
+    lambda t: [t[1] + sum(sorted(t[0])[:j]) for j in range(len(t[0]) + 1)]
+)
+plateau_pairs_st = plateau_values_st.flatmap(
+    lambda vs: st.lists(st.integers(1, 4), min_size=len(vs), max_size=len(vs)).map(
+        lambda ms: [(v * m, m) for v, m in zip(vs, ms)]
+    )
+)
+
+
 class TestConvexArgmin:
+    @given(plateau_pairs_st)
+    @settings(max_examples=400)
+    def test_loop_matches_the_bisect_reference(self, pairs):
+        expected = reference_bisect_convex_argmin(lambda j: pairs[j], len(pairs) - 1)
+        assert convex_argmin(lambda j: pairs[j], len(pairs) - 1) == expected == scan_argmin([F(*p) for p in pairs])
+
     @given(convex_sequences_st)
     @settings(max_examples=300)
     def test_matches_scan_on_convex_sequences(self, values):
@@ -459,6 +492,19 @@ class TestProductWithBall:
     def test_small_ball_refused(self):
         with pytest.raises(StabilizationError):
             product_with_ball_capacity(1, Ellipsoid(1, 1), 2, F(1))
+
+    def test_nested_product_refused(self):
+        with pytest.raises(ValueError, match="cannot nest another product"):
+            product_with_ball_capacity(2, ProductWithBall(Ellipsoid(1, 1), 2, 10), 2, 20)
+
+    @pytest.mark.parametrize(
+        "m, R, message",
+        [(0, 20, "ball dimension m must be >= 1, got 0"), (2, -1, "R must be a positive rational, got -1")],
+    )
+    def test_invalid_ball_refused(self, m, R, message):
+        with pytest.raises(ValueError) as exc:
+            product_with_ball_capacity(2, Ellipsoid(1, 1), m, R)
+        assert str(exc.value) == message
 
     def test_boundary_radius_refused(self):
         # R^2 = c_k/pi exactly is still too small
@@ -643,6 +689,27 @@ PARSE_TABLE = [
 ]
 
 
+def _outcome(parse, text):
+    """The domain parse returns, or the type and message of what it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# text drawn from the grammar's words and characters, digits that are no
+# decimal digits ('²'), numbers that are no digits ('½') and other letters
+literal_text_st = st.lists(
+    st.one_of(
+        st.sampled_from(["E", "P", "e", "p", "sum", "prod", "SUM", "(", ")", ",", "/", "-", " ", "\t", "²", "½"]),
+        st.sampled_from("0123456789"),
+        st.characters(categories=["Lu", "Ll", "Lo", "No", "Nd"]),
+        st.sampled_from(["E(", "3/2", "E(1,1)", "E(3/2, 1)", "P(2,1/3)", "1/0"]),
+    ),
+    max_size=16,
+).map("".join)
+
+
 class TestParseTable:
     @pytest.mark.parametrize("text, expected", PARSE_TABLE, ids=[repr(t[:24]) for t, _ in PARSE_TABLE])
     def test_literal(self, text, expected):
@@ -653,6 +720,11 @@ class TestParseTable:
         with pytest.raises(ValueError) as exc:
             parse_domain(text)
         assert (type(exc.value), str(exc.value)) == (kind, message)
+
+    @given(literal_text_st)
+    @settings(max_examples=1500)
+    def test_matches_the_reference_scanner(self, text):
+        assert _outcome(parse_domain, text) == _outcome(reference_parse_domain, text)
 
     @given(pair_operands_st)
     def test_sum_round_trip(self, operands):

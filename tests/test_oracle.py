@@ -25,8 +25,10 @@ from capacity_lab import (
     support_norm_numeric,
 )
 from capacity_lab import minkowski, oracle
+from capacity_lab.exact import Ordering, cmp_sqrt_combination
 from capacity_lab.oracle import (
     DEFAULT_CONFIG,
+    _cmp_root_sum,
     _critical,
     _fd_derivative,
     _float_radii,
@@ -226,6 +228,43 @@ class TestCrossCheck:
         cross_check(k, domain, value)
         with pytest.raises(ValueError):
             cross_check(k, domain, PiRational(value.coeff + F(1, k)))
+
+
+nonnegative_st = st.fractions(min_value=0, max_value=50, max_denominator=30)
+
+
+class TestRootSumComparison:
+    """``oracle._cmp_root_sum``, the verifier's comparison, against the engine's ``cmp_sqrt_combination``."""
+
+    @given(nonnegative_st, nonnegative_st, nonnegative_st)
+    @settings(max_examples=500)
+    def test_matches_the_engine(self, s, t, u):
+        assert _cmp_root_sum(s, t, u) is cmp_sqrt_combination(s, t, u)
+
+    @given(nonnegative_st, st.integers(0, 12), st.integers(0, 12), st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=300)
+    def test_matches_the_engine_at_and_next_to_equality(self, r, i, j, step):
+        # sqrt(s) = sqrt(t) + sqrt(u) exactly for t = i^2 r, u = j^2 r, s = (i + j)^2 r
+        s, t, u = (i + j) ** 2 * r + F(step, 10**9), i * i * r, j * j * r
+        if s >= 0:
+            assert _cmp_root_sum(s, t, u) is cmp_sqrt_combination(s, t, u)
+        if step == 0:
+            assert _cmp_root_sum(s, t, u) is Ordering.EQUAL
+
+    @pytest.mark.parametrize(
+        "s, t, u, expected",
+        [
+            (F(1), F(4), F(0), Ordering.LESS),  # s < t
+            (F(4), F(1), F(9), Ordering.LESS),  # e = s + t - u < 0
+            (F(9), F(1), F(4), Ordering.EQUAL),  # 3 = 1 + 2
+            (F(2), F(0), F(2), Ordering.EQUAL),  # e = 0 with t = 0
+            (F(2), F(1), F(1), Ordering.LESS),  # e = 2, e^2 < 4st
+            (F(13, 2), F(2), F(2), Ordering.LESS),  # the even family at k = 2
+            (F(10), F(1), F(4), Ordering.GREATER),
+        ],
+    )
+    def test_branches(self, s, t, u, expected):
+        assert _cmp_root_sum(s, t, u) is expected
 
 
 class TestSProfile:
