@@ -30,8 +30,7 @@ _MODULES = {
         " format_domain parse_domain polydisk_capacity product_with_ball_capacity"
     ),
     "minkowski": (
-        "ConvexityReport OmegaSample StrictnessReport convexity_check omega_curve strictness_check sum_capacity"
-        " sum_capacity_with_argmin support_norm"
+        "ConvexityReport OmegaSample convexity_check omega_curve sum_capacity sum_capacity_with_argmin support_norm"
     ),
     "oracle": "OracleConfig SignCheckReport cross_check golden_max s_derivative_signcheck support_norm_numeric",
     "bm": (

@@ -8,9 +8,15 @@ pair and work on the boundary parameterization
     g(psi)   = cos psi * (a + c^2 / (a f))
     h(psi)   = sin psi * (b + d^2 / (b f))
 
-``gh_profiles`` is the one array form of these formulas; the only other
-copy is the scalar golden-section objective inside ``support_max``, where
-numpy on a single float costs several times more than ``math``.
+``gh_profiles`` is the one array form of these formulas, and
+``_fgh`` is its body, which takes cos psi and sin psi rather than psi;
+the only other copy is the scalar golden-section objective inside
+``support_max``, where numpy on a single float costs several times more
+than ``math``.  The dense scan of ``support_max`` is always over the
+same angles j (pi/2) / grid, j = 0..grid, so their cosines and sines
+are computed once per grid and kept, read-only, in a small bounded
+cache (``_angle_table``): 16 (grid+1) bytes per table, 64 KB at the
+oracle's default grid of 4096.  No table is built at import.
 
 This is the only module that imports numpy at import time.  The float
 functions of ``minkowski``, ``oracle`` and ``bm`` import it when
@@ -22,6 +28,7 @@ Python and lives in ``oracle``; it is re-exported here for
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,20 +45,34 @@ def gh_profiles(a: float, b: float, c: float, d: float, psis):
     """(cos psi, sin psi, f, g, h) at the angles psis."""
     cp = np.cos(psis)
     sp = np.sin(psis)
+    return cp, sp, *_fgh(a, b, c, d, cp, sp)
+
+
+def _fgh(a: float, b: float, c: float, d: float, cp, sp):
+    """(f, g, h) from cp = cos psi and sp = sin psi."""
     f = np.sqrt((c * c) / (a * a) * cp * cp + (d * d) / (b * b) * sp * sp)
     g = cp * (a + c * c / (a * f))
     h = sp * (b + d * d / (b * f))
-    return cp, sp, f, g, h
+    return f, g, h
+
+
+@lru_cache(maxsize=4)
+def _angle_table(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cos psi, sin psi) at psi = j (pi/2) / grid, j = 0..grid."""
+    psis = _HALF_PI * np.arange(grid + 1) / grid
+    cp, sp = np.cos(psis), np.sin(psis)
+    cp.flags.writeable = sp.flags.writeable = False
+    return cp, sp
 
 
 def support_max(v1: int, v2: int, a: float, b: float, c: float, d: float, grid: int, iters: int) -> float:
     """Maximum of pi*(v1 g^2 + v2 h^2) over psi in [0, pi/2].
 
-    A dense scan over grid+1 angles, then golden-section ascent on the
-    bracket around the best grid point.
+    A dense scan over the grid+1 angles of ``_angle_table``, then
+    golden-section ascent on the bracket around the best grid point.
     """
     v1, v2 = float(v1), float(v2)
-    _, _, _, g, h = gh_profiles(a, b, c, d, _HALF_PI * np.arange(grid + 1) / grid)
+    _, g, h = _fgh(a, b, c, d, *_angle_table(grid))
     vals = np.pi * (v1 * g * g + v2 * h * h)
     besti = int(np.argmax(vals))
     r2 = (c * c) / (a * a)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 
 from .domains import (
     DomainSpec,
@@ -186,6 +187,17 @@ def bm_check(k: int, pair: EllipsoidPair) -> BMCertificate:
     )
 
 
+@cache
+def _oracle():
+    """The ``oracle`` module, imported on first use so that ``import capacity_lab.cli`` does not load it.
+
+    The module is kept, not its functions, so that a replaced ``oracle.cross_check`` is seen.
+    """
+    from . import oracle
+
+    return oracle
+
+
 def verify_certificate(cert: BMCertificate, reasons: list[str] | None = None) -> bool:
     """Re-derive every field of cert with ``oracle``, never with the engine that wrote it.
 
@@ -195,7 +207,7 @@ def verify_certificate(cert: BMCertificate, reasons: list[str] | None = None) ->
     the engine's ``cmp_sqrt_combination``.  The message of the first failed check is appended
     to reasons.
     """
-    from .oracle import _cmp_root_sum, cross_check
+    oracle = _oracle()
 
     def failed(reason: str) -> bool:
         if reasons is not None:
@@ -208,10 +220,10 @@ def verify_certificate(cert: BMCertificate, reasons: list[str] | None = None) ->
         ("c2", cert.domain2, cert.c_2, None),
     ):
         try:
-            cross_check(cert.k, domain, value, witness)
+            oracle.cross_check(cert.k, domain, value, witness)
         except ValueError as exc:
             return failed(f"{field}: {exc}")
-    comparison = _cmp_root_sum(cert.c_sum.coeff, cert.c_1.coeff, cert.c_2.coeff)
+    comparison = oracle._cmp_root_sum(cert.c_sum.coeff, cert.c_1.coeff, cert.c_2.coeff)
     if (comparison, _VERDICTS[comparison]) != (cert.comparison, cert.verdict):
         got, claimed = f"{comparison.name} ({_VERDICTS[comparison]})", f"{cert.comparison.name} ({cert.verdict})"
         return failed(f"comparison: the three values give {got}, not {claimed}")

@@ -94,7 +94,14 @@ class EllipsoidPair:
 
     @classmethod
     def normalized(cls, e1: Ellipsoid, e2: Ellipsoid) -> "EllipsoidPair":
-        return cls(e2, e1) if _order(e1, e2) > 0 else cls(e1, e2)
+        # _order(e2, e1) == -_order(e1, e2): the order picked here is valid, so
+        # __post_init__, which would compute it again, is bypassed
+        order = _order(e1, e2)
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "first", e2 if order > 0 else e1)
+        object.__setattr__(pair, "second", e1 if order > 0 else e2)
+        object.__setattr__(pair, "proportional", order == 0)
+        return pair
 
     @property
     def radii(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -214,8 +221,8 @@ def ellipsoid_norm_argmin(k: int, e: Ellipsoid) -> tuple[PiRational, IndexVector
     """Minimum over v1 + v2 = k of max(v1 * pi a^2, v2 * pi b^2), with argmin.
 
     The minimum is ellipsoid_capacity(k, e) and ties go to the smallest v1,
-    both from ``_kth_merged_multiple`` in O(1); the argmin is what the
-    strictness criterion needs.
+    both from ``_kth_merged_multiple`` in O(1); the argmin is the witness
+    that a proportional sum reports.
     """
     _require_positive_k(k)
     value, v1 = _kth_merged_multiple(k, e.a * e.a, e.b * e.b)

@@ -57,18 +57,6 @@ class ConvexityReport:
     grid: int
 
 
-@dataclass(frozen=True)
-class StrictnessReport:
-    """Outcome of comparing c_k(sum) against c_k(E(a+c, b+d))."""
-
-    strict: bool
-    c_sum: PiRational
-    c_inner: PiRational
-    inner_argmin: IndexVector
-    criterion_strict: bool
-    criterion_agrees: bool
-
-
 def _require_nonproportional(pair: EllipsoidPair, op: str) -> None:
     if pair.proportional:
         raise ValueError(
@@ -194,31 +182,3 @@ def sum_capacity_with_argmin(k: int, pair: EllipsoidPair) -> tuple[PiRational, I
         return ellipsoid_norm_argmin(k, pair.outer_ellipsoid)
     value, v1 = convex_argmin(_norm_coeff(k, pair), k)
     return PiRational(value), IndexVector(v1, k - v1)
-
-
-def strictness_check(k: int, pair: EllipsoidPair) -> StrictnessReport:
-    """Is c_k(sum) strictly larger than c_k(E(a+c, b+d))?
-
-    ``strict`` is decided from the exact capacities.  The report also
-    evaluates the sufficient criterion on the inner ellipsoid's minimizing
-    vector v = (v1, k-v1): strictness is implied when
-    (v1 c^2 - (k-v1) d^2) / ((k-v1) b^2 - v1 a^2) lies in (c/a, d/b) and
-    (k-v1) b^2 < v1 a^2.
-    """
-    _require_positive_k(k)
-    a, b, c, d = pair.radii
-    c_inner, argmin = ellipsoid_norm_argmin(k, pair.outer_ellipsoid)
-    c_sum = sum_capacity(k, pair)
-    strict = c_sum.coeff > c_inner.coeff
-    v1, v2 = argmin.v1, argmin.v2
-    D = v2 * b * b - v1 * a * a
-    N = v1 * c * c - v2 * d * d
-    criterion = D < 0 and c / a < N / D < d / b
-    return StrictnessReport(
-        strict=strict,
-        c_sum=c_sum,
-        c_inner=c_inner,
-        inner_argmin=argmin,
-        criterion_strict=criterion,
-        criterion_agrees=(criterion == strict),
-    )

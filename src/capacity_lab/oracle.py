@@ -218,7 +218,8 @@ def _s_prime_over_pi(a, b, c, d) -> Callable:
 
     def Sp(v1, v2, f):
         D, N = _critical(v1, v2, a, b, c, d)
-        return 2 / (dp * f**3) * (f**3 + K) * (D * f - N)
+        f3 = f**3
+        return 2 / (dp * f3) * (f3 + K) * (D * f - N)
 
     return Sp
 
@@ -309,7 +310,8 @@ def s_derivative_signcheck(
     # step scales with f: S varies on the scale of f near the left end
     h = np.minimum(1e-3 * f, 0.25 * np.minimum(f - lo, hi - f))
     keep = h > 0.0
-    f, h = f[keep], h[keep]
+    if not keep.all():
+        f, h = f[keep], h[keep]
     fd = _fd_derivative(S, f, h)
     closed = math.pi * s_prime_over_pi(v.v1, v.v2, f)
     err = np.abs(fd - closed)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 import capacity_lab
 from capacity_lab import _kernels, oracle
 from conftest import random_nonprop_pair
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _support_max_reference(v1, v2, a, b, c, d, grid, iters):
@@ -29,6 +35,29 @@ def _support_max_reference(v1, v2, a, b, c, d, grid, iters):
         else:
             hi = x2
     return max(F(step * besti), F(lo), F(hi))
+
+
+def _support_max_grid_reference(v1, v2, a, b, c, d, grid, iters):
+    # support_max as it was before the angle table: the grid and its cosines
+    # and sines are rebuilt on every call.
+    v1, v2 = float(v1), float(v2)
+    _, _, _, g, h = _kernels.gh_profiles(a, b, c, d, 0.5 * math.pi * np.arange(grid + 1) / grid)
+    vals = np.pi * (v1 * g * g + v2 * h * h)
+    besti = int(np.argmax(vals))
+    r2 = (c * c) / (a * a)
+    s2 = (d * d) / (b * b)
+
+    def objective(psi):
+        cp = math.cos(psi)
+        sp = math.sin(psi)
+        f = math.sqrt(r2 * cp * cp + s2 * sp * sp)
+        g = cp * (a + c * c / (a * f))
+        h = sp * (b + d * d / (b * f))
+        return math.pi * (v1 * g * g + v2 * h * h)
+
+    lo = 0.5 * math.pi * max(besti - 1, 0) / grid
+    hi = 0.5 * math.pi * min(besti + 1, grid) / grid
+    return max(float(vals[besti]), oracle.golden_max(objective, lo, hi, iters))
 
 
 def _cases(rng, n):
@@ -61,6 +90,15 @@ class TestAgainstScalarReference:
             got = _kernels.support_max(v1, v2, a, b, c, d, 512, 60)
             assert got == pytest.approx(_support_max_reference(v1, v2, a, b, c, d, 512, 60), rel=1e-12)
 
+    def test_support_max_equals_the_per_call_grid(self, rng):
+        # 64, 512 and 4096 interleaved with two more grids, so that tables are
+        # also evicted from the cache and rebuilt between calls
+        grids = [64, 4096, 512, 65, 4096, 1000, 64, 512]
+        for i, (v1, v2, a, b, c, d) in enumerate(_cases(rng, 120)):
+            grid = grids[i % len(grids)]
+            got = _kernels.support_max(v1, v2, a, b, c, d, grid, 80)
+            assert got == _support_max_grid_reference(v1, v2, a, b, c, d, grid, 80)
+
     def test_support_splits(self):
         p = np.linspace(0.0, 1.0, 1001)
         poly = _kernels.polydisk_support_split(p, 1.5, 0.5)
@@ -84,6 +122,31 @@ class TestAgainstScalarReference:
             assert _kernels.ellipsoid_support_split(p, a, b, out=out, rest=rest) is out
             assert np.array_equal(out, ell)
         assert np.array_equal(p, before)
+
+
+class TestAngleTable:
+    def test_cached_arrays_are_read_only(self):
+        for grid in (64, 4096):
+            cp, sp = _kernels._angle_table(grid)
+            assert _kernels._angle_table(grid)[0] is cp
+            assert cp.shape == sp.shape == (grid + 1,)
+            for arr in (cp, sp):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 2.0
+            assert cp[0] == 1.0 and sp[0] == 0.0
+
+    @pytest.mark.parametrize("grid", [512, 1000])
+    def test_table_matches_the_angles(self, grid):
+        psis = 0.5 * math.pi * np.arange(grid + 1) / grid
+        cp, sp = _kernels._angle_table(grid)
+        assert np.array_equal(cp, np.cos(psis)) and np.array_equal(sp, np.sin(psis))
+
+    def test_import_builds_no_table(self):
+        code = "from capacity_lab import _kernels; print(_kernels._angle_table.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert (res.returncode, res.stdout) == (0, "0\n"), res.stderr
 
 
 class TestGoldenMax:

@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -12,17 +13,19 @@ from capacity_lab import (
     Ellipsoid,
     EllipsoidPair,
     IndexVector,
+    PiRational,
     convexity_check,
     ellipsoid_capacity,
+    ellipsoid_norm_argmin,
     even_family,
     odd_family,
     omega_curve,
-    strictness_check,
     sum_capacity,
     sum_capacity_with_argmin,
     support_norm,
 )
 from capacity_lab import _kernels, minkowski
+from capacity_lab.domains import _require_positive_k
 from capacity_lab.oracle import _s_over_pi
 from conftest import nonprop_pairs_st, pairs_st, random_nonprop_pair
 
@@ -421,6 +424,46 @@ class TestBisection:
         value, argmin = sum_capacity_with_argmin(k, even_family(k))
         assert value.coeff == 2 * k + 2 + F(1, k)
         assert (argmin.v1, argmin.v2) == (k // 2, k // 2)
+
+
+@dataclass(frozen=True)
+class StrictnessReport:
+    """Outcome of comparing c_k(sum) against c_k(E(a+c, b+d))."""
+
+    strict: bool
+    c_sum: PiRational
+    c_inner: PiRational
+    inner_argmin: IndexVector
+    criterion_strict: bool
+    criterion_agrees: bool
+
+
+def strictness_check(k: int, pair: EllipsoidPair) -> StrictnessReport:
+    """Is c_k(sum) strictly larger than c_k(E(a+c, b+d))?
+
+    ``strict`` is decided from the exact capacities.  The report also
+    evaluates the sufficient criterion on the inner ellipsoid's minimizing
+    vector v = (v1, k-v1): strictness is implied when
+    (v1 c^2 - (k-v1) d^2) / ((k-v1) b^2 - v1 a^2) lies in (c/a, d/b) and
+    (k-v1) b^2 < v1 a^2.
+    """
+    _require_positive_k(k)
+    a, b, c, d = pair.radii
+    c_inner, argmin = ellipsoid_norm_argmin(k, pair.outer_ellipsoid)
+    c_sum = sum_capacity(k, pair)
+    strict = c_sum.coeff > c_inner.coeff
+    v1, v2 = argmin.v1, argmin.v2
+    D = v2 * b * b - v1 * a * a
+    N = v1 * c * c - v2 * d * d
+    criterion = D < 0 and c / a < N / D < d / b
+    return StrictnessReport(
+        strict=strict,
+        c_sum=c_sum,
+        c_inner=c_inner,
+        inner_argmin=argmin,
+        criterion_strict=criterion,
+        criterion_agrees=(criterion == strict),
+    )
 
 
 class TestStrictness:

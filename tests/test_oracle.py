@@ -413,6 +413,67 @@ def reference_signcheck(
     )
 
 
+def reference_array_signcheck(
+    v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig = DEFAULT_CONFIG
+) -> SignCheckReport:
+    # s_derivative_signcheck before f**3 was shared in S' and the filter on
+    # h > 0 became conditional, kept verbatim with its own S'.
+    import numpy as np
+
+    a, b, c, d = radii = _float_radii(pair, "s_derivative_signcheck")
+    lo, hi = c / a, d / b
+    span = hi - lo
+    s_over_pi = _s_over_pi(*radii)
+    dp = (d / b) ** 2 - (c / a) ** 2
+    K = (c * c * d * d) / (a * a * b * b)
+
+    def s_prime_over_pi(v1, v2, f):
+        D, N = _critical(v1, v2, a, b, c, d)
+        return 2 / (dp * f**3) * (f**3 + K) * (D * f - N)
+
+    def S(f):
+        return math.pi * s_over_pi(v.v1, v.v2, f)
+
+    n = cfg.grid
+    f = lo + span * np.arange(1, n + 1) / (n + 1)
+    h = np.minimum(1e-3 * f, 0.25 * np.minimum(f - lo, hi - f))
+    keep = h > 0.0
+    f, h = f[keep], h[keep]
+    fd = _fd_derivative(S, f, h)
+    closed = math.pi * s_prime_over_pi(v.v1, v.v2, f)
+    err = np.abs(fd - closed)
+    allowed = np.maximum(1e-6, 1e-6 * np.abs(closed))
+    sign_mismatches = int(np.count_nonzero((np.abs(closed) > 1e-6) & (fd * closed < 0)))
+    ok = sign_mismatches == 0 and not np.any(err > allowed)
+    max_abs_err = max_allowed = 0.0
+    if err.size and err.max() > 0.0:
+        worst = int(np.argmax(err))
+        max_abs_err, max_allowed = float(err[worst]), float(allowed[worst])
+
+    D, N = _critical(v.v1, v.v2, *pair.radii)
+    f0 = float(N / D) if D != 0 else None
+    f0_interior = f0 is not None and D < 0 and lo < f0 < hi
+    f0_is_max = False
+    if f0_interior:
+        eps = 1e-5 * span
+        left = max(f0 - eps, lo)
+        right = min(f0 + eps, hi)
+        f0_is_max = S(f0) >= S(left) and S(f0) >= S(right)
+        if not f0_is_max:
+            ok = False
+
+    return SignCheckReport(
+        ok=ok,
+        points=n,
+        sign_mismatches=sign_mismatches,
+        max_abs_err=max_abs_err,
+        max_allowed_err=max_allowed,
+        f0=f0,
+        f0_interior=f0_interior,
+        f0_is_max=f0_is_max,
+    )
+
+
 # radii p/q with p, q <= 20, as random_nonprop_pair draws them
 small_radius_st = st.builds(F, st.integers(1, 20), st.integers(1, 20))
 small_ellipsoid_st = st.builds(Ellipsoid, small_radius_st, small_radius_st)
@@ -433,6 +494,27 @@ class TestSignCheckAgainstReference:
         assert [getattr(got, x) for x in fields] == [getattr(want, x) for x in fields]
         # the sums and powers round differently, so the largest error may move by round-off
         assert abs(got.max_abs_err - want.max_abs_err) <= 1e-3 * want.max_allowed_err
+
+
+class TestSignCheckAgainstArrayReference:
+    def test_report_equals_the_pre_change_array_form(self, rng):
+        grids = [64, 4096, 512]
+        for i in range(60):
+            pair = random_nonprop_pair(rng)
+            k = rng.randint(1, 200)
+            v1 = rng.randint(0, k)
+            v, cfg = IndexVector(v1, k - v1), OracleConfig(grid=grids[i % 3])
+            assert s_derivative_signcheck(v, pair, cfg) == reference_array_signcheck(v, pair, cfg)
+
+    @pytest.mark.parametrize("gap", [F(1, 10**15), F(1, 10**16)])
+    def test_report_equals_the_pre_change_array_form_with_zero_steps(self, gap):
+        # c/a and d/b so close in float that some grid points (1e-15) or all of
+        # them (1e-16) round onto an end: their step is 0 and they are dropped
+        pair = EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(1, 1 + gap))
+        for v1, v2 in [(1, 1), (3, 0), (2, 5)]:
+            v = IndexVector(v1, v2)
+            got = s_derivative_signcheck(v, pair, OracleConfig(grid=512))
+            assert got == reference_array_signcheck(v, pair, OracleConfig(grid=512))
 
 
 def laurent_product(p, q):
