@@ -2,14 +2,14 @@
 and Minkowski sums of ellipsoids, with certified Brunn-Minkowski checks.
 
 A sum E(a,b) + E(c,d) is an ``EllipsoidPair``, as ``parse_domain`` returns
-it for ``sum(...)``.  Capacities are exact rational multiples of pi, and
-``cross_check`` re-derives them exactly.  A Brunn-Minkowski certificate
-carries the argmin of the sum as its witness, and ``verify_certificate``,
-the one certificate verifier, checks every field with ``cross_check``
-and its own square-root comparison, without the engine that wrote it.  Floating point is confined to the
-numeric oracles, the boundary-curve samplers and the Monte Carlo
-mean-width estimator, which import numpy when called; an exact
-computation or its verification never loads numpy.
+it for ``sum(...)``.  Capacities are exact rational multiples of pi.  A
+Brunn-Minkowski certificate carries the argmin of the sum as its witness.
+``verify`` is the one exact verifier: ``cross_check`` re-derives a
+capacity and ``verify_certificate`` a certificate, from ``domains`` and
+``exact`` alone, never with the engine that wrote it.  Floating point is
+confined to the numeric oracles, the boundary-curve samplers and the
+Monte Carlo mean-width estimator, which import numpy when called; an
+exact computation or its verification never loads numpy.
 
 The namespace is lazy (PEP 562): importing the package loads none of its
 modules, and each public name loads its module on first access.
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 _MODULES = {
     "exact": (
-        "Ordering PiRational Rational cmp_sqrt_combination format_decimal format_rational parse_rational"
+        "Ordering PiRational Rational Verdict cmp_sqrt_combination format_decimal format_rational parse_rational"
     ),
     "domains": (
         "DomainParseError DomainSpec Ellipsoid EllipsoidPair IndexVector Polydisk ProductWithBall"
@@ -32,12 +32,13 @@ _MODULES = {
     "minkowski": (
         "ConvexityReport OmegaSample convexity_check omega_curve sum_capacity sum_capacity_with_argmin support_norm"
     ),
-    "oracle": "OracleConfig SignCheckReport cross_check golden_max s_derivative_signcheck support_norm_numeric",
+    "oracle": "OracleConfig SignCheckReport golden_max s_derivative_signcheck support_norm_numeric",
     "bm": (
-        "BMCertificate CriterionReport MeanWidthEstimate ReproduceRow ReproductionError Verdict bm_check"
+        "BMCertificate CriterionReport MeanWidthEstimate ReproduceRow ReproductionError bm_check"
         " even_family expected_family_coeff mean_width mean_width_estimate odd_family ostrover_criterion"
-        " reproduce_theorem verify_certificate"
+        " reproduce_theorem"
     ),
+    "verify": "cross_check verify_certificate",
 }
 # public name -> the module that defines it
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names.split()}

@@ -20,9 +20,9 @@ oracle's default grid of 4096.  No table is built at import.
 
 This is the only module that imports numpy at import time.  The float
 functions of ``minkowski``, ``oracle`` and ``bm`` import it when
-called, so the exact path never loads numpy.  ``golden_max`` is pure
-Python and lives in ``oracle``; it is re-exported here for
-``support_max``.
+called, so the exact path and ``verify`` never load numpy.
+``golden_max`` is pure Python and lives in ``oracle``; it is
+re-exported here for ``support_max``.
 """
 
 from __future__ import annotations

@@ -7,21 +7,17 @@ its two summands together with the exact ordering of sqrt(c_sum) against
 sqrt(c_1) + sqrt(c_2); the pi factors cancel, so the square-root
 comparison runs on rational coefficients and needs no floating point.
 ``bm_check`` decides that ordering with the engine's
-``exact.cmp_sqrt_combination``.  With the sum's argmin as its witness,
-``verify_certificate`` re-derives every field in O(1) exact operations,
-without the engine that wrote it: the capacities through
-``oracle.cross_check`` and the ordering through ``oracle``'s own
-comparison, which shares no code with the engine's.
+``exact.cmp_sqrt_combination`` and records the sum's argmin as the
+witness.  Certificates are checked by ``verify.verify_certificate``,
+which imports nothing of this module or of the engine.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cache
 
 from .domains import (
     DomainSpec,
@@ -33,23 +29,8 @@ from .domains import (
     format_domain,
     parse_domain,
 )
-from .exact import _PI_DECIMAL, Ordering, PiRational, cmp_sqrt_combination
+from .exact import _PI_DECIMAL, _VERDICTS, Ordering, PiRational, Verdict, cmp_sqrt_combination
 from .minkowski import sum_capacity_with_argmin
-
-
-class Verdict(enum.Enum):
-    """Outcome of one Brunn-Minkowski comparison at index k."""
-
-    VIOLATES = "Violates"
-    SATISFIES = "Satisfies"
-    EQUALITY = "Equality"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-# the sign of sqrt(c_sum) - sqrt(c_1) - sqrt(c_2) decides the verdict
-_VERDICTS = {Ordering.LESS: Verdict.VIOLATES, Ordering.GREATER: Verdict.SATISFIES, Ordering.EQUAL: Verdict.EQUALITY}
 
 
 class ReproductionError(RuntimeError):
@@ -77,15 +58,7 @@ class BMCertificate:
         """
         if self.comparison is Ordering.EQUAL:
             return 0.0
-        coeffs = [value.coeff for value in (self.c_sum, self.c_1, self.c_2)]
-        # values beyond 2^1000 are divided by a common 4^j and the difference multiplied
-        # by 2^j: powers of two scale every rounding step exactly, so no bit changes
-        j = max(0, max(q.numerator.bit_length() - q.denominator.bit_length() for q in coeffs) - 1000) // 2
-        s, t, u = (math.sqrt(float(q / 4**j if j else q) * math.pi) for q in coeffs)
-        margin = math.ldexp(s - t - u, j)
-        if margin != 0 and (margin > 0) == (self.comparison is Ordering.GREATER):
-            return margin
-        return _cancellation_free_margin(*coeffs)
+        return _cancellation_free_margin(self.c_sum.coeff, self.c_1.coeff, self.c_2.coeff)
 
     def to_dict(self) -> dict:
         return {
@@ -123,7 +96,7 @@ class BMCertificate:
 
 
 def _cancellation_free_margin(s: Fraction, t: Fraction, u: Fraction) -> float:
-    """sqrt(pi) (sqrt(s) - sqrt(t) - sqrt(u)) for s, t, u >= 0, where the float difference cancels.
+    """sqrt(pi) (sqrt(s) - sqrt(t) - sqrt(u)) for s, t, u >= 0, with no cancellation at any k.
 
     With d = s - t - u exact, the value is sqrt(pi) (d - 2 sqrt(tu)) / (sqrt(s) + sqrt(t) + sqrt(u)).
     For d < 0 both terms of d - 2 sqrt(tu) are negative; otherwise it is written
@@ -185,49 +158,6 @@ def bm_check(k: int, pair: EllipsoidPair) -> BMCertificate:
         comparison=comparison,
         witness=None if pair.proportional else argmin,
     )
-
-
-@cache
-def _oracle():
-    """The ``oracle`` module, imported on first use so that ``import capacity_lab.cli`` does not load it.
-
-    The module is kept, not its functions, so that a replaced ``oracle.cross_check`` is seen.
-    """
-    from . import oracle
-
-    return oracle
-
-
-def verify_certificate(cert: BMCertificate, reasons: list[str] | None = None) -> bool:
-    """Re-derive every field of cert with ``oracle``, never with the engine that wrote it.
-
-    c_sum is checked at the witness by ``cross_check`` (found by bisection when missing; a wrong
-    one can only fail), c_1 against domain1 and c_2 against domain2; comparison and verdict are
-    recomputed from them by the oracle's own square-root comparison, which shares no code with
-    the engine's ``cmp_sqrt_combination``.  The message of the first failed check is appended
-    to reasons.
-    """
-    oracle = _oracle()
-
-    def failed(reason: str) -> bool:
-        if reasons is not None:
-            reasons.append(reason)
-        return False
-
-    for field, domain, value, witness in (
-        ("c_sum", EllipsoidPair.normalized(cert.domain1, cert.domain2), cert.c_sum, cert.witness),
-        ("c1", cert.domain1, cert.c_1, None),
-        ("c2", cert.domain2, cert.c_2, None),
-    ):
-        try:
-            oracle.cross_check(cert.k, domain, value, witness)
-        except ValueError as exc:
-            return failed(f"{field}: {exc}")
-    comparison = oracle._cmp_root_sum(cert.c_sum.coeff, cert.c_1.coeff, cert.c_2.coeff)
-    if (comparison, _VERDICTS[comparison]) != (cert.comparison, cert.verdict):
-        got, claimed = f"{comparison.name} ({_VERDICTS[comparison]})", f"{cert.comparison.name} ({cert.verdict})"
-        return failed(f"comparison: the three values give {got}, not {claimed}")
-    return True
 
 
 def expected_family_coeff(k: int) -> Fraction:

@@ -9,7 +9,8 @@ Mathematical verdicts (Violates/Satisfies/Equality) are data and exit 0;
 usage, computation and parse errors print one ``Error: ...`` line on
 stderr and exit 2; a failed reproduction exits 3; a certificate that
 fails re-validation exits 1.  Only ``--verify`` and ``--check-certificate``
-load ``oracle``; certificates are checked by ``bm.verify_certificate`` alone.
+load ``verify``, the exact verifier; ``import capacity_lab.cli`` loads
+neither it nor the float ``oracle``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .bm import (
     mean_width,
     ostrover_criterion,
     reproduce_theorem,
-    verify_certificate,
 )
 from .domains import (
     DomainSpec,
@@ -124,7 +124,7 @@ def cmd_capacity(k, domain, fmt, verify):
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if verify:
-        from .oracle import cross_check
+        from .verify import cross_check
 
         try:
             cross_check(k, dom, value)
@@ -178,6 +178,8 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
                  "--verify": verify, f"--format {fmt}": fmt != "json"}
         if ignored := [name for name, used in given.items() if used]:
             raise CliError(f"--check-certificate FILE does not take {', '.join(ignored)}")
+        from .verify import verify_certificate
+
         try:
             with open(cert_path, "r", encoding="utf-8") as fh:
                 cert = BMCertificate.from_dict(json.load(fh))
@@ -197,8 +199,11 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
     e2 = _require_ellipsoid(_parse_domain_arg(domain2), "domain2")
     pair = EllipsoidPair.normalized(e1, e2)
     cert = bm_check(k, pair)
-    if verify and not verify_certificate(cert, reasons := []):
-        raise CliError(f"verification failed: {reasons[0]}")
+    if verify:
+        from .verify import verify_certificate
+
+        if not verify_certificate(cert, reasons := []):
+            raise CliError(f"verification failed: {reasons[0]}")
 
     def text():
         row = _certificate_row(cert)
@@ -232,6 +237,8 @@ def cmd_reproduce(k_max, fmt, verify):
         print(f"reproduction FAILED: {exc}", file=sys.stderr)
         return 3
     if verify:
+        from .verify import verify_certificate
+
         for row in rows:
             if not verify_certificate(row.certificate, reasons := []):
                 print(f"reproduction FAILED: oracle disagrees at k={row.k}: {reasons[0]}", file=sys.stderr)

@@ -1,5 +1,6 @@
-"""Exact rational scalars, capacities as rational multiples of pi, and
-irrational-free sign decisions for square-root expressions.
+"""Exact rational scalars, capacities as rational multiples of pi,
+irrational-free sign decisions for square-root expressions, and the
+Brunn-Minkowski verdict that each sign gives.
 
 Every scalar that enters a capacity computation is a ``fractions.Fraction``
 (arbitrary precision, always in lowest terms with positive denominator), so
@@ -33,6 +34,21 @@ class Ordering(enum.IntEnum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
+
+
+class Verdict(enum.Enum):
+    """Outcome of one Brunn-Minkowski comparison at index k."""
+
+    VIOLATES = "Violates"
+    SATISFIES = "Satisfies"
+    EQUALITY = "Equality"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+# the sign of sqrt(c_sum) - sqrt(c_1) - sqrt(c_2) decides the verdict
+_VERDICTS = {Ordering.LESS: Verdict.VIOLATES, Ordering.GREATER: Verdict.SATISFIES, Ordering.EQUAL: Verdict.EQUALITY}
 
 
 def cmp(x, y) -> Ordering:

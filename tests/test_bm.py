@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -30,10 +31,21 @@ from capacity_lab import (
     reproduce_theorem,
     verify_certificate,
 )
-from capacity_lab import _kernels, bm, exact, minkowski, oracle
+from capacity_lab import _kernels, bm, exact, minkowski
 from conftest import ellipsoids_st, pairs_st, radii_st
 
 F = Fraction
+
+# pi to 110 significant digits
+PI_110 = Decimal("3.1415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679821480865")
+
+
+def reference_margin(cert: BMCertificate) -> Decimal:
+    """sqrt(pi c_sum) - sqrt(pi c_1) - sqrt(pi c_2) at 100 significant digits, far beyond any cancellation here."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        s, t, u = (Decimal(v.coeff.numerator) / v.coeff.denominator for v in (cert.c_sum, cert.c_1, cert.c_2))
+        return PI_110.sqrt() * (s.sqrt() - t.sqrt() - u.sqrt())
 
 
 class TestFamilies:
@@ -133,6 +145,20 @@ class TestBmCheck:
         with pytest.raises(OverflowError):
             bm_check(2, even_family(2).scaled(2**1100)).margin()
 
+    @pytest.mark.parametrize("k", [2, 3, 40, 999, 10**5, 10**6 - 1, 10**6])
+    def test_family_margin_is_correctly_rounded(self, k):
+        # a difference of three rounded square roots read -0.0012533125705 at k = 10^6,
+        # against the correctly rounded -0.00125331257067
+        cert = bm_check(k, even_family(k) if k % 2 == 0 else odd_family(k))
+        assert cert.margin() == float(reference_margin(cert))
+
+    @given(pairs_st, st.integers(1, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_margin_is_correctly_rounded(self, pair, k):
+        cert = bm_check(k, pair)
+        if cert.comparison is not Ordering.EQUAL:
+            assert cert.margin() == float(reference_margin(cert))
+
     @given(pairs_st)
     @settings(max_examples=150, deadline=None)
     def test_k1_never_violates(self, pair):
@@ -215,7 +241,7 @@ class TestCertificates:
 
         monkeypatch.setattr(bm, "bm_check", engine)
         monkeypatch.setattr(bm, "sum_capacity_with_argmin", engine)
-        monkeypatch.setattr(oracle, "sum_capacity_with_argmin", engine)
+        monkeypatch.setattr(minkowski, "_norm_coeff", engine)
         monkeypatch.setattr(minkowski, "sum_capacity_with_argmin", engine)
         for cert in certs:
             assert verify_certificate(cert) is True

@@ -582,7 +582,7 @@ class TestOptionsAndErrors:
 
         cert_file = tmp_path / "cert.json"
         cert_file.write_text(invoke(runner, "bm-check", "2", "E(3/2,1)", "E(1,3/2)").output)
-        monkeypatch.setattr(cli, "verify_certificate", verify)
+        monkeypatch.setattr("capacity_lab.verify.verify_certificate", verify)
         res = runner.invoke(main, ["bm-check", "3", "E(1,1)", "E(2/3,1)", "--verify"], catch_exceptions=False)
         assert (res.exit_code, res.output) == (2, "Error: verification failed: forged rejection\n")
         res = runner.invoke(main, ["reproduce", "4", "--verify"], catch_exceptions=False)
@@ -596,7 +596,7 @@ class TestOptionsAndErrors:
         def disagree(*args):
             raise ValueError("forged disagreement")
 
-        monkeypatch.setattr("capacity_lab.oracle.cross_check", disagree)
+        monkeypatch.setattr("capacity_lab.verify.cross_check", disagree)
         res = runner.invoke(main, ["capacity", "2", "E(3/2,1)", "--verify"], catch_exceptions=False)
         assert res.exit_code == 2
         assert "verification failed: forged disagreement" in res.output
@@ -656,7 +656,40 @@ class TestExactPathImports:
         assert res.returncode == 0, res.stderr
         loaded = set(json.loads(res.stdout))
         assert "numpy" not in loaded and "capacity_lab._kernels" not in loaded
-        assert "click" not in loaded and "capacity_lab.oracle" not in loaded
+        assert "click" not in loaded and "capacity_lab.oracle" not in loaded and "capacity_lab.verify" not in loaded
+
+    def test_verifier_loads_no_engine(self):
+        # the engine computes the values here; a fresh interpreter checks them with verify alone
+        cases = []
+        for k, text in [(7, "E(3/2,1)"), (7, "P(2,3)"), (5, "sum(E(1,2),E(2,4))"),
+                        (10**6, "sum(E(3/2,1),E(1,3/2))"), (5, "prod(E(1,1),2,10)")]:
+            domain = capacity_lab.parse_domain(text)
+            value, witnesses = capacity_lab.capacity(k, domain).coeff, [None]
+            if isinstance(domain, EllipsoidPair) and not domain.proportional:
+                w = minkowski.sum_capacity_with_argmin(k, domain)[1]
+                witnesses.append([w.v1, w.v2])
+            cases += [[k, text, value.numerator, value.denominator, w] for w in witnesses]
+            cases.append([k, text, value.numerator + value.denominator, value.denominator, None])
+        script = (
+            "import json, sys\nfrom fractions import Fraction\n"
+            "from capacity_lab.domains import IndexVector, parse_domain\n"
+            "from capacity_lab.exact import PiRational\nfrom capacity_lab.verify import cross_check\n"
+            "accepted = []\n"
+            "for k, text, num, den, w in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        cross_check(k, parse_domain(text), PiRational(Fraction(num, den)), w and IndexVector(*w))\n"
+            "        accepted.append(True)\n"
+            "    except ValueError:\n"
+            "        accepted.append(False)\n"
+            "engine = ['capacity_lab.minkowski', 'capacity_lab.bm', 'capacity_lab.oracle', 'numpy']\n"
+            "print(json.dumps([accepted, [m for m in engine if m in sys.modules]]))"
+        )
+        res = run_fresh("-c", script, json.dumps(cases))
+        assert res.returncode == 0, res.stderr
+        accepted, loaded = json.loads(res.stdout)
+        # each exact value passes, with and without a witness, and the same value plus 1 fails
+        assert accepted == [True, False] * 3 + [True, True, False] + [True, False]
+        assert loaded == []
 
     def test_check_certificate_never_imports_numpy(self, runner, tmp_path):
         cert_file = tmp_path / "cert.json"
@@ -693,7 +726,7 @@ class TestExactPathImports:
         res = run_with_importtime("capacity", "5", "sum(E(3/2,1),E(1,3/2))", "--verify")
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["verified"] is True
-        assert "capacity_lab.oracle" in res.stderr
+        assert "capacity_lab.verify" in res.stderr and "capacity_lab.oracle" not in res.stderr
         assert not imports_numpy(res)
 
 

@@ -31,7 +31,7 @@ from capacity_lab import (
     sum_capacity,
 )
 from capacity_lab.domains import _common_denominator, _kth_merged_multiple, _require_positive_k, convex_argmin
-from capacity_lab.oracle import _is_kth_merged_multiple
+from capacity_lab.verify import _is_kth_merged_multiple
 from conftest import ellipsoids_st, radii_st, random_ellipsoid, scale_domain
 from reference_parser import reference_parse_domain
 
@@ -158,7 +158,7 @@ class TestEllipsoidCapacity:
 
 
 def ellipsoid_capacity_bruteforce(k: int, e: Ellipsoid) -> PiRational:
-    """O(k) reference for ellipsoid_capacity and for the counting check in ``oracle.cross_check``.
+    """O(k) reference for ellipsoid_capacity and for the counting check in ``verify.cross_check``.
 
     With a^2 = A/den and b^2 = B/den over a common denominator, the integer
     progressions A, 2A, ... and B, 2B, ... are merged lazily up to the k-th.
@@ -301,12 +301,12 @@ class TestBruteforce:
 
 
 def is_kth(k, c, alpha, beta):
-    """``oracle._is_kth_merged_multiple`` on steps alpha and beta given as Fractions."""
+    """``verify._is_kth_merged_multiple`` on steps alpha and beta given as Fractions."""
     return _is_kth_merged_multiple(k, c, (alpha.numerator, alpha.denominator), (beta.numerator, beta.denominator))
 
 
 class TestCountingCheck:
-    """``oracle._is_kth_merged_multiple``, the O(1) test behind ``cross_check`` on ellipsoids."""
+    """``verify._is_kth_merged_multiple``, the O(1) test behind ``cross_check`` on ellipsoids."""
 
     @given(ellipsoids_st, st.integers(1, 400))
     @settings(max_examples=300)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from capacity_lab import (
     Polydisk,
     ProductWithBall,
     SignCheckReport,
+    StabilizationError,
+    bm_check,
     capacity,
     cross_check,
     even_family,
@@ -23,18 +26,19 @@ from capacity_lab import (
     s_derivative_signcheck,
     support_norm,
     support_norm_numeric,
+    verify_certificate,
 )
-from capacity_lab import minkowski, oracle
+from capacity_lab import bm, minkowski, oracle, verify
 from capacity_lab.exact import Ordering, cmp_sqrt_combination
 from capacity_lab.oracle import (
     DEFAULT_CONFIG,
-    _cmp_root_sum,
     _critical,
     _fd_derivative,
     _float_radii,
     _s_over_pi,
     _s_prime_over_pi,
 )
+from capacity_lab.verify import _cmp_root_sum
 from conftest import nonprop_pairs_st, random_nonprop_pair
 
 F = Fraction
@@ -128,15 +132,33 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check(5, domain, forged)
 
-    @pytest.mark.parametrize("shift", [-1, 1])
-    def test_rejects_a_shifted_argmin(self, monkeypatch, shift):
-        # v1 = 2000 is the unique minimizer at k = 4000 for this pair
-        k, pair = 4000, even_family(4000)
-        v1 = 2000 + shift
-        norm = support_norm(IndexVector(v1, k - v1), pair)
-        monkeypatch.setattr(oracle, "sum_capacity_with_argmin", lambda k, pair: (norm, IndexVector(v1, k - v1)))
-        with pytest.raises(ValueError, match="minimizer|local minimum"):
-            cross_check(k, pair, norm)
+    def test_witness_less_sums_run_no_engine(self, monkeypatch):
+        # the verifier finds v1 with its own norms, so an engine that fails on every call goes unnoticed
+        cases = [(k, even_family(k)) for k in (2, 4000, 10**6)] + [(3, ODD3), (7, odd_family(7))]
+        cases += [(5, EllipsoidPair.normalized(Ellipsoid(F(1, 3), F(1, 4)), Ellipsoid(F(1, 4), F(1, 3))))]
+        certs = [bm_check(k, pair) for k, pair in cases]
+        values = [capacity(k, pair) for k, pair in cases]
+
+        def engine(*args):
+            pytest.fail("the verifier ran the engine")
+
+        monkeypatch.setattr(minkowski, "sum_capacity_with_argmin", engine)
+        monkeypatch.setattr(minkowski, "_norm_coeff", engine)
+        monkeypatch.setattr(bm, "bm_check", engine)
+        for (k, pair), value, cert in zip(cases, values, certs):
+            cross_check(k, pair, value)
+            with pytest.raises(ValueError, match=f"norm at the argmin v1 = {cert.witness.v1} is"):
+                cross_check(k, pair, PiRational(value.coeff + F(1, 10**9)))
+            assert verify_certificate(replace(cert, witness=None)) is True
+
+    def test_witness_less_argmin_is_the_engines(self, rng):
+        # a forged value names the verifier's own v1, which must be the engine's smallest minimizer
+        for _ in range(40):
+            pair = random_nonprop_pair(rng)
+            k = rng.choice([rng.randint(1, 60), rng.randint(1, 10**6)])
+            value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
+            with pytest.raises(ValueError, match=f"norm at the argmin v1 = {argmin.v1} is"):
+                cross_check(k, pair, PiRational(value.coeff * 2))
 
     @pytest.mark.parametrize("k", [2, 40, 4000])
     def test_rejects_a_wrong_branch_norm(self, monkeypatch, k):
@@ -184,7 +206,7 @@ class TestCrossCheck:
     def test_witness_never_runs_the_engine(self, monkeypatch):
         k, pair = 10**6, even_family(10**6)
         value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
-        monkeypatch.setattr(oracle, "sum_capacity_with_argmin", lambda *args: pytest.fail("engine ran"))
+        monkeypatch.setattr(minkowski, "sum_capacity_with_argmin", lambda *args: pytest.fail("engine ran"))
         cross_check(k, pair, value, argmin)
 
     def test_witness_must_sum_to_k(self):
@@ -199,6 +221,22 @@ class TestCrossCheck:
     def test_witness_only_on_a_nonproportional_sum(self, domain):
         with pytest.raises(ValueError, match="no argmin to witness"):
             cross_check(3, domain, capacity(3, domain), IndexVector(1, 2))
+
+    @pytest.mark.parametrize(
+        "k, R, stabilized",
+        [(7, F(1, 10), False), (7, 2, False), (7, F(2 * 10**9 + 1, 10**9), True), (3, 10, True)],
+    )
+    def test_product_needs_the_stabilization_condition(self, k, R, stabilized):
+        # c_7(E(1,1)) = 4 pi and c_3(E(1,1)) = 2 pi: R = 2 sits on the boundary R^2 = c and is refused
+        domain, value = ProductWithBall(Ellipsoid(1, 1), 1, R), capacity(k, Ellipsoid(1, 1))
+        if stabilized:
+            assert capacity(k, domain) == value
+            cross_check(k, domain, value)
+        else:
+            with pytest.raises(StabilizationError):
+                capacity(k, domain)
+            with pytest.raises(ValueError, match="stabilization condition unmet"):
+                cross_check(k, domain, value)
 
     def test_unsupported_domain(self):
         with pytest.raises(TypeError):
@@ -234,7 +272,7 @@ nonnegative_st = st.fractions(min_value=0, max_value=50, max_denominator=30)
 
 
 class TestRootSumComparison:
-    """``oracle._cmp_root_sum``, the verifier's comparison, against the engine's ``cmp_sqrt_combination``."""
+    """``verify._cmp_root_sum``, the verifier's comparison, against the engine's ``cmp_sqrt_combination``."""
 
     @given(nonnegative_st, nonnegative_st, nonnegative_st)
     @settings(max_examples=500)
@@ -580,7 +618,7 @@ class TestExactProfile:
             a, b, c, d = pair.radii
             k = rng.randint(1, 300)
             v1 = rng.randint(0, k)
-            norm = F(*oracle._s_max(pair)(v1, k - v1))
+            norm = F(*verify._s_max(pair)(v1, k - v1))
             assert norm == support_norm(IndexVector(v1, k - v1), pair).coeff, (pair.radii, v1, k)
             interior += norm > max(v1 * (a + c) ** 2, (k - v1) * (b + d) ** 2)
         # both branches of the support-norm formula occur among the draws
@@ -591,7 +629,7 @@ def reference_s_max(pair: EllipsoidPair):
     """(v1, v2) -> |(v1, v2)|* / pi as the largest of S at c/a, at d/b and at an interior
     maximum N/D, each evaluated in Fractions.
 
-    The Fraction form that the integer-pair ``oracle._s_max`` replaced, kept as its reference.
+    The Fraction form that the integer-pair ``verify._s_max`` replaced, kept as its reference.
     """
     a, b, c, d = radii = pair.radii
     S = _s_over_pi(*radii)
@@ -628,7 +666,7 @@ class TestIntegerSMax:
     @settings(max_examples=200, deadline=None)
     @given(pair=nonprop_pairs_st, k=st.integers(1, 300), data=st.data())
     def test_matches_the_fraction_reference(self, pair, k, data):
-        h, want = oracle._s_max(pair), reference_s_max(pair)
+        h, want = verify._s_max(pair), reference_s_max(pair)
         for v1 in (0, k, data.draw(st.integers(0, k))):
             num, den = h(v1, k - v1)
             assert den > 0
@@ -639,7 +677,7 @@ class TestIntegerSMax:
         assert found["c/a"] and found["d/b"]
         for cases in found.values():
             for pair, k, v1 in cases:
-                assert F(*oracle._s_max(pair)(v1, k - v1)) == reference_s_max(pair)(v1, k - v1)
+                assert F(*verify._s_max(pair)(v1, k - v1)) == reference_s_max(pair)(v1, k - v1)
 
 
 class TestUnimodality:
