@@ -132,6 +132,17 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check(5, domain, forged)
 
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_rejects_a_shifted_argmin(self, monkeypatch, shift):
+        # v1 = 2000 is the unique minimizer at k = 4000 for this pair; an engine
+        # that names a shifted v1 and its norm does not fool the verifier
+        k, pair = 4000, even_family(4000)
+        v1 = 2000 + shift
+        norm = support_norm(IndexVector(v1, k - v1), pair)
+        monkeypatch.setattr(minkowski, "sum_capacity_with_argmin", lambda k, pair: (norm, IndexVector(v1, k - v1)))
+        with pytest.raises(ValueError, match="norm at the argmin v1 = 2000 is"):
+            cross_check(k, pair, norm)
+
     def test_witness_less_sums_run_no_engine(self, monkeypatch):
         # the verifier finds v1 with its own norms, so an engine that fails on every call goes unnoticed
         cases = [(k, even_family(k)) for k in (2, 4000, 10**6)] + [(3, ODD3), (7, odd_family(7))]
