@@ -7,9 +7,10 @@ Brunn-Minkowski certificate carries the argmin of the sum as its witness.
 ``verify`` is the one exact verifier: ``cross_check`` re-derives a
 capacity and ``verify_certificate`` a certificate, from ``domains`` and
 ``exact`` alone, never with the engine that wrote it.  Floating point is
-confined to the numeric oracles, the boundary-curve samplers and the
-Monte Carlo mean-width estimator, which import numpy when called; an
-exact computation or its verification never loads numpy.
+confined to ``_kernels``, the one module that imports numpy: the numeric
+oracles, the boundary-curve samplers and the Monte Carlo mean-width
+estimator.  No exact module imports it, so an exact computation or its
+verification never loads numpy.
 
 The namespace is lazy (PEP 562): importing the package loads none of its
 modules, and each public name loads its module on first access.
@@ -29,16 +30,16 @@ _MODULES = {
         " StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin"
         " format_domain parse_domain polydisk_capacity product_with_ball_capacity"
     ),
-    "minkowski": (
-        "ConvexityReport OmegaSample convexity_check omega_curve sum_capacity sum_capacity_with_argmin support_norm"
-    ),
-    "oracle": "OracleConfig SignCheckReport golden_max s_derivative_signcheck support_norm_numeric",
+    "minkowski": "sum_capacity sum_capacity_with_argmin support_norm",
     "bm": (
-        "BMCertificate CriterionReport MeanWidthEstimate ReproduceRow ReproductionError bm_check"
-        " even_family expected_family_coeff mean_width mean_width_estimate odd_family ostrover_criterion"
-        " reproduce_theorem"
+        "BMCertificate CriterionReport ReproduceRow ReproductionError bm_check even_family"
+        " expected_family_coeff mean_width odd_family ostrover_criterion reproduce_theorem"
     ),
     "verify": "cross_check verify_certificate",
+    "_kernels": (
+        "ConvexityReport MeanWidthEstimate OmegaSample OracleConfig SignCheckReport convexity_check"
+        " golden_max mean_width_estimate omega_curve s_derivative_signcheck support_norm_numeric"
+    ),
 }
 # public name -> the module that defines it
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names.split()}

@@ -1,6 +1,5 @@
 """Brunn-Minkowski violation certificates, the two counterexample families,
-the exact mean width with its Monte Carlo cross-check, and the mean-width
-capacity criterion.
+the exact mean width and the mean-width capacity criterion.
 
 A certificate records the exact capacities c_k of a Minkowski sum and of
 its two summands together with the exact ordering of sqrt(c_sum) against
@@ -204,8 +203,8 @@ def mean_width(domain: DomainSpec) -> Fraction:
     """Exact mean width M(K): the average of the support function of K over S^3.
 
     The support function depends only on p = |z1|^2, which is uniform on
-    [0, 1] for a uniform point of S^3 (see ``mean_width_estimate``), so M
-    is an integral over p in closed form:
+    [0, 1] for a uniform point of S^3 (see ``_kernels.mean_width_estimate``,
+    its Monte Carlo cross-check), so M is an integral over p in closed form:
 
         M(P(a,b)) = 2(a + b)/3,   M(E(a,b)) = 2(a^2 + ab + b^2) / (3(a + b)).
 
@@ -223,81 +222,6 @@ def mean_width(domain: DomainSpec) -> Fraction:
         "mean width supports only 4-dimensional ellipsoids, polydisks and ellipsoid sums, "
         f"got {format_domain(domain)}"
     )
-
-
-@dataclass(frozen=True)
-class MeanWidthEstimate:
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
-
-
-_CHUNK = 1 << 16
-
-
-def mean_width_estimate(domain: DomainSpec, samples: int, seed: int) -> MeanWidthEstimate:
-    """Monte Carlo mean width of a 4-dimensional ellipsoid or polydisk.
-
-    Averages the support function over uniform points of S^3.  Only the
-    squared plane-split p = |(x1,x2)|^2 of each point enters the support
-    function:
-
-        P(a,b): a sqrt(p) + b sqrt(1-p)
-        E(a,b): sqrt(b^2 + (a^2 - b^2) p)
-
-    For a uniform point of S^3 in C^2, the moment coordinate p = |z1|^2 is
-    itself uniform on [0, 1] (Archimedes' theorem in dimension 4: p is
-    u/(u+w) for independent chi-squared(2) u and w, which is Beta(1,1)).
-    So each sample is one uniform draw of p from a seeded generator.
-
-    The samples are drawn in chunks of at most 2^16 points into three
-    arrays allocated once per call (1.5 MB, small enough to stay in
-    cache); the chunks' means and squared deviations are merged with
-    Chan's pairwise update, so memory does not grow with the sample count.
-    stderr is the sample standard deviation over sqrt(samples).
-    """
-    if samples < 100:
-        raise ValueError(f"samples must be >= 100, got {samples}")
-    # checked before numpy loads, so a refusal works without numpy
-    if not isinstance(domain, (Ellipsoid, Polydisk)):
-        raise ValueError(
-            f"mean width supports only 4-dimensional ellipsoids and polydisks, got {format_domain(domain)}"
-        )
-    import numpy as np
-
-    from . import _kernels
-
-    split = _kernels.ellipsoid_support_split if isinstance(domain, Ellipsoid) else _kernels.polydisk_support_split
-    a, b = float(domain.a), float(domain.b)
-    rng = np.random.default_rng(seed)
-    size = min(_CHUNK, samples)
-    buffers = np.empty(size), np.empty(size), np.empty(size)
-    count, mean, m2 = 0, 0.0, 0.0
-    while count < samples:
-        n = min(_CHUNK, samples - count)
-        chunk_mean, chunk_m2 = _chunk_moments(rng, n, split, a, b, buffers)
-        total = count + n
-        delta = chunk_mean - mean
-        mean += delta * (n / total)
-        m2 += chunk_m2 + delta * delta * (count * n / total)
-        count = total
-    sd = math.sqrt(m2 / (samples - 1))
-    return MeanWidthEstimate(mean=mean, stderr=sd / math.sqrt(samples), samples=samples, seed=seed)
-
-
-def _chunk_moments(rng: np.random.Generator, n: int, split, a: float, b: float, buffers) -> tuple[float, float]:
-    # Mean and sum of squared deviations of the support values at n uniform
-    # draws of p.  Every array is the first n entries of one of the three
-    # reused buffers (p, the values, split's scratch), so a chunk allocates
-    # nothing; the deviations overwrite the values in place.
-    p, out, rest = (buf[:n] for buf in buffers)
-    rng.random(out=p)
-    values = split(p, a, b, out=out, rest=rest)
-    mean = float(values.mean())
-    values -= mean
-    values *= values
-    return mean, float(values.sum())
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ Mathematical verdicts (Violates/Satisfies/Equality) are data and exit 0;
 usage, computation and parse errors print one ``Error: ...`` line on
 stderr and exit 2; a failed reproduction exits 3; a certificate that
 fails re-validation exits 1.  Only ``--verify`` and ``--check-certificate``
-load ``verify``, the exact verifier; ``import capacity_lab.cli`` loads
-neither it nor the float ``oracle``.
+load ``verify``, the exact verifier, and only ``omega`` loads
+``_kernels``, the float module; ``import capacity_lab.cli`` loads neither.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .domains import (
     parse_domain,
 )
 from .exact import format_decimal, format_rational
-from .minkowski import omega_curve
 
 K_CAP = 10**6
 SAMPLES_CAP = 10**5
@@ -241,7 +240,7 @@ def cmd_reproduce(k_max, fmt, verify):
 
         for row in rows:
             if not verify_certificate(row.certificate, reasons := []):
-                print(f"reproduction FAILED: oracle disagrees at k={row.k}: {reasons[0]}", file=sys.stderr)
+                print(f"reproduction FAILED: verify_certificate rejects k={row.k}: {reasons[0]}", file=sys.stderr)
                 return 3
     table = [_certificate_row(row.certificate, row.family) for row in rows]
     _emit(fmt, lambda: table, ["k", "family", "c_sum", "c1", "c2", "verdict"], lambda: table, lambda: [
@@ -259,6 +258,8 @@ def cmd_omega(domain1, domain2, samples, out, fmt):
     e2 = _require_ellipsoid(_parse_domain_arg(domain2), "domain2")
     pair = EllipsoidPair.normalized(e1, e2)
     try:
+        from ._kernels import omega_curve
+
         points = omega_curve(pair, samples)
     except ValueError as exc:
         raise CliError(str(exc)) from None

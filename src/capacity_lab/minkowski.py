@@ -1,16 +1,11 @@
-"""Minkowski sums of two symplectic ellipsoids: boundary parameterization,
-convexity verification, and exact capacities through the dual support norm.
+"""Exact capacities of Minkowski sums of two symplectic ellipsoids,
+through the dual support norm.
 
-The boundary of E(a,b) + E(c,d) respects the two complex factors. With
-psi in [0, pi/2] it is traced by radii
-
-    g(psi) = cos psi * (a + c^2 / (a f(psi)))
-    h(psi) = sin psi * (b + d^2 / (b f(psi)))
-    f(psi) = sqrt((c/a)^2 cos^2 psi + (d/b)^2 sin^2 psi)
-
-and the moment-map image of the sum is the region under the curve
-psi -> (pi g^2, pi h^2).  The dual norm of an index vector v = (v1, v2)
-over that region has an exact rational branch formula: with
+The moment-map image of E(a,b) + E(c,d) is the region under the
+boundary curve psi -> (pi g^2, pi h^2); g, h and f(psi), which runs from
+c/a to d/b, are written out in ``_kernels``, which samples the curve in
+floats.  The dual norm of an index vector v = (v1, v2) over that region
+has an exact rational branch formula: with
 
     D = v2 b^2 - v1 a^2,   N = v1 c^2 - v2 d^2,   f0 = N / D,
 
@@ -23,13 +18,10 @@ multiple of pi.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .domains import (
-    Ellipsoid,
     EllipsoidPair,
     IndexVector,
     _common_denominator,
@@ -40,90 +32,12 @@ from .domains import (
 from .exact import PiRational
 
 
-@dataclass(frozen=True)
-class OmegaSample:
-    """One point (x1, x2) = (pi g^2, pi h^2) of the moment-image boundary curve."""
-
-    psi: float
-    x1: float
-    x2: float
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    ok: bool
-    worst_C1: float
-    worst_C2: float
-    grid: int
-
-
 def _require_nonproportional(pair: EllipsoidPair, op: str) -> None:
     if pair.proportional:
         raise ValueError(
             f"{op} requires a non-proportional pair; a proportional sum is the "
             "ellipsoid E(a+c, b+d), use the ellipsoid operations directly"
         )
-
-
-def _float_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, float]:
-    """The radii a, b, c, d as floats, for the float paths; refuses a proportional pair."""
-    _require_nonproportional(pair, op)
-    a, b, c, d = pair.radii
-    return float(a), float(b), float(c), float(d)
-
-
-def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
-    """samples+1 moment-image boundary points at uniformly spaced psi.
-
-    The first and last entries are exactly (pi (a+c)^2, 0) and
-    (0, pi (b+d)^2) as floats of the rational radii.  Radii whose curve
-    leaves float range raise ValueError.
-    """
-    _require_nonproportional(pair, "omega_curve")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    import numpy as np
-
-    from . import _kernels
-
-    a, b, c, d = pair.radii
-    psis = 0.5 * math.pi * np.arange(samples + 1) / samples
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            x1, x2 = _kernels.omega_xy(float(a), float(b), float(c), float(d), psis)
-        ends = math.pi * float((a + c) ** 2), math.pi * float((b + d) ** 2)
-        finite = math.isfinite(max(ends)) and np.isfinite(x1).all() and np.isfinite(x2).all()
-    except ArithmeticError:  # a radius or an intermediate beyond float range, or a division by zero
-        finite = False
-    if not finite:
-        raise ValueError("omega_curve samples of these radii lie beyond float range")
-    out = [OmegaSample(float(p), float(u), float(w)) for p, u, w in zip(psis, x1, x2)]
-    out[0] = OmegaSample(0.0, ends[0], 0.0)
-    out[-1] = OmegaSample(float(psis[-1]), 0.0, ends[1])
-    return out
-
-
-def convexity_check(pair: EllipsoidPair, grid: int) -> ConvexityReport:
-    """Verify C' < 0 and C'' < 0 at grid interior angles.
-
-    C is the function with C(pi g^2) = pi h^2 along the boundary curve.
-    Closed forms are evaluated at psi = j*(pi/2)/(grid+1), j = 1..grid.
-    Besides strict negativity, the structural facts are asserted: C' is a
-    ratio of positive quantities with a leading minus sign, and C'' has
-    the sign of g' (negative on the open quadrant).
-    """
-    af, bf, cf, df = _float_radii(pair, "convexity_check")
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
-    import numpy as np
-
-    from . import _kernels
-
-    psis = 0.5 * math.pi * np.arange(1, grid + 1) / (grid + 1)
-    c1, c2, gp = _kernels.convexity_grid(af, bf, cf, df, psis)
-    signs_match = bool(np.all((c2 < 0) == (gp < 0)))
-    ok = bool(np.all(c1 < 0) and np.all(c2 < 0) and np.all(gp < 0) and signs_match)
-    return ConvexityReport(ok=ok, worst_C1=float(c1.max()), worst_C2=float(c2.max()), grid=grid)
 
 
 def support_norm(v: IndexVector, pair: EllipsoidPair) -> PiRational:

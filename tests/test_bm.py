@@ -456,7 +456,7 @@ class TestMeanWidth:
     def test_chunks_merge_to_the_one_pass_moments(self, dom):
         # the chunks draw one contiguous stream, so one pass over all of it
         # gives the same moments up to the order of summation
-        n = 3 * bm._CHUNK + 17
+        n = 3 * _kernels._CHUNK + 17
         split = _kernels.polydisk_support_split if isinstance(dom, Polydisk) else _kernels.ellipsoid_support_split
         values = split(np.random.default_rng(8).random(n), float(dom.a), float(dom.b))
         mean = float(values.mean())
@@ -483,7 +483,7 @@ class TestMeanWidth:
     @pytest.mark.parametrize("dom", MEAN_WIDTH_DOMAINS)
     def test_agrees_with_gaussian_reference(self, dom, monkeypatch):
         new = mean_width_estimate(dom, 400_000, seed=13)
-        monkeypatch.setattr(bm, "_chunk_moments", reference_gaussian_chunk_moments)
+        monkeypatch.setattr(_kernels, "_chunk_moments", reference_gaussian_chunk_moments)
         old = mean_width_estimate(dom, 400_000, seed=13)
         assert new != old
         assert abs(new.mean - old.mean) <= 5 * math.hypot(new.stderr, old.stderr)

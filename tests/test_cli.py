@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -541,7 +542,7 @@ class TestOptionsAndErrors:
             assert res.output.startswith("usage: capacity-lab")
 
     def test_omega_samples_cap(self, runner, monkeypatch):
-        monkeypatch.setattr(cli, "omega_curve", lambda *args: pytest.fail("sampled past the --samples cap"))
+        monkeypatch.setattr("capacity_lab._kernels.omega_curve", lambda *args: pytest.fail("sampled past the --samples cap"))
         args = ["omega", "E(1,1)", "E(2/3,1)", "--samples", str(cli.SAMPLES_CAP + 1)]
         res = runner.invoke(main, args, catch_exceptions=False)
         assert res.exit_code == 2
@@ -586,7 +587,7 @@ class TestOptionsAndErrors:
         res = runner.invoke(main, ["bm-check", "3", "E(1,1)", "E(2/3,1)", "--verify"], catch_exceptions=False)
         assert (res.exit_code, res.output) == (2, "Error: verification failed: forged rejection\n")
         res = runner.invoke(main, ["reproduce", "4", "--verify"], catch_exceptions=False)
-        assert (res.exit_code, res.output) == (3, "reproduction FAILED: oracle disagrees at k=2: forged rejection\n")
+        assert (res.exit_code, res.output) == (3, "reproduction FAILED: verify_certificate rejects k=2: forged rejection\n")
         res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
         assert res.exit_code == 1
         assert res.output.splitlines()[1] == "certificate invalid: forged rejection"
@@ -604,7 +605,7 @@ class TestOptionsAndErrors:
         assert res.exit_code == 2
         res = runner.invoke(main, ["reproduce", "4", "--verify"], catch_exceptions=False)
         assert res.exit_code == 3
-        assert "oracle disagrees at k=2" in res.output
+        assert "verify_certificate rejects k=2" in res.output
 
 
 def run_fresh(*args):
@@ -620,6 +621,25 @@ def run_with_importtime(*args):
 
 def imports_numpy(res):
     return "numpy" in res.stderr
+
+
+EXACT_MODULES = ("exact", "domains", "minkowski", "bm", "verify")
+
+
+def float_imports(path):
+    """(top-level definition, imported name) of each import of numpy or _kernels in PATH, at any depth."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" if node.module else alias.name for alias in node.names]
+            else:
+                continue
+            found += [(owner, name) for name in names if {"numpy", "_kernels"} & set(name.split("."))]
+    return found
 
 
 class TestExactPathImports:
@@ -656,7 +676,7 @@ class TestExactPathImports:
         assert res.returncode == 0, res.stderr
         loaded = set(json.loads(res.stdout))
         assert "numpy" not in loaded and "capacity_lab._kernels" not in loaded
-        assert "click" not in loaded and "capacity_lab.oracle" not in loaded and "capacity_lab.verify" not in loaded
+        assert "click" not in loaded and "capacity_lab.verify" not in loaded
 
     def test_verifier_loads_no_engine(self):
         # the engine computes the values here; a fresh interpreter checks them with verify alone
@@ -681,7 +701,7 @@ class TestExactPathImports:
             "        accepted.append(True)\n"
             "    except ValueError:\n"
             "        accepted.append(False)\n"
-            "engine = ['capacity_lab.minkowski', 'capacity_lab.bm', 'capacity_lab.oracle', 'numpy']\n"
+            "engine = ['capacity_lab.minkowski', 'capacity_lab.bm', 'capacity_lab._kernels', 'numpy']\n"
             "print(json.dumps([accepted, [m for m in engine if m in sys.modules]]))"
         )
         res = run_fresh("-c", script, json.dumps(cases))
@@ -711,22 +731,41 @@ class TestExactPathImports:
         assert res.stderr == ""
 
     def test_omega_without_numpy_is_one_error_line(self):
+        # also for the proportional pair E(2,2): omega_curve would refuse it, but its module cannot load
+        for domain2 in ("E(2/3,1)", "E(2,2)"):
+            script = (
+                "import sys\nsys.modules['numpy'] = None\nfrom capacity_lab.cli import main\n"
+                f"sys.exit(main(['omega', 'E(1,1)', '{domain2}']))"
+            )
+            res = run_fresh("-c", script)
+            assert (res.returncode, res.stdout) == (2, "")
+            assert res.stderr == (
+                "Error: omega samples the curve with numpy, which cannot be imported: "
+                "import of numpy halted; None in sys.modules\n"
+            )
+
+    def test_mean_width_estimate_without_numpy_raises_import_error(self):
+        # the estimator's module needs numpy, so even a domain it refuses raises ImportError
         script = (
-            "import sys\nsys.modules['numpy'] = None\nfrom capacity_lab.cli import main\n"
-            "sys.exit(main(['omega', 'E(1,1)', 'E(2/3,1)']))"
+            "import sys\nsys.modules['numpy'] = None\nimport capacity_lab\n"
+            "domain = capacity_lab.parse_domain('sum(E(1,1),E(2/3,1))')\n"
+            "try:\n    capacity_lab.mean_width_estimate(domain, 1000, 0)\n"
+            "except ImportError as exc:\n    print('ImportError:', exc)"
         )
         res = run_fresh("-c", script)
-        assert (res.returncode, res.stdout) == (2, "")
-        assert res.stderr == (
-            "Error: omega samples the curve with numpy, which cannot be imported: "
-            "import of numpy halted; None in sys.modules\n"
-        )
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == "ImportError: import of numpy halted; None in sys.modules\n"
+
+    def test_exact_modules_import_no_float_code(self):
+        # every import at any depth; only cmd_omega of the CLI may load _kernels
+        found = {module: float_imports(SRC / "capacity_lab" / f"{module}.py") for module in EXACT_MODULES + ("cli",)}
+        assert found == {**{module: [] for module in EXACT_MODULES}, "cli": [("cmd_omega", "_kernels.omega_curve")]}
 
     def test_sum_verify_never_imports_numpy(self):
         res = run_with_importtime("capacity", "5", "sum(E(3/2,1),E(1,3/2))", "--verify")
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["verified"] is True
-        assert "capacity_lab.verify" in res.stderr and "capacity_lab.oracle" not in res.stderr
+        assert "capacity_lab.verify" in res.stderr and "capacity_lab._kernels" not in res.stderr
         assert not imports_numpy(res)
 
 

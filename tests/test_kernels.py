@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import capacity_lab
-from capacity_lab import _kernels, oracle
+from capacity_lab import _kernels
 from conftest import random_nonprop_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -57,7 +57,7 @@ def _support_max_grid_reference(v1, v2, a, b, c, d, grid, iters):
 
     lo = 0.5 * math.pi * max(besti - 1, 0) / grid
     hi = 0.5 * math.pi * min(besti + 1, grid) / grid
-    return max(float(vals[besti]), oracle.golden_max(objective, lo, hi, iters))
+    return max(float(vals[besti]), _kernels.golden_max(objective, lo, hi, iters))
 
 
 def _cases(rng, n):
@@ -150,8 +150,8 @@ class TestAngleTable:
 
 
 class TestGoldenMax:
-    def test_one_definition_under_three_names(self):
-        assert _kernels.golden_max is oracle.golden_max is capacity_lab.golden_max
+    def test_one_definition_under_two_names(self):
+        assert _kernels.golden_max is capacity_lab.golden_max
 
     def test_interior_peak(self):
         assert _kernels.golden_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 80) == pytest.approx(0.0, abs=1e-15)

@@ -26,7 +26,7 @@ from capacity_lab import (
 )
 from capacity_lab import _kernels, minkowski
 from capacity_lab.domains import _require_positive_k
-from capacity_lab.oracle import _s_over_pi
+from capacity_lab._kernels import _s_over_pi
 from conftest import nonprop_pairs_st, pairs_st, random_nonprop_pair
 
 F = Fraction

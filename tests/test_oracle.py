@@ -28,9 +28,9 @@ from capacity_lab import (
     support_norm_numeric,
     verify_certificate,
 )
-from capacity_lab import bm, minkowski, oracle, verify
+from capacity_lab import _kernels, bm, minkowski, verify
 from capacity_lab.exact import Ordering, cmp_sqrt_combination
-from capacity_lab.oracle import (
+from capacity_lab._kernels import (
     DEFAULT_CONFIG,
     _critical,
     _fd_derivative,
@@ -606,8 +606,8 @@ class TestExactProfile:
             lo, hi = c / a, d / b
             for j in range(8):
                 f = lo + (hi - lo) * F(j, 7)
-                assert oracle._s_over_pi(a, b, c, d)(v1, k - v1, f) == laurent_value(S, f)
-                closed = oracle._s_prime_over_pi(a, b, c, d)(v1, k - v1, f)
+                assert _kernels._s_over_pi(a, b, c, d)(v1, k - v1, f) == laurent_value(S, f)
+                closed = _kernels._s_prime_over_pi(a, b, c, d)(v1, k - v1, f)
                 assert closed == laurent_value(dS, f)
                 assert s_prime_float(IndexVector(v1, k - v1), pair, float(f)) == pytest.approx(
                     math.pi * float(closed), rel=1e-9, abs=1e-9
@@ -618,7 +618,7 @@ class TestExactProfile:
             pair = random_nonprop_pair(rng)
             a, b, c, d = pair.radii
             v1, v2 = rng.randint(0, 9), rng.randint(0, 9)
-            S = oracle._s_over_pi(a, b, c, d)
+            S = _kernels._s_over_pi(a, b, c, d)
             assert S(v1, v2, c / a) == v1 * (a + c) ** 2
             assert S(v1, v2, d / b) == v2 * (b + d) ** 2
 
