@@ -4,9 +4,10 @@ and Minkowski sums of ellipsoids, with certified Brunn-Minkowski checks.
 A sum E(a,b) + E(c,d) is an ``EllipsoidPair``, as ``parse_domain`` returns
 it for ``sum(...)``.  Capacities are exact rational multiples of pi.  A
 Brunn-Minkowski certificate carries the argmin of the sum as its witness.
-``verify`` is the one exact verifier: ``cross_check`` re-derives a
-capacity and ``verify_certificate`` a certificate, from ``domains`` and
-``exact`` alone, never with the engine that wrote it.  Floating point is
+``verify`` is the one exact verifier and the home of the certificate
+record ``BMCertificate``: ``cross_check`` re-derives a capacity and
+``verify_certificate`` a certificate, from ``domains`` and ``exact``
+alone, never with the engine that wrote it.  Floating point is
 confined to ``_kernels``, the one module that imports numpy: the numeric
 oracles, the boundary-curve samplers and the Monte Carlo mean-width
 estimator.  No exact module imports it, so an exact computation or its
@@ -32,10 +33,10 @@ _MODULES = {
     ),
     "minkowski": "sum_capacity sum_capacity_with_argmin support_norm",
     "bm": (
-        "BMCertificate CriterionReport ReproduceRow ReproductionError bm_check even_family"
+        "CriterionReport ReproduceRow ReproductionError bm_check even_family"
         " expected_family_coeff mean_width odd_family ostrover_criterion reproduce_theorem"
     ),
-    "verify": "cross_check verify_certificate",
+    "verify": "BMCertificate cross_check verify_certificate",
     "_kernels": (
         "ConvexityReport MeanWidthEstimate OmegaSample OracleConfig SignCheckReport convexity_check"
         " golden_max mean_width_estimate omega_curve s_derivative_signcheck support_norm_numeric"

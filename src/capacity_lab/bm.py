@@ -1,128 +1,30 @@
 """Brunn-Minkowski violation certificates, the two counterexample families,
 the exact mean width and the mean-width capacity criterion.
 
-A certificate records the exact capacities c_k of a Minkowski sum and of
-its two summands together with the exact ordering of sqrt(c_sum) against
-sqrt(c_1) + sqrt(c_2); the pi factors cancel, so the square-root
-comparison runs on rational coefficients and needs no floating point.
-``bm_check`` decides that ordering with the engine's
-``exact.cmp_sqrt_combination`` and records the sum's argmin as the
-witness.  Certificates are checked by ``verify.verify_certificate``,
-which imports nothing of this module or of the engine.
+A certificate, ``verify.BMCertificate``, records the exact capacities c_k
+of a Minkowski sum and of its two summands together with the exact
+ordering of sqrt(c_sum) against sqrt(c_1) + sqrt(c_2); the pi factors
+cancel, so the square-root comparison runs on rational coefficients and
+needs no floating point.  ``bm_check`` decides that ordering with the
+engine's ``exact.cmp_sqrt_combination`` and records the sum's argmin as
+the witness.  The record, its file format and its checker
+``verify_certificate`` live in ``verify``, which imports nothing of this
+module or of the engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .domains import (
-    DomainSpec,
-    Ellipsoid,
-    EllipsoidPair,
-    IndexVector,
-    Polydisk,
-    ellipsoid_capacity,
-    format_domain,
-    parse_domain,
-)
-from .exact import _PI_DECIMAL, _VERDICTS, Ordering, PiRational, Verdict, cmp_sqrt_combination
+from .domains import DomainSpec, Ellipsoid, EllipsoidPair, Polydisk, ellipsoid_capacity, format_domain
+from .exact import _VERDICTS, PiRational, Verdict, cmp_sqrt_combination
 from .minkowski import sum_capacity_with_argmin
+from .verify import BMCertificate
 
 
 class ReproductionError(RuntimeError):
     """A family certificate failed to violate or missed its closed form."""
-
-
-@dataclass(frozen=True)
-class BMCertificate:
-    """Exact record of one comparison sqrt(c_k(K1+K2)) vs sqrt(c_k(K1)) + sqrt(c_k(K2))."""
-
-    k: int
-    domain1: Ellipsoid
-    domain2: Ellipsoid
-    c_sum: PiRational
-    c_1: PiRational
-    c_2: PiRational
-    verdict: Verdict
-    comparison: Ordering
-    witness: IndexVector | None = None  # the sum's argmin over the normalized pair; None if proportional
-
-    def margin(self) -> float:
-        """Float value of sqrt(c_sum) - sqrt(c_1) - sqrt(c_2); its sign is that of comparison.
-
-        OverflowError only when the margin itself is beyond float range.
-        """
-        if self.comparison is Ordering.EQUAL:
-            return 0.0
-        return _cancellation_free_margin(self.c_sum.coeff, self.c_1.coeff, self.c_2.coeff)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "domain1": format_domain(self.domain1),
-            "domain2": format_domain(self.domain2),
-            "c_sum": self.c_sum.as_dict(),
-            "c1": self.c_1.as_dict(),
-            "c2": self.c_2.as_dict(),
-            "verdict": str(self.verdict),
-            "comparison": self.comparison.name,
-            "witness": None if self.witness is None else {"v1": self.witness.v1, "v2": self.witness.v2},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BMCertificate":
-        # bool is an int subclass; int() would truncate a float and parse a string
-        if type(d["k"]) is not int:
-            raise ValueError(f"k must be an integer, got {d['k']!r}")
-        domain1 = parse_domain(d["domain1"])
-        domain2 = parse_domain(d["domain2"])
-        if not isinstance(domain1, Ellipsoid) or not isinstance(domain2, Ellipsoid):
-            raise ValueError("certificate domains must be ellipsoids")
-        return cls(
-            k=d["k"],
-            domain1=domain1,
-            domain2=domain2,
-            c_sum=PiRational.from_dict(d["c_sum"]),
-            c_1=PiRational.from_dict(d["c1"]),
-            c_2=PiRational.from_dict(d["c2"]),
-            verdict=Verdict(d["verdict"]),
-            comparison=Ordering[d["comparison"]],
-            witness=None if (w := d.get("witness")) is None else _witness_from_dict(w, d["k"]),
-        )
-
-
-def _cancellation_free_margin(s: Fraction, t: Fraction, u: Fraction) -> float:
-    """sqrt(pi) (sqrt(s) - sqrt(t) - sqrt(u)) for s, t, u >= 0, with no cancellation at any k.
-
-    With d = s - t - u exact, the value is sqrt(pi) (d - 2 sqrt(tu)) / (sqrt(s) + sqrt(t) + sqrt(u)).
-    For d < 0 both terms of d - 2 sqrt(tu) are negative; otherwise it is written
-    (d^2 - 4tu) / (d + 2 sqrt(tu)), whose numerator is exact.  No step subtracts two
-    rounded values, so 40 significant digits leave only the final rounding to float.
-    """
-    d = s - t - u
-    with localcontext() as ctx:
-        ctx.prec = 40
-        S, T, U = (Decimal(q.numerator) / q.denominator for q in (s, t, u))
-        root_tu = (T * U).sqrt()
-        if d < 0:
-            gap = Decimal(d.numerator) / d.denominator - 2 * root_tu
-        else:
-            n = d * d - 4 * t * u
-            gap = Decimal(n.numerator) / n.denominator / (Decimal(d.numerator) / d.denominator + 2 * root_tu)
-        margin = float(_PI_DECIMAL.sqrt() * gap / (S.sqrt() + T.sqrt() + U.sqrt()))
-    if margin == 0 or math.isinf(margin):
-        raise OverflowError("the margin is beyond float range")
-    return margin
-
-
-def _witness_from_dict(w, k: int) -> IndexVector:
-    v1, v2 = (w.get("v1"), w.get("v2")) if isinstance(w, dict) else (None, None)
-    if type(v1) is not int or type(v2) is not int or v1 < 0 or v2 < 0 or v1 + v2 != k:
-        raise ValueError(f'witness must be null or {{"v1": v1, "v2": v2}}, JSON integers >= 0 with sum {k}')
-    return IndexVector(v1, v2)
 
 
 def even_family(k: int) -> EllipsoidPair:

@@ -8,9 +8,12 @@ with ``--format`` CSV or text, through the one emitter ``_emit``; only
 Mathematical verdicts (Violates/Satisfies/Equality) are data and exit 0;
 usage, computation and parse errors print one ``Error: ...`` line on
 stderr and exit 2; a failed reproduction exits 3; a certificate that
-fails re-validation exits 1.  Only ``--verify`` and ``--check-certificate``
-load ``verify``, the exact verifier, and only ``omega`` loads
-``_kernels``, the float module; ``import capacity_lab.cli`` loads neither.
+fails re-validation exits 1.  ``import capacity_lab.cli`` loads only
+``exact`` and ``domains`` of the package; each command imports what it
+runs.  ``verify``, the exact verifier, holds the certificate record, so
+``--check-certificate`` loads it and no engine, and every command that
+runs ``bm`` loads it too; only ``omega`` loads ``_kernels``, the float
+module.
 """
 
 from __future__ import annotations
@@ -24,15 +27,6 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import __version__
-from .bm import (
-    BMCertificate,
-    ReproductionError,
-    Verdict,
-    bm_check,
-    mean_width,
-    ostrover_criterion,
-    reproduce_theorem,
-)
 from .domains import (
     DomainSpec,
     Ellipsoid,
@@ -41,7 +35,7 @@ from .domains import (
     format_domain,
     parse_domain,
 )
-from .exact import format_decimal, format_rational
+from .exact import Verdict, format_decimal, format_rational
 
 K_CAP = 10**6
 SAMPLES_CAP = 10**5
@@ -154,7 +148,7 @@ def _require_ellipsoid(dom: DomainSpec, label: str) -> Ellipsoid:
 CERTIFICATE_COLUMNS = ["k", "domain1", "domain2", "c_sum", "c1", "c2", "verdict"]
 
 
-def _certificate_row(cert: BMCertificate, family: str | None = None) -> dict:
+def _certificate_row(cert, family: str | None = None) -> dict:
     """k, then the family or else the two domains, then c_sum, c1 and c2 as p/q and the verdict."""
     if family is None:
         first = {"domain1": format_domain(cert.domain1), "domain2": format_domain(cert.domain2)}
@@ -177,7 +171,7 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
                  "--verify": verify, f"--format {fmt}": fmt != "json"}
         if ignored := [name for name, used in given.items() if used]:
             raise CliError(f"--check-certificate FILE does not take {', '.join(ignored)}")
-        from .verify import verify_certificate
+        from .verify import BMCertificate, verify_certificate
 
         try:
             with open(cert_path, "r", encoding="utf-8") as fh:
@@ -197,6 +191,8 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
     e1 = _require_ellipsoid(_parse_domain_arg(domain1), "domain1")
     e2 = _require_ellipsoid(_parse_domain_arg(domain2), "domain2")
     pair = EllipsoidPair.normalized(e1, e2)
+    from .bm import bm_check
+
     cert = bm_check(k, pair)
     if verify:
         from .verify import verify_certificate
@@ -230,6 +226,8 @@ def cmd_reproduce(k_max, fmt, verify):
     if k_max < 2:
         raise CliError(f"K_MAX must be >= 2, got {k_max}")
     _check_k(k_max)
+    from .bm import ReproductionError, reproduce_theorem
+
     try:
         rows = reproduce_theorem(k_max)
     except ReproductionError as exc:
@@ -288,6 +286,8 @@ def cmd_mean_width(domain, fmt):
     sphere S^3; it is rational for rational radii.
     """
     dom = _parse_domain_arg(domain)
+    from .bm import mean_width
+
     try:
         value = mean_width(dom)
     except ValueError as exc:
@@ -311,6 +311,8 @@ def cmd_criterion(k_range, fmt):
 
     K_RANGE is 'k' or 'lo..hi'.
     """
+    from .bm import ostrover_criterion
+
     rows = [
         {
             "k": rep.k,
@@ -357,6 +359,8 @@ def cmd_search(bound, k_range, fmt):
     if (checks := _search_checks(len(radii), len(ks))) > SEARCH_CAP:
         raise CliError(f"search is capped at {SEARCH_CAP} checks, got {checks}")
     ellipsoids = [Ellipsoid(a, b) for a in radii for b in radii]
+    from .bm import bm_check
+
     certs = (
         bm_check(k, EllipsoidPair.normalized(e1, e2))
         for i, e1 in enumerate(ellipsoids)

@@ -1,6 +1,10 @@
 """The exact verifier: ``cross_check`` re-derives a capacity and
-``verify_certificate`` a certificate.  From the package it imports only
-``domains`` and ``exact``, so it loads neither the engine nor numpy.
+``verify_certificate`` a certificate.  It also holds the certificate
+record, ``BMCertificate``, and its file format (``to_dict``,
+``from_dict``), so a certificate is read and checked by one module; its
+``margin`` is for display, and no check reads it.  From the package it
+imports only ``domains`` and ``exact``, so it loads neither the engine
+nor numpy.
 
 Reparameterized by f in [c/a, d/b], the boundary objective of an
 ellipsoid sum at v = (v1, v2) is the profile
@@ -25,6 +29,8 @@ against sqrt(c_1) + sqrt(c_2) apart from ``exact.cmp_sqrt_combination``.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable
 
@@ -39,8 +45,9 @@ from .domains import (
     _require_positive_k,
     convex_argmin,
     format_domain,
+    parse_domain,
 )
-from .exact import _VERDICTS, Ordering, PiRational
+from .exact import _PI_DECIMAL, _VERDICTS, Ordering, PiRational, Verdict
 
 
 def cross_check(k: int, domain: DomainSpec, value: PiRational, witness: IndexVector | None = None) -> None:
@@ -182,8 +189,97 @@ def _s_max(pair: EllipsoidPair) -> Callable[[int, int], tuple[int, int]]:
     return norm
 
 
-def verify_certificate(cert, reasons: list[str] | None = None) -> bool:
-    """Re-derive every field of a ``bm.BMCertificate`` here, never with the engine that wrote it.
+@dataclass(frozen=True)
+class BMCertificate:
+    """Exact record of one comparison sqrt(c_k(K1+K2)) vs sqrt(c_k(K1)) + sqrt(c_k(K2))."""
+
+    k: int
+    domain1: Ellipsoid
+    domain2: Ellipsoid
+    c_sum: PiRational
+    c_1: PiRational
+    c_2: PiRational
+    verdict: Verdict
+    comparison: Ordering
+    witness: IndexVector | None = None  # the sum's argmin over the normalized pair; None if proportional
+
+    def margin(self) -> float:
+        """Float value of sqrt(c_sum) - sqrt(c_1) - sqrt(c_2); its sign is that of comparison.
+
+        OverflowError only when the margin itself is beyond float range.
+        """
+        if self.comparison is Ordering.EQUAL:
+            return 0.0
+        return _cancellation_free_margin(self.c_sum.coeff, self.c_1.coeff, self.c_2.coeff)
+
+    def to_dict(self) -> dict:
+        return {
+            "k": self.k,
+            "domain1": format_domain(self.domain1),
+            "domain2": format_domain(self.domain2),
+            "c_sum": self.c_sum.as_dict(),
+            "c1": self.c_1.as_dict(),
+            "c2": self.c_2.as_dict(),
+            "verdict": str(self.verdict),
+            "comparison": self.comparison.name,
+            "witness": None if self.witness is None else {"v1": self.witness.v1, "v2": self.witness.v2},
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BMCertificate":
+        # bool is an int subclass; int() would truncate a float and parse a string
+        if type(d["k"]) is not int:
+            raise ValueError(f"k must be an integer, got {d['k']!r}")
+        domain1 = parse_domain(d["domain1"])
+        domain2 = parse_domain(d["domain2"])
+        if not isinstance(domain1, Ellipsoid) or not isinstance(domain2, Ellipsoid):
+            raise ValueError("certificate domains must be ellipsoids")
+        return cls(
+            k=d["k"],
+            domain1=domain1,
+            domain2=domain2,
+            c_sum=PiRational.from_dict(d["c_sum"]),
+            c_1=PiRational.from_dict(d["c1"]),
+            c_2=PiRational.from_dict(d["c2"]),
+            verdict=Verdict(d["verdict"]),
+            comparison=Ordering[d["comparison"]],
+            witness=None if (w := d.get("witness")) is None else _witness_from_dict(w, d["k"]),
+        )
+
+
+def _cancellation_free_margin(s: Fraction, t: Fraction, u: Fraction) -> float:
+    """sqrt(pi) (sqrt(s) - sqrt(t) - sqrt(u)) for s, t, u >= 0, with no cancellation at any k.
+
+    With d = s - t - u exact, the value is sqrt(pi) (d - 2 sqrt(tu)) / (sqrt(s) + sqrt(t) + sqrt(u)).
+    For d < 0 both terms of d - 2 sqrt(tu) are negative; otherwise it is written
+    (d^2 - 4tu) / (d + 2 sqrt(tu)), whose numerator is exact.  No step subtracts two
+    rounded values, so 40 significant digits leave only the final rounding to float.
+    """
+    d = s - t - u
+    with localcontext() as ctx:
+        ctx.prec = 40
+        S, T, U = (Decimal(q.numerator) / q.denominator for q in (s, t, u))
+        root_tu = (T * U).sqrt()
+        if d < 0:
+            gap = Decimal(d.numerator) / d.denominator - 2 * root_tu
+        else:
+            n = d * d - 4 * t * u
+            gap = Decimal(n.numerator) / n.denominator / (Decimal(d.numerator) / d.denominator + 2 * root_tu)
+        margin = float(_PI_DECIMAL.sqrt() * gap / (S.sqrt() + T.sqrt() + U.sqrt()))
+    if margin == 0 or math.isinf(margin):
+        raise OverflowError("the margin is beyond float range")
+    return margin
+
+
+def _witness_from_dict(w, k: int) -> IndexVector:
+    v1, v2 = (w.get("v1"), w.get("v2")) if isinstance(w, dict) else (None, None)
+    if type(v1) is not int or type(v2) is not int or v1 < 0 or v2 < 0 or v1 + v2 != k:
+        raise ValueError(f'witness must be null or {{"v1": v1, "v2": v2}}, JSON integers >= 0 with sum {k}')
+    return IndexVector(v1, v2)
+
+
+def verify_certificate(cert: BMCertificate, reasons: list[str] | None = None) -> bool:
+    """Re-derive every field of a certificate here, never with the engine that wrote it.
 
     c_sum is checked at the witness by ``cross_check`` (found by bisection over this module's
     own norms when missing; a wrong one can only fail), c_1 against domain1 and c_2 against

@@ -432,7 +432,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("bound, k_range, checks", [("8", "1..1", 1_710_325), ("7", "1..2", 1_501_850)])
     def test_check_cap(self, runner, monkeypatch, bound, k_range, checks):
-        monkeypatch.setattr(cli, "bm_check", lambda *args: pytest.fail("checked past the search cap"))
+        monkeypatch.setattr("capacity_lab.bm.bm_check", lambda *args: pytest.fail("checked past the search cap"))
         res = runner.invoke(main, ["search", bound, k_range], catch_exceptions=False)
         assert res.exit_code == 2
         assert res.output == f"Error: search is capped at {cli.SEARCH_CAP} checks, got {checks}\n"
@@ -568,7 +568,7 @@ class TestOptionsAndErrors:
 
     @pytest.mark.parametrize("k_max", ["1", "0"])
     def test_reproduce_needs_two_indices(self, runner, monkeypatch, k_max):
-        monkeypatch.setattr(cli, "reproduce_theorem", lambda *args: pytest.fail("reproduced below K_MAX = 2"))
+        monkeypatch.setattr("capacity_lab.bm.reproduce_theorem", lambda *args: pytest.fail("reproduced below K_MAX = 2"))
         res = runner.invoke(main, ["reproduce", k_max], catch_exceptions=False)
         assert res.exit_code == 2
         assert res.output == f"Error: K_MAX must be >= 2, got {k_max}\n"
@@ -624,10 +624,13 @@ def imports_numpy(res):
 
 
 EXACT_MODULES = ("exact", "domains", "minkowski", "bm", "verify")
+FLOAT_MODULES = {"numpy", "_kernels"}
+# the verifier checks the engine's output, so it may import none of the engine's code
+ENGINE_MODULES = {"bm", "minkowski", "cli", *FLOAT_MODULES}
 
 
-def float_imports(path):
-    """(top-level definition, imported name) of each import of numpy or _kernels in PATH, at any depth."""
+def forbidden_imports(path, forbidden):
+    """(top-level definition, imported name) of each import in PATH, at any depth, that names a module in FORBIDDEN."""
     found = []
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
         owner = getattr(top, "name", None)
@@ -638,7 +641,7 @@ def float_imports(path):
                 names = [f"{node.module}.{alias.name}" if node.module else alias.name for alias in node.names]
             else:
                 continue
-            found += [(owner, name) for name in names if {"numpy", "_kernels"} & set(name.split("."))]
+            found += [(owner, name) for name in names if forbidden & set(name.split("."))]
     return found
 
 
@@ -675,8 +678,9 @@ class TestExactPathImports:
         res = run_fresh("-c", script)
         assert res.returncode == 0, res.stderr
         loaded = set(json.loads(res.stdout))
-        assert "numpy" not in loaded and "capacity_lab._kernels" not in loaded
-        assert "click" not in loaded and "capacity_lab.verify" not in loaded
+        assert "numpy" not in loaded and "click" not in loaded
+        package = {"capacity_lab", "capacity_lab.cli", "capacity_lab.exact", "capacity_lab.domains"}
+        assert {m for m in loaded if m.split(".")[0] == "capacity_lab"} == package
 
     def test_verifier_loads_no_engine(self):
         # the engine computes the values here; a fresh interpreter checks them with verify alone
@@ -758,8 +762,30 @@ class TestExactPathImports:
 
     def test_exact_modules_import_no_float_code(self):
         # every import at any depth; only cmd_omega of the CLI may load _kernels
-        found = {module: float_imports(SRC / "capacity_lab" / f"{module}.py") for module in EXACT_MODULES + ("cli",)}
+        found = {
+            module: forbidden_imports(SRC / "capacity_lab" / f"{module}.py", FLOAT_MODULES)
+            for module in EXACT_MODULES + ("cli",)
+        }
         assert found == {**{module: [] for module in EXACT_MODULES}, "cli": [("cmd_omega", "_kernels.omega_curve")]}
+
+    def test_verifier_imports_no_engine_code(self):
+        assert forbidden_imports(SRC / "capacity_lab" / "verify.py", ENGINE_MODULES) == []
+
+    def test_check_certificate_loads_no_engine(self, runner, tmp_path):
+        # reading and checking a certificate file needs exact, domains and verify alone
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(invoke(runner, "bm-check", "6", "E(3/2,1)", "E(1,2)").output)
+        script = (
+            "import json, sys\nfrom capacity_lab import cli\n"
+            "code = cli.main(['bm-check', '--check-certificate', sys.argv[1]])\n"
+            "engine = ['capacity_lab.bm', 'capacity_lab.minkowski', 'capacity_lab._kernels', 'numpy']\n"
+            "print(json.dumps([code, [m for m in engine if m in sys.modules]]))"
+        )
+        res = run_fresh("-c", script, str(cert_file))
+        assert res.returncode == 0, res.stderr
+        checked, loaded = res.stdout.splitlines()
+        assert json.loads(checked)["valid"] is True
+        assert json.loads(loaded) == [0, []]
 
     def test_sum_verify_never_imports_numpy(self):
         res = run_with_importtime("capacity", "5", "sum(E(3/2,1),E(1,3/2))", "--verify")
