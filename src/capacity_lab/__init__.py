@@ -2,16 +2,18 @@
 and Minkowski sums of ellipsoids, with certified Brunn-Minkowski checks.
 
 A sum E(a,b) + E(c,d) is an ``EllipsoidPair``, as ``parse_domain`` returns
-it for ``sum(...)``.  Capacities are exact rational multiples of pi.  A
-Brunn-Minkowski certificate carries the argmin of the sum as its witness.
-``verify`` is the one exact verifier and the home of the certificate
-record ``BMCertificate``: ``cross_check`` re-derives a capacity and
-``verify_certificate`` a certificate, from ``domains`` and ``exact``
-alone, never with the engine that wrote it.  Floating point is
-confined to ``_kernels``, the one module that imports numpy: the numeric
-oracles, the boundary-curve samplers and the Monte Carlo mean-width
-estimator.  No exact module imports it, so an exact computation or its
-verification never loads numpy.
+it for ``sum(...)``.  Capacities are exact rational multiples of pi, and
+``minkowski``, the engine, computes every one of them.  ``bm`` writes
+Brunn-Minkowski certificates, each carrying the argmin of the sum as its
+witness.  ``verify`` is the one exact verifier and the home of the
+certificate record ``BMCertificate``: ``cross_check`` re-derives a
+capacity and ``verify_certificate`` a certificate, from ``domains`` and
+``exact`` alone, never with the engine that wrote it; those three modules
+are the trusted base.  Floating point is confined to ``_kernels``, the
+one module that imports numpy: the numeric oracles, the boundary-curve
+samplers and the Monte Carlo mean-width estimator.  No exact module
+imports it, so an exact computation or its verification never loads
+numpy.
 
 The namespace is lazy (PEP 562): importing the package loads none of its
 modules, and each public name loads its module on first access.
@@ -23,17 +25,17 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULES = {
-    "exact": (
-        "Ordering PiRational Rational Verdict cmp_sqrt_combination format_decimal format_rational parse_rational"
-    ),
+    "exact": "Ordering PiRational Verdict format_decimal format_rational",
     "domains": (
         "DomainParseError DomainSpec Ellipsoid EllipsoidPair IndexVector Polydisk ProductWithBall"
-        " StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin"
-        " format_domain parse_domain polydisk_capacity product_with_ball_capacity"
+        " format_domain parse_domain"
     ),
-    "minkowski": "sum_capacity sum_capacity_with_argmin support_norm",
+    "minkowski": (
+        "StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin polydisk_capacity"
+        " product_with_ball_capacity sum_capacity sum_capacity_with_argmin support_norm"
+    ),
     "bm": (
-        "CriterionReport ReproduceRow ReproductionError bm_check even_family"
+        "CriterionReport ReproduceRow ReproductionError bm_check cmp_sqrt_combination even_family"
         " expected_family_coeff mean_width odd_family ostrover_criterion reproduce_theorem"
     ),
     "verify": "BMCertificate cross_check verify_certificate",

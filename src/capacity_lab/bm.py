@@ -5,9 +5,9 @@ A certificate, ``verify.BMCertificate``, records the exact capacities c_k
 of a Minkowski sum and of its two summands together with the exact
 ordering of sqrt(c_sum) against sqrt(c_1) + sqrt(c_2); the pi factors
 cancel, so the square-root comparison runs on rational coefficients and
-needs no floating point.  ``bm_check`` decides that ordering with the
-engine's ``exact.cmp_sqrt_combination`` and records the sum's argmin as
-the witness.  The record, its file format and its checker
+needs no floating point.  ``bm_check`` decides that ordering with
+``cmp_sqrt_combination``, the engine's comparison, and records the sum's
+argmin as the witness.  The record, its file format and its checker
 ``verify_certificate`` live in ``verify``, which imports nothing of this
 module or of the engine.
 """
@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domains import DomainSpec, Ellipsoid, EllipsoidPair, Polydisk, ellipsoid_capacity, format_domain
-from .exact import _VERDICTS, PiRational, Verdict, cmp_sqrt_combination
-from .minkowski import sum_capacity_with_argmin
+from .domains import DomainSpec, Ellipsoid, EllipsoidPair, Polydisk, format_domain
+from .exact import _VERDICTS, Ordering, PiRational, Verdict
+from .minkowski import ellipsoid_capacity, sum_capacity_with_argmin
 from .verify import BMCertificate
 
 
@@ -40,6 +40,37 @@ def odd_family(k: int) -> EllipsoidPair:
     if k <= 1 or k % 2 != 1:
         raise ValueError(f"odd_family requires an odd k > 1, got {k}")
     return EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(1 - Fraction(1, k), 1))
+
+
+def cmp(x, y) -> Ordering:
+    """Exact total-order comparison of two rationals (or ints)."""
+    if x < y:
+        return Ordering.LESS
+    if x > y:
+        return Ordering.GREATER
+    return Ordering.EQUAL
+
+
+def cmp_sqrt_combination(s: Fraction, t: Fraction, u: Fraction) -> Ordering:
+    """Sign of sqrt(s) - sqrt(t) - sqrt(u), decided exactly.
+
+    Requires s, t, u >= 0.  Both sides of sqrt(s) vs sqrt(t) + sqrt(u) are
+    nonnegative, so with d = s - t - u:
+
+        sqrt(s) >= sqrt(t) + sqrt(u)  iff  d >= 0 and d^2 >= 4 t u,
+
+    with equality exactly when d >= 0 and d^2 = 4 t u.  No floating point
+    is involved.
+    """
+    s = Fraction(s)
+    t = Fraction(t)
+    u = Fraction(u)
+    if s < 0 or t < 0 or u < 0:
+        raise ValueError(f"cmp_sqrt_combination requires s, t, u >= 0, got ({s}, {t}, {u})")
+    d = s - t - u
+    if d < 0:
+        return Ordering.LESS
+    return cmp(d * d, 4 * t * u)
 
 
 def bm_check(k: int, pair: EllipsoidPair) -> BMCertificate:

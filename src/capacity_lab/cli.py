@@ -10,10 +10,10 @@ usage, computation and parse errors print one ``Error: ...`` line on
 stderr and exit 2; a failed reproduction exits 3; a certificate that
 fails re-validation exits 1.  ``import capacity_lab.cli`` loads only
 ``exact`` and ``domains`` of the package; each command imports what it
-runs.  ``verify``, the exact verifier, holds the certificate record, so
-``--check-certificate`` loads it and no engine, and every command that
-runs ``bm`` loads it too; only ``omega`` loads ``_kernels``, the float
-module.
+runs: ``capacity`` loads ``minkowski``, the engine.  ``verify``, the
+exact verifier, holds the certificate record, so ``--check-certificate``
+loads it and no engine, and every command that runs ``bm`` loads it too;
+only ``omega`` loads ``_kernels``, the float module.
 """
 
 from __future__ import annotations
@@ -27,14 +27,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import __version__
-from .domains import (
-    DomainSpec,
-    Ellipsoid,
-    EllipsoidPair,
-    capacity,
-    format_domain,
-    parse_domain,
-)
+from .domains import DomainSpec, Ellipsoid, EllipsoidPair, format_domain, parse_domain
 from .exact import Verdict, format_decimal, format_rational
 
 K_CAP = 10**6
@@ -112,6 +105,8 @@ def cmd_capacity(k, domain, fmt, verify):
     """
     _check_k(k)
     dom = _parse_domain_arg(domain)
+    from .minkowski import capacity
+
     try:
         value = capacity(k, dom)
     except ValueError as exc:

@@ -1,19 +1,15 @@
-"""Symplectic domains and their closed-form capacities.
+"""Symplectic domains, the domain literal grammar, and the helpers that
+the engine and the verifier share.
 
 The domains handled here are the 4-dimensional symplectic ellipsoid E(a,b)
 and polydisk P(a,b) with exact rational radii, the Minkowski sum of two
 ellipsoids, and products with a stabilizing ball factor.  The sum
 E(a,b) + E(c,d) is the normalized ``EllipsoidPair`` of its summands, which
-is what ``parse_domain("sum(...)")`` returns and what ``capacity``,
-``format_domain`` and the verifier take.  Capacities are indexed by a
-positive integer k and returned as exact rational multiples of pi.
-
-For an ellipsoid, the k-th capacity is the k-th smallest element (with
-multiplicity) of the merged multiples {i*pi*a^2} and {j*pi*b^2}; the
-counting function N(t) = floor(t/a^2) + floor(t/b^2) gives it in closed
-form, in O(1) at any k, rather than from a sorted list.  The same closed
-form gives the smallest index vector (v1, k - v1) whose norm
-max(v1 pi a^2, (k - v1) pi b^2) attains it (``ellipsoid_norm_argmin``).
+is what ``parse_domain("sum(...)")`` returns and what the capacities of
+``minkowski``, ``format_domain`` and the verifier take.  This module
+computes no capacity: with ``exact`` and ``verify`` it is the trusted base
+of a checked result, and ``convex_argmin`` is the one search that the
+engine and the verifier share.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
-from .exact import PiRational, format_rational
+from .exact import format_rational
 
 
 def _as_positive_radius(value, name: str) -> Fraction:
@@ -156,10 +152,6 @@ class IndexVector:
         return self.v1 + self.v2
 
 
-class StabilizationError(ValueError):
-    """Raised when a ball factor is too small for the product reduction."""
-
-
 def _require_positive_k(k: int) -> None:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"capacity index k must be a positive integer, got {k!r}")
@@ -192,83 +184,6 @@ def convex_argmin(h: Callable[[int], tuple[int, int]], k: int) -> tuple[Fraction
         else:
             lo = mid + 1
     return Fraction(*(seen.get(lo) or h(lo))), lo
-
-
-def _kth_merged_multiple(k: int, alpha: Fraction, beta: Fraction) -> tuple[Fraction, int]:
-    """k-th smallest element of {i*alpha : i >= 1} merged with {j*beta : j >= 1},
-    and the smallest v1 in 0..k at which max(v1*alpha, (k - v1)*beta) equals it.
-
-    Ties count twice.  With alpha/beta = p/q in integers, the count of merged
-    multiples <= m*alpha is m + floor(mp/q) = floor(m(p+q)/q), which reaches k
-    exactly when m >= kq/(p+q).  So m = ceil(kq/(p+q)) for alpha and
-    n = ceil(kp/(p+q)) for beta, and the answer is the smaller of m*alpha and
-    n*beta: O(1) at any k.  That answer is also the minimum over v1 of
-    max(v1*alpha, (k - v1)*beta), first reached at v1 = k - n when it is
-    n*beta and at v1 = m otherwise.
-    """
-    p, q = alpha.numerator * beta.denominator, alpha.denominator * beta.numerator
-    m, n = -(-k * q // (p + q)), -(-k * p // (p + q))
-    return (n * beta, k - n) if n * q <= m * p else (m * alpha, m)
-
-
-def ellipsoid_capacity(k: int, e: Ellipsoid) -> PiRational:
-    """k-th capacity of E(a,b): the k-th smallest merged multiple of pi a^2, pi b^2."""
-    _require_positive_k(k)
-    return PiRational(_kth_merged_multiple(k, e.a * e.a, e.b * e.b)[0])
-
-
-def ellipsoid_norm_argmin(k: int, e: Ellipsoid) -> tuple[PiRational, IndexVector]:
-    """Minimum over v1 + v2 = k of max(v1 * pi a^2, v2 * pi b^2), with argmin.
-
-    The minimum is ellipsoid_capacity(k, e) and ties go to the smallest v1,
-    both from ``_kth_merged_multiple`` in O(1); the argmin is the witness
-    that a proportional sum reports.
-    """
-    _require_positive_k(k)
-    value, v1 = _kth_merged_multiple(k, e.a * e.a, e.b * e.b)
-    return PiRational(value), IndexVector(v1, k - v1)
-
-
-def polydisk_capacity(k: int, p: Polydisk) -> PiRational:
-    """k-th capacity of P(a,b): k * pi * min(a^2, b^2)."""
-    _require_positive_k(k)
-    return PiRational(k * min(p.a * p.a, p.b * p.b))
-
-
-def product_with_ball_capacity(k: int, inner: DomainSpec, m: int, R: Fraction) -> PiRational:
-    """Capacity of X x B^m(R), valid in the stabilized regime R^2 > c_k(X)/pi.
-
-    Under that condition the ball factor is invisible and the capacity of
-    the product equals c_k(X).  A too-small R raises StabilizationError;
-    the general minimum-over-splittings formula is intentionally not
-    offered here.  Whatever ``ProductWithBall`` refuses (a nested product,
-    m < 1, R <= 0) raises its ValueError here too.
-    """
-    _require_positive_k(k)
-    R = ProductWithBall(inner, m, R).R  # refuses a nested product, m < 1 and R <= 0 as the domain does
-    inner_cap = capacity(k, inner)
-    if R * R <= inner_cap.coeff:
-        raise StabilizationError(
-            f"stabilization condition unmet: need pi*R^2 > c_{k}(X), i.e. "
-            f"R^2 > {format_rational(inner_cap.coeff)}, got R = {format_rational(R)}"
-        )
-    return inner_cap
-
-
-def capacity(k: int, domain: DomainSpec) -> PiRational:
-    """k-th capacity of any supported domain."""
-    _require_positive_k(k)
-    if isinstance(domain, Ellipsoid):
-        return ellipsoid_capacity(k, domain)
-    if isinstance(domain, Polydisk):
-        return polydisk_capacity(k, domain)
-    if isinstance(domain, EllipsoidPair):
-        from .minkowski import sum_capacity
-
-        return sum_capacity(k, domain)
-    if isinstance(domain, ProductWithBall):
-        return product_with_ball_capacity(k, domain.inner, domain.m, domain.R)
-    raise TypeError(f"unsupported domain: {domain!r}")
 
 
 # --------------------------------------------------------------------------

@@ -1,27 +1,19 @@
-"""Exact rational scalars, capacities as rational multiples of pi,
-irrational-free sign decisions for square-root expressions, and the
-Brunn-Minkowski verdict that each sign gives.
+"""Exact rational scalars, capacities as rational multiples of pi, and
+the Brunn-Minkowski verdicts.
 
 Every scalar that enters a capacity computation is a ``fractions.Fraction``
 (arbitrary precision, always in lowest terms with positive denominator), so
-all comparisons in this module are decided exactly.  Floating point appears
-only in rendering helpers.
+every value here is exact.  Floating point appears only in rendering
+helpers.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-
-# The universal exact scalar. Fraction guarantees the canonical-form
-# invariants this package relies on: gcd(|num|, den) = 1 and den > 0.
-Rational = Fraction
-
-_RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 # pi to well beyond 12 significant digits, for decimal rendering of
 # arbitrarily large rational coefficients.
@@ -51,30 +43,6 @@ class Verdict(enum.Enum):
 _VERDICTS = {Ordering.LESS: Verdict.VIOLATES, Ordering.GREATER: Verdict.SATISFIES, Ordering.EQUAL: Verdict.EQUALITY}
 
 
-def cmp(x, y) -> Ordering:
-    """Exact total-order comparison of two rationals (or ints)."""
-    if x < y:
-        return Ordering.LESS
-    if x > y:
-        return Ordering.GREATER
-    return Ordering.EQUAL
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or ``p`` into a Fraction.
-
-    Raises ValueError naming the offending input on anything else.
-    """
-    m = _RATIONAL_RE.match(text)
-    if not m:
-        raise ValueError(f"not a rational literal: {text!r} (expected 'p' or 'p/q')")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
-    if den == 0:
-        raise ValueError(f"zero denominator in rational literal: {text!r}")
-    return Fraction(num, den)
-
-
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as ``p/q``, or ``p`` when the denominator is 1."""
     if q.denominator == 1:
@@ -93,28 +61,6 @@ def format_decimal(q: Fraction, digits: int = 12, factor=1) -> str:
         ctx.prec = digits
         val = +val
     return f"{val:g}"
-
-
-def cmp_sqrt_combination(s: Rational, t: Rational, u: Rational) -> Ordering:
-    """Sign of sqrt(s) - sqrt(t) - sqrt(u), decided exactly.
-
-    Requires s, t, u >= 0.  Both sides of sqrt(s) vs sqrt(t) + sqrt(u) are
-    nonnegative, so with d = s - t - u:
-
-        sqrt(s) >= sqrt(t) + sqrt(u)  iff  d >= 0 and d^2 >= 4 t u,
-
-    with equality exactly when d >= 0 and d^2 = 4 t u.  No floating point
-    is involved.
-    """
-    s = Fraction(s)
-    t = Fraction(t)
-    u = Fraction(u)
-    if s < 0 or t < 0 or u < 0:
-        raise ValueError(f"cmp_sqrt_combination requires s, t, u >= 0, got ({s}, {t}, {u})")
-    d = s - t - u
-    if d < 0:
-        return Ordering.LESS
-    return cmp(d * d, 4 * t * u)
 
 
 @dataclass(frozen=True, order=True)

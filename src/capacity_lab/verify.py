@@ -23,7 +23,7 @@ norm of v, the maximum of S, is thus the largest of S(c/a), S(d/b) and,
 when D < 0 and f0 is interior, S(f0).  ``_s_max`` evaluates these as
 integer pairs over one common denominator, with no float and without the
 branch formula of ``minkowski``.  ``_cmp_root_sum`` decides sqrt(c_sum)
-against sqrt(c_1) + sqrt(c_2) apart from ``exact.cmp_sqrt_combination``.
+against sqrt(c_1) + sqrt(c_2) apart from ``bm.cmp_sqrt_combination``.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _cross_check_sum(k: int, pair: EllipsoidPair, value: PiRational, witness: In
 
 
 def _cmp_root_sum(s: Fraction, t: Fraction, u: Fraction) -> Ordering:
-    """Sign of sqrt(s) - sqrt(t) - sqrt(u) for s, t, u >= 0, derived apart from ``exact.cmp_sqrt_combination``.
+    """Sign of sqrt(s) - sqrt(t) - sqrt(u) for s, t, u >= 0, derived apart from ``bm.cmp_sqrt_combination``.
 
     If s < t, then sqrt(s) < sqrt(t) <= sqrt(t) + sqrt(u).  Otherwise
     sqrt(s) - sqrt(t) >= 0, so the sign is that of (sqrt(s) - sqrt(t))^2 - u

@@ -16,10 +16,27 @@ from capacity_lab.domains import (
     ProductWithBall,
     _excerpt,
 )
-from capacity_lab.exact import format_rational, parse_rational
+from capacity_lab.exact import format_rational
 
 # \s is str.isspace; a rational token is decimal digits, '-' and '/' (see _Scanner.rational for other digits)
 _SPACE_RE, _TOKEN_RE = re.compile(r"\s*"), re.compile(r"[\d/-]*")
+
+_RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``p/q`` or ``p`` into a Fraction.
+
+    Raises ValueError naming the offending input on anything else.
+    """
+    m = _RATIONAL_RE.match(text)
+    if not m:
+        raise ValueError(f"not a rational literal: {text!r} (expected 'p' or 'p/q')")
+    num = int(m.group(1))
+    den = int(m.group(2)) if m.group(2) is not None else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    return Fraction(num, den)
 
 
 class _Scanner:

@@ -22,16 +22,19 @@ from capacity_lab import (
     ReproductionError,
     Verdict,
     bm_check,
+    capacity,
+    cross_check,
     even_family,
     expected_family_coeff,
     mean_width,
     mean_width_estimate,
     odd_family,
     ostrover_criterion,
+    parse_domain,
     reproduce_theorem,
     verify_certificate,
 )
-from capacity_lab import _kernels, bm, exact, minkowski
+from capacity_lab import _kernels, bm, minkowski
 from conftest import ellipsoids_st, pairs_st, radii_st
 
 F = Fraction
@@ -235,16 +238,22 @@ class TestCertificates:
 
     def test_verifier_runs_no_engine(self, monkeypatch):
         certs = [bm_check(k, even_family(k)) for k in (2, 4000, 10**6)] + [bm_check(3, odd_family(3))]
+        domains = [(k, parse_domain(text)) for k, text in [(7, "E(3/2,1)"), (7, "P(2,3)"), (5, "prod(E(1,1),2,10)")]]
+        values = [capacity(k, domain) for k, domain in domains]
 
         def engine(*args):
             pytest.fail("the verifier ran the engine")
 
         monkeypatch.setattr(bm, "bm_check", engine)
         monkeypatch.setattr(bm, "sum_capacity_with_argmin", engine)
-        monkeypatch.setattr(minkowski, "_norm_coeff", engine)
-        monkeypatch.setattr(minkowski, "sum_capacity_with_argmin", engine)
+        monkeypatch.setattr(bm, "cmp_sqrt_combination", engine)
+        for name in ("_norm_coeff", "sum_capacity_with_argmin", "capacity", "ellipsoid_capacity",
+                     "_kth_merged_multiple"):
+            monkeypatch.setattr(minkowski, name, engine)
         for cert in certs:
             assert verify_certificate(cert) is True
+        for (k, domain), value in zip(domains, values):
+            cross_check(k, domain, value)
 
     def test_patched_engine_is_caught(self, monkeypatch):
         # an engine that adds 1 to every norm keeps the argmin but writes c_sum = 45/4 instead of 41/4
@@ -265,13 +274,12 @@ class TestCertificates:
 
     def test_patched_engine_comparison_is_caught(self, monkeypatch):
         # the verifier decides the comparison with its own code, so a flipped engine comparison shows
-        engine = exact.cmp_sqrt_combination
+        engine = bm.cmp_sqrt_combination
 
         def flipped(s, t, u):
             return Ordering(-engine(s, t, u))
 
         monkeypatch.setattr(bm, "cmp_sqrt_combination", flipped)
-        monkeypatch.setattr(exact, "cmp_sqrt_combination", flipped)
         cert = bm_check(4, even_family(4))
         assert (cert.comparison, cert.verdict) == (Ordering.GREATER, Verdict.SATISFIES)
         again = BMCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))

@@ -30,7 +30,8 @@ from capacity_lab import (
     product_with_ball_capacity,
     sum_capacity,
 )
-from capacity_lab.domains import _common_denominator, _kth_merged_multiple, _require_positive_k, convex_argmin
+from capacity_lab.domains import _common_denominator, _require_positive_k, convex_argmin
+from capacity_lab.minkowski import _kth_merged_multiple
 from capacity_lab.verify import _is_kth_merged_multiple
 from conftest import ellipsoids_st, radii_st, random_ellipsoid, scale_domain
 from reference_parser import reference_parse_domain

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capacity_lab import (
-    Ordering,
-    PiRational,
-    cmp_sqrt_combination,
-    format_decimal,
-    format_rational,
-    parse_rational,
-)
+from capacity_lab import Ordering, PiRational, format_decimal, format_rational
+from capacity_lab.bm import cmp_sqrt_combination
+from reference_parser import parse_rational
 
 nonneg_st = st.fractions(min_value=0, max_value=Fraction(1000), max_denominator=50)
 

@@ -29,7 +29,6 @@ from capacity_lab import (
     verify_certificate,
 )
 from capacity_lab import _kernels, bm, minkowski, verify
-from capacity_lab.exact import Ordering, cmp_sqrt_combination
 from capacity_lab._kernels import (
     DEFAULT_CONFIG,
     _critical,
@@ -38,8 +37,7 @@ from capacity_lab._kernels import (
     _s_over_pi,
     _s_prime_over_pi,
 )
-from capacity_lab.verify import _cmp_root_sum
-from conftest import nonprop_pairs_st, random_nonprop_pair
+from conftest import random_nonprop_pair
 
 F = Fraction
 
@@ -277,43 +275,6 @@ class TestCrossCheck:
         cross_check(k, domain, value)
         with pytest.raises(ValueError):
             cross_check(k, domain, PiRational(value.coeff + F(1, k)))
-
-
-nonnegative_st = st.fractions(min_value=0, max_value=50, max_denominator=30)
-
-
-class TestRootSumComparison:
-    """``verify._cmp_root_sum``, the verifier's comparison, against the engine's ``cmp_sqrt_combination``."""
-
-    @given(nonnegative_st, nonnegative_st, nonnegative_st)
-    @settings(max_examples=500)
-    def test_matches_the_engine(self, s, t, u):
-        assert _cmp_root_sum(s, t, u) is cmp_sqrt_combination(s, t, u)
-
-    @given(nonnegative_st, st.integers(0, 12), st.integers(0, 12), st.sampled_from([-1, 0, 1]))
-    @settings(max_examples=300)
-    def test_matches_the_engine_at_and_next_to_equality(self, r, i, j, step):
-        # sqrt(s) = sqrt(t) + sqrt(u) exactly for t = i^2 r, u = j^2 r, s = (i + j)^2 r
-        s, t, u = (i + j) ** 2 * r + F(step, 10**9), i * i * r, j * j * r
-        if s >= 0:
-            assert _cmp_root_sum(s, t, u) is cmp_sqrt_combination(s, t, u)
-        if step == 0:
-            assert _cmp_root_sum(s, t, u) is Ordering.EQUAL
-
-    @pytest.mark.parametrize(
-        "s, t, u, expected",
-        [
-            (F(1), F(4), F(0), Ordering.LESS),  # s < t
-            (F(4), F(1), F(9), Ordering.LESS),  # e = s + t - u < 0
-            (F(9), F(1), F(4), Ordering.EQUAL),  # 3 = 1 + 2
-            (F(2), F(0), F(2), Ordering.EQUAL),  # e = 0 with t = 0
-            (F(2), F(1), F(1), Ordering.LESS),  # e = 2, e^2 < 4st
-            (F(13, 2), F(2), F(2), Ordering.LESS),  # the even family at k = 2
-            (F(10), F(1), F(4), Ordering.GREATER),
-        ],
-    )
-    def test_branches(self, s, t, u, expected):
-        assert _cmp_root_sum(s, t, u) is expected
 
 
 class TestSProfile:
@@ -634,61 +595,6 @@ class TestExactProfile:
             interior += norm > max(v1 * (a + c) ** 2, (k - v1) * (b + d) ** 2)
         # both branches of the support-norm formula occur among the draws
         assert 0 < interior < 400
-
-
-def reference_s_max(pair: EllipsoidPair):
-    """(v1, v2) -> |(v1, v2)|* / pi as the largest of S at c/a, at d/b and at an interior
-    maximum N/D, each evaluated in Fractions.
-
-    The Fraction form that the integer-pair ``verify._s_max`` replaced, kept as its reference.
-    """
-    a, b, c, d = radii = pair.radii
-    S = _s_over_pi(*radii)
-    lo, hi = c / a, d / b
-
-    def norm(v1: int, v2: int) -> F:
-        D, N = _critical(v1, v2, *radii)
-        candidates = [lo, hi]
-        if D < 0 and lo < N / D < hi:
-            candidates.append(N / D)
-        return max(S(v1, v2, f) for f in candidates)
-
-    return norm
-
-
-def endpoint_critical_points():
-    """(pair, k, v1) with D < 0 and N/D exactly c/a or d/b, over small radii."""
-    radii = sorted({F(p, q) for p in range(1, 4) for q in range(1, 4)})
-    found = {"c/a": [], "d/b": []}
-    for a, b, c, d in ((a, b, c, d) for a in radii for b in radii for c in radii for d in radii):
-        pair = EllipsoidPair.normalized(Ellipsoid(a, b), Ellipsoid(c, d))
-        if pair.proportional:
-            continue
-        a, b, c, d = pair.radii
-        for k in range(1, 7):
-            for v1 in range(k + 1):
-                D, N = _critical(v1, k - v1, a, b, c, d)
-                if D < 0 and N / D in (c / a, d / b):
-                    found["c/a" if N / D == c / a else "d/b"].append((pair, k, v1))
-    return found
-
-
-class TestIntegerSMax:
-    @settings(max_examples=200, deadline=None)
-    @given(pair=nonprop_pairs_st, k=st.integers(1, 300), data=st.data())
-    def test_matches_the_fraction_reference(self, pair, k, data):
-        h, want = verify._s_max(pair), reference_s_max(pair)
-        for v1 in (0, k, data.draw(st.integers(0, k))):
-            num, den = h(v1, k - v1)
-            assert den > 0
-            assert F(num, den) == want(v1, k - v1), (pair.radii, k, v1)
-
-    def test_critical_point_on_an_endpoint(self):
-        found = endpoint_critical_points()
-        assert found["c/a"] and found["d/b"]
-        for cases in found.values():
-            for pair, k, v1 in cases:
-                assert F(*verify._s_max(pair)(v1, k - v1)) == reference_s_max(pair)(v1, k - v1)
 
 
 class TestUnimodality:
