@@ -24,7 +24,12 @@ several times more than ``math``.  The dense scan of ``support_max`` is
 always over the same angles j (pi/2) / grid, j = 0..grid, so their
 cosines and sines are computed once per grid and kept, read-only, in a
 small bounded cache (``_angle_table``): 16 (grid+1) bytes per table,
-64 KB at the oracle's default grid of 4096.  No table is built at import.
+64 KB at the oracle's default grid of 4096.  The pair's g and h at those
+angles do not depend on the index vector, so the last pair's profile is
+kept too, read-only, in a one-entry cache (``_profile``) keyed by
+(a, b, c, d, grid): the oracle's neighbour check, the norms at v-1, v
+and v+1 of one pair, builds it once.  It holds 16 (grid+1) bytes, 64 KB
+at grid 4096.  No table or profile is built at import.
 
 ``support_norm_numeric`` maximizes the boundary objective over psi on a
 dense grid refined by ``golden_max``, and ``s_derivative_signcheck``
@@ -39,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,14 +82,23 @@ def _angle_table(grid: int) -> tuple[np.ndarray, np.ndarray]:
     return cp, sp
 
 
+@lru_cache(maxsize=1)
+def _profile(a: float, b: float, c: float, d: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (g, h) of the radii a, b, c, d at the angles of ``_angle_table(grid)``."""
+    _, g, h = _fgh(a, b, c, d, *_angle_table(grid))
+    g.flags.writeable = h.flags.writeable = False
+    return g, h
+
+
 def support_max(v1: int, v2: int, a: float, b: float, c: float, d: float, grid: int, iters: int) -> float:
     """Maximum of pi*(v1 g^2 + v2 h^2) over psi in [0, pi/2].
 
-    A dense scan over the grid+1 angles of ``_angle_table``, then
-    golden-section ascent on the bracket around the best grid point.
+    A dense scan over the grid+1 angles of ``_angle_table``, with the
+    pair's g and h from ``_profile``, then golden-section ascent on the
+    bracket around the best grid point.
     """
     v1, v2 = float(v1), float(v2)
-    _, g, h = _fgh(a, b, c, d, *_angle_table(grid))
+    g, h = _profile(a, b, c, d, grid)
     vals = np.pi * (v1 * g * g + v2 * h * h)
     besti = int(np.argmax(vals))
     r2 = (c * c) / (a * a)
@@ -131,8 +145,7 @@ def convexity_grid(a: float, b: float, c: float, d: float, psis: np.ndarray) -> 
     return c1, c2, gprime
 
 
-@dataclass(frozen=True)
-class OmegaSample:
+class OmegaSample(NamedTuple):
     """One point (x1, x2) = (pi g^2, pi h^2) of the moment-image boundary curve."""
 
     psi: float
@@ -176,7 +189,7 @@ def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
         finite = False
     if not finite:
         raise ValueError("omega_curve samples of these radii lie beyond float range")
-    out = [OmegaSample(float(p), float(u), float(w)) for p, u, w in zip(psis, x1, x2)]
+    out = list(map(OmegaSample, psis.tolist(), x1.tolist(), x2.tolist()))
     out[0] = OmegaSample(0.0, ends[0], 0.0)
     out[-1] = OmegaSample(float(psis[-1]), 0.0, ends[1])
     return out

@@ -259,7 +259,7 @@ def cmd_omega(domain1, domain2, samples, out, fmt):
     except ImportError as exc:
         raise CliError(f"omega samples the curve with numpy, which cannot be imported: {exc}") from None
     if fmt == "json":
-        body = json.dumps([[p.psi, p.x1, p.x2] for p in points])
+        body = json.dumps(points)
     else:
         lines = ["psi,x1,x2"] + [f"{p.psi!r},{p.x1!r},{p.x2!r}" for p in points]
         body = "\n".join(lines)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,26 @@ def _support_max_grid_reference(v1, v2, a, b, c, d, grid, iters):
     lo = 0.5 * math.pi * max(besti - 1, 0) / grid
     hi = 0.5 * math.pi * min(besti + 1, grid) / grid
     return max(float(vals[besti]), _kernels.golden_max(objective, lo, hi, iters))
+
+
+@dataclass(frozen=True)
+class _DataclassSample:
+    psi: float
+    x1: float
+    x2: float
+
+
+def _omega_curve_reference(pair, samples):
+    # omega_curve's sampling as it was before OmegaSample became a tuple: one
+    # frozen dataclass per point, fed by the numpy scalars of zip
+    a, b, c, d = pair.radii
+    psis = 0.5 * math.pi * np.arange(samples + 1) / samples
+    x1, x2 = _kernels.omega_xy(float(a), float(b), float(c), float(d), psis)
+    ends = math.pi * float((a + c) ** 2), math.pi * float((b + d) ** 2)
+    out = [_DataclassSample(float(p), float(u), float(w)) for p, u, w in zip(psis, x1, x2)]
+    out[0] = _DataclassSample(0.0, ends[0], 0.0)
+    out[-1] = _DataclassSample(float(psis[-1]), 0.0, ends[1])
+    return out
 
 
 def _cases(rng, n):
@@ -143,10 +164,59 @@ class TestAngleTable:
         assert np.array_equal(cp, np.cos(psis)) and np.array_equal(sp, np.sin(psis))
 
     def test_import_builds_no_table(self):
-        code = "from capacity_lab import _kernels; print(_kernels._angle_table.cache_info().currsize)"
+        code = (
+            "from capacity_lab import _kernels as k; "
+            "print(k._angle_table.cache_info().currsize, k._profile.cache_info().currsize)"
+        )
         env = dict(os.environ, PYTHONPATH=str(SRC))
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-        assert (res.returncode, res.stdout) == (0, "0\n"), res.stderr
+        assert (res.returncode, res.stdout) == (0, "0 0\n"), res.stderr
+
+
+class TestProfile:
+    def test_interleaved_pairs_and_grids(self, rng):
+        # the neighbour check's v-1, v, v+1 of one pair, then a second pair,
+        # then another grid, then the first pair again: every call misses or
+        # hits the one-entry cache and must still equal the per-call grid
+        for _ in range(10):
+            first, second = ([float(x) for x in random_nonprop_pair(rng).radii] for _ in range(2))
+            k = rng.randint(2, 200)
+            v1 = rng.randint(1, k - 1)
+            calls = [(v1 + dv, k - v1 - dv, *first, 4096) for dv in (-1, 0, 1)]
+            calls += [(v1, k - v1, *second, 4096), (v1, k - v1, *second, 512), (v1, k - v1, *first, 4096)]
+            for *args, grid in calls:
+                assert _kernels.support_max(*args, grid, 80) == _support_max_grid_reference(*args, grid, 80)
+        assert _kernels._profile.cache_info().currsize == 1
+
+    def test_cached_profile_is_read_only(self, rng):
+        _, _, a, b, c, d = next(_cases(rng, 1))
+        g, h = _kernels._profile(a, b, c, d, 512)
+        assert _kernels._profile(a, b, c, d, 512)[0] is g
+        _, _, _, want_g, want_h = _kernels.gh_profiles(a, b, c, d, 0.5 * math.pi * np.arange(513) / 512)
+        assert np.array_equal(g, want_g) and np.array_equal(h, want_h)
+        for arr in (g, h):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
+
+class TestOmegaSamples:
+    @pytest.mark.parametrize("samples", [2, 512, 10**5])
+    def test_equal_to_the_dataclass_samples(self, rng, samples):
+        for _ in range(20):
+            pair = random_nonprop_pair(rng)
+            want = [(p.psi, p.x1, p.x2) for p in _omega_curve_reference(pair, samples)]
+            assert _kernels.omega_curve(pair, samples) == want
+
+    def test_samples_are_immutable_named_tuples(self, rng):
+        point = _kernels.omega_curve(random_nonprop_pair(rng), 4)[1]
+        assert capacity_lab.OmegaSample is _kernels.OmegaSample
+        assert type(point) is _kernels.OmegaSample
+        assert point == (point.psi, point.x1, point.x2) and point[1] == point.x1
+        with pytest.raises(AttributeError):
+            point.x1 = 0.0
+        with pytest.raises(TypeError):
+            point[1] = 0.0
 
 
 class TestGoldenMax:

@@ -1,17 +1,36 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capacity_lab import Ellipsoid, EllipsoidPair, verify
+from capacity_lab import (
+    Ellipsoid,
+    EllipsoidPair,
+    IndexVector,
+    PiRational,
+    Polydisk,
+    bm_check,
+    capacity,
+    cross_check,
+    even_family,
+    odd_family,
+    support_norm,
+    verify,
+    verify_certificate,
+)
+from capacity_lab import bm, minkowski
 from capacity_lab._kernels import _critical, _s_over_pi
 from capacity_lab.bm import cmp_sqrt_combination
 from capacity_lab.exact import Ordering
 from capacity_lab.verify import _cmp_root_sum
-from conftest import nonprop_pairs_st
+from conftest import nonprop_pairs_st, random_nonprop_pair
 
 F = Fraction
+
+EVEN2 = even_family(2)
+ODD3 = odd_family(3)
 
 
 nonnegative_st = st.fractions(min_value=0, max_value=50, max_denominator=30)
@@ -104,3 +123,77 @@ class TestIntegerSMax:
         for cases in found.values():
             for pair, k, v1 in cases:
                 assert F(*verify._s_max(pair)(v1, k - v1)) == reference_s_max(pair)(v1, k - v1)
+
+
+class TestCrossCheck:
+    """The witness paths of ``verify.cross_check``; its other tests are in test_oracle.py."""
+
+    def test_witness_less_sums_run_no_engine(self, monkeypatch):
+        # the verifier finds v1 with its own norms, so an engine that fails on every call goes unnoticed
+        cases = [(k, even_family(k)) for k in (2, 4000, 10**6)] + [(3, ODD3), (7, odd_family(7))]
+        cases += [(5, EllipsoidPair.normalized(Ellipsoid(F(1, 3), F(1, 4)), Ellipsoid(F(1, 4), F(1, 3))))]
+        certs = [bm_check(k, pair) for k, pair in cases]
+        values = [capacity(k, pair) for k, pair in cases]
+
+        def engine(*args):
+            pytest.fail("the verifier ran the engine")
+
+        monkeypatch.setattr(minkowski, "sum_capacity_with_argmin", engine)
+        monkeypatch.setattr(minkowski, "_norm_coeff", engine)
+        monkeypatch.setattr(bm, "bm_check", engine)
+        for (k, pair), value, cert in zip(cases, values, certs):
+            cross_check(k, pair, value)
+            with pytest.raises(ValueError, match=f"norm at the argmin v1 = {cert.witness.v1} is"):
+                cross_check(k, pair, PiRational(value.coeff + F(1, 10**9)))
+            assert verify_certificate(replace(cert, witness=None)) is True
+
+    def test_witness_less_argmin_is_the_engines(self, rng):
+        # a forged value names the verifier's own v1, which must be the engine's smallest minimizer
+        for _ in range(40):
+            pair = random_nonprop_pair(rng)
+            k = rng.choice([rng.randint(1, 60), rng.randint(1, 10**6)])
+            value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
+            with pytest.raises(ValueError, match=f"norm at the argmin v1 = {argmin.v1} is"):
+                cross_check(k, pair, PiRational(value.coeff * 2))
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_rejects_a_shifted_witness(self, shift):
+        k, pair = 4000, even_family(4000)
+        value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
+        cross_check(k, pair, value, argmin)
+        shifted = IndexVector(argmin.v1 + shift, argmin.v2 - shift)
+        with pytest.raises(ValueError):
+            cross_check(k, pair, value, shifted)
+        # nor does the witness's own norm pass: it is not the minimum
+        with pytest.raises(ValueError, match="minimizer|local minimum"):
+            cross_check(k, pair, support_norm(shifted, pair), shifted)
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_rejects_the_larger_of_tied_minimizers(self, k):
+        # at odd k this symmetric pair ties h((k-1)/2) = h((k+1)/2); the argmin is the smaller index
+        pair = EllipsoidPair.normalized(Ellipsoid(F(1, 3), F(1, 4)), Ellipsoid(F(1, 4), F(1, 3)))
+        value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
+        later = IndexVector(argmin.v1 + 1, argmin.v2 - 1)
+        assert argmin.v1 == (k - 1) // 2 and support_norm(later, pair) == value
+        cross_check(k, pair, value, argmin)
+        with pytest.raises(ValueError, match="smallest minimizer"):
+            cross_check(k, pair, value, later)
+
+    def test_witness_never_runs_the_engine(self, monkeypatch):
+        k, pair = 10**6, even_family(10**6)
+        value, argmin = minkowski.sum_capacity_with_argmin(k, pair)
+        monkeypatch.setattr(minkowski, "sum_capacity_with_argmin", lambda *args: pytest.fail("engine ran"))
+        cross_check(k, pair, value, argmin)
+
+    def test_witness_must_sum_to_k(self):
+        value, argmin = minkowski.sum_capacity_with_argmin(4, EVEN2)
+        with pytest.raises(ValueError, match="does not sum to k"):
+            cross_check(5, EVEN2, value, argmin)
+
+    @pytest.mark.parametrize(
+        "domain",
+        [Ellipsoid(F(3, 2), 1), Polydisk(2, 3), EllipsoidPair.normalized(Ellipsoid(1, 2), Ellipsoid(2, 4))],
+    )
+    def test_witness_only_on_a_nonproportional_sum(self, domain):
+        with pytest.raises(ValueError, match="no argmin to witness"):
+            cross_check(3, domain, capacity(3, domain), IndexVector(1, 2))
