@@ -3,17 +3,18 @@ and Minkowski sums of ellipsoids, with certified Brunn-Minkowski checks.
 
 A sum E(a,b) + E(c,d) is an ``EllipsoidPair``, as ``parse_domain`` returns
 it for ``sum(...)``.  Capacities are exact rational multiples of pi, and
-``minkowski``, the engine, computes every one of them.  ``bm`` writes
+``minkowski``, the engine, computes every one of them; ``capacity``
+takes any domain, a ``ProductWithBall`` too.  ``bm`` writes
 Brunn-Minkowski certificates, each carrying the argmin of the sum as its
 witness.  ``verify`` is the one exact verifier and the home of the
 certificate record ``BMCertificate``: ``cross_check`` re-derives a
 capacity and ``verify_certificate`` a certificate, from ``domains`` and
 ``exact`` alone, never with the engine that wrote it; those three modules
 are the trusted base.  Floating point is confined to ``_kernels``, the
-one module that imports numpy: the numeric oracles, the boundary-curve
-samplers and the Monte Carlo mean-width estimator.  No exact module
-imports it, so an exact computation or its verification never loads
-numpy.
+one module that imports numpy: the numeric oracles (no settings), the
+boundary-curve samplers and the Monte Carlo mean-width estimator.  No
+exact module imports it, so an exact computation or its verification
+never loads numpy.
 
 The namespace is lazy (PEP 562): importing the package loads none of its
 modules, and each public name loads its module on first access.
@@ -32,7 +33,7 @@ _MODULES = {
     ),
     "minkowski": (
         "StabilizationError capacity ellipsoid_capacity ellipsoid_norm_argmin polydisk_capacity"
-        " product_with_ball_capacity sum_capacity sum_capacity_with_argmin support_norm"
+        " sum_capacity sum_capacity_with_argmin support_norm"
     ),
     "bm": (
         "CriterionReport ReproduceRow ReproductionError bm_check cmp_sqrt_combination even_family"
@@ -40,8 +41,8 @@ _MODULES = {
     ),
     "verify": "BMCertificate cross_check verify_certificate",
     "_kernels": (
-        "ConvexityReport MeanWidthEstimate OmegaSample OracleConfig SignCheckReport convexity_check"
-        " golden_max mean_width_estimate omega_curve s_derivative_signcheck support_norm_numeric"
+        "ConvexityReport MeanWidthEstimate OmegaSample SignCheckReport convexity_check"
+        " mean_width_estimate omega_curve s_derivative_signcheck support_norm_numeric"
     ),
 }
 # public name -> the module that defines it

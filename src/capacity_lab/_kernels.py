@@ -24,7 +24,7 @@ several times more than ``math``.  The dense scan of ``support_max`` is
 always over the same angles j (pi/2) / grid, j = 0..grid, so their
 cosines and sines are computed once per grid and kept, read-only, in a
 small bounded cache (``_angle_table``): 16 (grid+1) bytes per table,
-64 KB at the oracle's default grid of 4096.  The pair's g and h at those
+64 KB at the oracles' grid of 4096.  The pair's g and h at those
 angles do not depend on the index vector, so the last pair's profile is
 kept too, read-only, in a one-entry cache (``_profile``) keyed by
 (a, b, c, d, grid): the oracle's neighbour check, the norms at v-1, v
@@ -32,11 +32,12 @@ and v+1 of one pair, builds it once.  It holds 16 (grid+1) bytes, 64 KB
 at grid 4096.  No table or profile is built at import.
 
 ``support_norm_numeric`` maximizes the boundary objective over psi on a
-dense grid refined by ``golden_max``, and ``s_derivative_signcheck``
-compares the closed form of S'(f), the derivative of the profile S of
-``verify``'s module docstring, with finite differences.  ``_s_over_pi``
-and ``_s_prime_over_pi`` are S and S' in closed form; the tests also
-evaluate them on Fractions.
+dense grid of 4096 angles refined by 80 steps of ``golden_max``, and
+``s_derivative_signcheck`` compares, at 4096 points f, the closed form of
+S'(f), the derivative of the profile S of ``verify``'s module docstring,
+with finite differences; both raise ValueError beyond float range.
+``_s_over_pi`` and ``_s_prime_over_pi`` are S and S' in closed form; the
+tests also evaluate them on Fractions.
 """
 
 from __future__ import annotations
@@ -214,19 +215,9 @@ def convexity_check(pair: EllipsoidPair, grid: int) -> ConvexityReport:
     return ConvexityReport(ok=ok, worst_C1=float(c1.max()), worst_C2=float(c2.max()), grid=grid)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    grid: int = 4096
-    refine_iters: int = 80
-
-    def __post_init__(self):
-        if self.grid < 64:
-            raise ValueError(f"grid must be >= 64, got {self.grid}")
-        if self.refine_iters < 1:
-            raise ValueError(f"refine_iters must be >= 1, got {self.refine_iters}")
-
-
-DEFAULT_CONFIG = OracleConfig()
+# the oracles' one grid size (angles psi, points f) and the numeric norm's golden-section steps
+_GRID = 4096
+_GOLDEN_STEPS = 80
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -249,10 +240,16 @@ def golden_max(fn, lo: float, hi: float, iters: int) -> float:
     return max(best, f1, f2)
 
 
-def support_norm_numeric(v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
-    """Numeric maximum of pi (v1 g^2 + v2 h^2) over psi in [0, pi/2]."""
+def support_norm_numeric(v: IndexVector, pair: EllipsoidPair) -> float:
+    """Numeric maximum of pi (v1 g^2 + v2 h^2) over psi in [0, pi/2]; ValueError beyond float range."""
     a, b, c, d = _float_radii(pair, "support_norm_numeric")
-    return support_max(v.v1, v.v2, a, b, c, d, cfg.grid, cfg.refine_iters)
+    try:
+        norm = support_max(v.v1, v.v2, a, b, c, d, _GRID, _GOLDEN_STEPS)
+    except ZeroDivisionError:  # a square of a radius underflows to 0
+        norm = math.nan
+    if not math.isfinite(norm):
+        raise ValueError("support_norm_numeric of these radii lies beyond float range")
+    return norm
 
 
 def _critical(v1, v2, a, b, c, d):
@@ -308,27 +305,29 @@ def _fd_derivative(fn, f, h):
     return (-fn(f + 2 * h) + 8 * fn(f + h) - 8 * fn(f - h) + fn(f - 2 * h)) / (12 * h)
 
 
-def s_derivative_signcheck(
-    v: IndexVector, pair: EllipsoidPair, cfg: OracleConfig = DEFAULT_CONFIG
-) -> SignCheckReport:
+def s_derivative_signcheck(v: IndexVector, pair: EllipsoidPair) -> SignCheckReport:
     """Cross-check the closed-form S' against finite differences.
 
-    Samples cfg.grid interior points of (c/a, d/b), all at once as numpy
+    Samples 4096 interior points of (c/a, d/b), all at once as numpy
     arrays.  At each point the five-point finite difference must match the
     closed form within max(1e-6, 1e-6 |S'|), and the signs must agree
     wherever |S'| > 1e-6.  max_abs_err is the largest error (at its first
     point, with that point's allowance), or 0.0 when no error is positive.
     When f0 = N/D is interior with D < 0, also verifies S(f0) >= S(f0 +- eps).
+    Radii whose S or S' leaves float range raise ValueError.
     """
     a, b, c, d = radii = _float_radii(pair, "s_derivative_signcheck")
     lo, hi = c / a, d / b
     span = hi - lo
-    s_over_pi, s_prime_over_pi = _s_over_pi(*radii), _s_prime_over_pi(*radii)
+    try:
+        s_over_pi, s_prime_over_pi = _s_over_pi(*radii), _s_prime_over_pi(*radii)
+    except ZeroDivisionError:  # a square of a radius underflows to 0
+        raise ValueError("s_derivative_signcheck of these radii lies beyond float range") from None
 
     def S(f):
         return math.pi * s_over_pi(v.v1, v.v2, f)
 
-    n = cfg.grid
+    n = _GRID
     f = lo + span * np.arange(1, n + 1) / (n + 1)
     # step scales with f: S varies on the scale of f near the left end
     h = np.minimum(1e-3 * f, 0.25 * np.minimum(f - lo, hi - f))
@@ -342,7 +341,10 @@ def s_derivative_signcheck(
     sign_mismatches = int(np.count_nonzero((np.abs(closed) > 1e-6) & (fd * closed < 0)))
     ok = sign_mismatches == 0 and not np.any(err > allowed)
     max_abs_err = max_allowed = 0.0
-    if err.size and err.max() > 0.0:
+    top = float(err.max()) if err.size else 0.0
+    if not math.isfinite(top):  # an inf or a NaN in S' or in its finite differences
+        raise ValueError("s_derivative_signcheck of these radii lies beyond float range")
+    if top > 0.0:
         worst = int(np.argmax(err))
         max_abs_err, max_allowed = float(err[worst]), float(allowed[worst])
 

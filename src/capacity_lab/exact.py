@@ -50,15 +50,15 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def format_decimal(q: Fraction, digits: int = 12, factor=1) -> str:
-    """q * factor rendered with the given number of significant digits.
+def format_decimal(q: Fraction, factor=1) -> str:
+    """q * factor rendered with 12 significant digits.
 
     Uses Decimal arithmetic so values far outside float range still render.
     """
     with localcontext() as ctx:
-        ctx.prec = digits + 8
+        ctx.prec = 20
         val = Decimal(q.numerator) / Decimal(q.denominator) * factor
-        ctx.prec = digits
+        ctx.prec = 12
         val = +val
     return f"{val:g}"
 
@@ -83,9 +83,9 @@ class PiRational:
     def __str__(self) -> str:
         return f"{format_rational(self.coeff)}·π"
 
-    def decimal(self, digits: int = 12) -> str:
-        """Decimal rendering of coeff * pi with the given number of significant digits."""
-        return format_decimal(self.coeff, digits, _PI_DECIMAL)
+    def decimal(self) -> str:
+        """Decimal rendering of coeff * pi with 12 significant digits."""
+        return format_decimal(self.coeff, _PI_DECIMAL)
 
     def render(self) -> str:
         """The CLI form: exact value plus a 12-significant-digit decimal."""

@@ -8,7 +8,8 @@ form, in O(1) at any k, rather than from a sorted list.  The same closed
 form gives the smallest index vector (v1, k - v1) whose norm
 max(v1 pi a^2, (k - v1) pi b^2) attains it (``ellipsoid_norm_argmin``).
 A polydisk P(a,b) has c_k = k pi min(a^2, b^2), and a product with a
-ball factor, in the stabilized regime, the capacity of its inner domain.
+ball factor, in the stabilized regime only, the capacity of its inner
+domain; ``capacity`` is the entry point for all of them.
 
 The capacities of a Minkowski sum of two ellipsoids go through the dual
 support norm.  The moment-map image of E(a,b) + E(c,d) is the region under the
@@ -156,21 +157,14 @@ def sum_capacity_with_argmin(k: int, pair: EllipsoidPair) -> tuple[PiRational, I
     return PiRational(value), IndexVector(v1, k - v1)
 
 
-def product_with_ball_capacity(k: int, inner: DomainSpec, m: int, R: Fraction) -> PiRational:
-    """Capacity of X x B^m(R), valid in the stabilized regime R^2 > c_k(X)/pi.
-
-    Under that condition the ball factor is invisible and the capacity of
-    the product equals c_k(X).  A too-small R raises StabilizationError;
-    the general minimum-over-splittings formula is intentionally not
-    offered here.  Whatever ``ProductWithBall`` refuses (a nested product,
-    m < 1, R <= 0) raises its ValueError here too.
-    """
-    _require_positive_k(k)
-    return capacity(k, ProductWithBall(inner, m, R))
-
-
 def capacity(k: int, domain: DomainSpec) -> PiRational:
-    """k-th capacity of any supported domain."""
+    """k-th capacity of any supported domain.
+
+    A product X x B^m(R) is supported only in the stabilized regime
+    R^2 > c_k(X)/pi, where the ball factor is invisible and the capacity is
+    c_k(X); a smaller R raises StabilizationError, as the general minimum
+    over splittings is not offered.
+    """
     _require_positive_k(k)
     if isinstance(domain, Ellipsoid):
         return ellipsoid_capacity(k, domain)

@@ -14,8 +14,8 @@ from fractions import Fraction
 from capacity_lab import (
     Ellipsoid,
     IndexVector,
-    OracleConfig,
     Polydisk,
+    ProductWithBall,
     Verdict,
     bm_check,
     capacity,
@@ -26,7 +26,6 @@ from capacity_lab import (
     mean_width,
     mean_width_estimate,
     odd_family,
-    product_with_ball_capacity,
     ostrover_criterion,
     s_derivative_signcheck,
     sum_capacity,
@@ -87,7 +86,6 @@ def test_criterion_04_oracle_agreement():
     with criterion(4, "100 random pairs, all v with v1+v2 <= 12: |exact - numeric|/exact <= 1e-9, < 30 s"):
         start = time.perf_counter()
         rng = random.Random(424242)
-        cfg = OracleConfig(grid=4096, refine_iters=80)
         pairs = [random_nonprop_pair(rng, max_height=20) for _ in range(100)]
         checked = 0
         for pair in pairs:
@@ -95,7 +93,7 @@ def test_criterion_04_oracle_agreement():
                 for v1 in range(k + 1):
                     v = IndexVector(v1, k - v1)
                     exact = float(support_norm(v, pair))
-                    numeric = support_norm_numeric(v, pair, cfg)
+                    numeric = support_norm_numeric(v, pair)
                     assert abs(exact - numeric) / exact <= 1e-9, (pair.radii, (v1, k - v1))
                     checked += 1
         elapsed = time.perf_counter() - start
@@ -106,16 +104,16 @@ def test_criterion_04_oracle_agreement():
 def test_criterion_05_gradient_check_1000_triples():
     with criterion(5, "finite-difference S' matches closed form within max(1e-6, 1e-6|S'|), 1000 triples"):
         rng = random.Random(5150)
-        cfg = OracleConfig(grid=64)
         triples = 0
-        while triples < 1000:
+        for _ in range(16):  # the 16 draws of the 64-point grid, each now at 4096 points
             pair = random_nonprop_pair(rng, max_height=20)
             k = rng.randint(1, 12)
             v1 = rng.randint(0, k)
-            report = s_derivative_signcheck(IndexVector(v1, k - v1), pair, cfg)
+            report = s_derivative_signcheck(IndexVector(v1, k - v1), pair)
             assert report.ok, (pair.radii, (v1, k - v1), report)
             assert report.sign_mismatches == 0
             triples += report.points
+        assert triples == 16 * 4096 >= 1000
 
 
 def test_criterion_06_convexity_families_and_random():
@@ -197,7 +195,7 @@ def test_criterion_11_product_stabilization():
         for k in range(2, 21):
             pair = even_family(k) if k % 2 == 0 else odd_family(k)
             direct = sum_capacity(k, pair)
-            assert product_with_ball_capacity(k, pair, 2, R) == direct
-            assert product_with_ball_capacity(k, pair, 6, R) == direct
+            assert capacity(k, ProductWithBall(pair, 2, R)) == direct
+            assert capacity(k, ProductWithBall(pair, 6, R)) == direct
             for e in (pair.first, pair.second):
-                assert product_with_ball_capacity(k, e, 2, R) == ellipsoid_capacity(k, e)
+                assert capacity(k, ProductWithBall(e, 2, R)) == ellipsoid_capacity(k, e)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -856,3 +857,26 @@ def test_public_names_are_declared_once():
         assert not hasattr(getattr(capacity_lab, module), "__all__")
     for name in names:
         assert getattr(capacity_lab, name) is getattr(getattr(capacity_lab, capacity_lab._EXPORTS[name]), name)
+
+
+def test_no_settings_beyond_the_ones_in_use():
+    # the oracle grid, the decimal digits and the product wrapper each had one value or caller in use
+    for name in ("OracleConfig", "golden_max", "product_with_ball_capacity"):
+        assert name not in capacity_lab.__all__ and not hasattr(capacity_lab, name)
+    assert not hasattr(capacity_lab._kernels, "OracleConfig")
+    assert not hasattr(capacity_lab.minkowski, "product_with_ball_capacity")
+    signatures = {
+        fn.__name__: list(inspect.signature(fn).parameters)
+        for fn in (
+            capacity_lab.support_norm_numeric,
+            capacity_lab.s_derivative_signcheck,
+            capacity_lab.format_decimal,
+            capacity_lab.PiRational.decimal,
+        )
+    }
+    assert signatures == {
+        "support_norm_numeric": ["v", "pair"],
+        "s_derivative_signcheck": ["v", "pair"],
+        "format_decimal": ["q", "factor"],
+        "decimal": ["self"],
+    }

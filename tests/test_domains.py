@@ -27,7 +27,6 @@ from capacity_lab import (
     odd_family,
     parse_domain,
     polydisk_capacity,
-    product_with_ball_capacity,
     sum_capacity,
 )
 from capacity_lab.domains import _common_denominator, _require_positive_k, convex_argmin
@@ -481,22 +480,22 @@ def ellipsoid_product_capacity(k: int, e1: Ellipsoid, e2: Ellipsoid) -> PiRation
 
 class TestProductWithBall:
     def test_even_summand_stabilized(self):
-        assert product_with_ball_capacity(2, Ellipsoid(F(3, 2), 1), 2, F(10)).coeff == 2
+        assert capacity(2, ProductWithBall(Ellipsoid(F(3, 2), 1), 2, F(10))).coeff == 2
 
     def test_big_ball_keeps_c1(self):
-        assert product_with_ball_capacity(1, Ellipsoid(1, 1), 4, F(2)).coeff == 1
+        assert capacity(1, ProductWithBall(Ellipsoid(1, 1), 4, F(2))).coeff == 1
 
     def test_sum_inner_domain(self):
         dom = odd_family(3)
-        assert product_with_ball_capacity(3, dom, 2, F(10)).coeff == F(50, 9)
+        assert capacity(3, ProductWithBall(dom, 2, F(10))).coeff == F(50, 9)
 
     def test_small_ball_refused(self):
         with pytest.raises(StabilizationError):
-            product_with_ball_capacity(1, Ellipsoid(1, 1), 2, F(1))
+            capacity(1, ProductWithBall(Ellipsoid(1, 1), 2, F(1)))
 
     def test_nested_product_refused(self):
         with pytest.raises(ValueError, match="cannot nest another product"):
-            product_with_ball_capacity(2, ProductWithBall(Ellipsoid(1, 1), 2, 10), 2, 20)
+            capacity(2, ProductWithBall(ProductWithBall(Ellipsoid(1, 1), 2, 10), 2, 20))
 
     @pytest.mark.parametrize(
         "m, R, message",
@@ -504,13 +503,13 @@ class TestProductWithBall:
     )
     def test_invalid_ball_refused(self, m, R, message):
         with pytest.raises(ValueError) as exc:
-            product_with_ball_capacity(2, Ellipsoid(1, 1), m, R)
+            capacity(2, ProductWithBall(Ellipsoid(1, 1), m, R))
         assert str(exc.value) == message
 
     def test_boundary_radius_refused(self):
         # R^2 = c_k/pi exactly is still too small
         with pytest.raises(StabilizationError):
-            product_with_ball_capacity(2, Ellipsoid(1, 1), 2, F(1))
+            capacity(2, ProductWithBall(Ellipsoid(1, 1), 2, F(1)))
 
     def test_min_split_oracle_agrees(self, rng):
         # against the 8-dimensional product formula with an exact ball factor
@@ -521,7 +520,7 @@ class TestProductWithBall:
                 big = F(50)
                 assert big * big > ck
                 ball = Ellipsoid(big, big)
-                assert ellipsoid_product_capacity(k, e, ball) == product_with_ball_capacity(k, e, 4, big)
+                assert ellipsoid_product_capacity(k, e, ball) == capacity(k, ProductWithBall(e, 4, big))
 
 
 class TestDispatchAndScaling:

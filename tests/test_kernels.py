@@ -220,9 +220,6 @@ class TestOmegaSamples:
 
 
 class TestGoldenMax:
-    def test_one_definition_under_two_names(self):
-        assert _kernels.golden_max is capacity_lab.golden_max
-
     def test_interior_peak(self):
         assert _kernels.golden_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 80) == pytest.approx(0.0, abs=1e-15)
 

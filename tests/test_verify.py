@@ -15,6 +15,7 @@ from capacity_lab import (
     capacity,
     cross_check,
     even_family,
+    expected_family_coeff,
     odd_family,
     support_norm,
     verify,
@@ -126,7 +127,8 @@ class TestIntegerSMax:
 
 
 class TestCrossCheck:
-    """The witness paths of ``verify.cross_check``; its other tests are in test_oracle.py."""
+    """``verify.cross_check``: its witness paths and the engine faults it catches; its other tests
+    are in test_oracle.py."""
 
     def test_witness_less_sums_run_no_engine(self, monkeypatch):
         # the verifier finds v1 with its own norms, so an engine that fails on every call goes unnoticed
@@ -197,3 +199,44 @@ class TestCrossCheck:
     def test_witness_only_on_a_nonproportional_sum(self, domain):
         with pytest.raises(ValueError, match="no argmin to witness"):
             cross_check(3, domain, capacity(3, domain), IndexVector(1, 2))
+
+    def test_accepts_random_sums(self, rng):
+        for _ in range(10):
+            domain = random_nonprop_pair(rng)
+            k = rng.randint(1, 60)
+            cross_check(k, domain, capacity(k, domain))
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_rejects_a_shifted_argmin(self, monkeypatch, shift):
+        # v1 = 2000 is the unique minimizer at k = 4000 for this pair; an engine
+        # that names a shifted v1 and its norm does not fool the verifier
+        k, pair = 4000, even_family(4000)
+        v1 = 2000 + shift
+        norm = support_norm(IndexVector(v1, k - v1), pair)
+        monkeypatch.setattr(minkowski, "sum_capacity_with_argmin", lambda k, pair: (norm, IndexVector(v1, k - v1)))
+        with pytest.raises(ValueError, match="norm at the argmin v1 = 2000 is"):
+            cross_check(k, pair, norm)
+
+    @pytest.mark.parametrize("k", [2, 40, 4000])
+    def test_rejects_a_wrong_branch_norm(self, monkeypatch, k):
+        # a _norm_coeff that always takes the corner branch; the even-family
+        # argmin v1 = k/2 is interior, so the engine's value comes out wrong
+        def corner_only(k, pair):
+            a, b, c, d = pair.radii
+
+            def h(v1):
+                corner = max(v1 * (a + c) ** 2, (k - v1) * (b + d) ** 2)
+                return corner.numerator, corner.denominator
+
+            return h
+
+        domain = even_family(k)
+        monkeypatch.setattr(minkowski, "_norm_coeff", corner_only)
+        forged = capacity(k, domain)
+        assert forged.coeff != expected_family_coeff(k)
+        with pytest.raises(ValueError):
+            cross_check(k, domain, forged)
+
+    def test_unsupported_domain(self):
+        with pytest.raises(TypeError):
+            cross_check(2, "E(1,1)", PiRational(1))
