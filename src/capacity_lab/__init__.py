@@ -3,18 +3,18 @@ and Minkowski sums of ellipsoids, with certified Brunn-Minkowski checks.
 
 A sum E(a,b) + E(c,d) is an ``EllipsoidPair``, as ``parse_domain`` returns
 it for ``sum(...)``.  Capacities are exact rational multiples of pi, and
-``minkowski``, the engine, computes every one of them; ``capacity``
-takes any domain, a ``ProductWithBall`` too.  ``bm`` writes
-Brunn-Minkowski certificates, each carrying the argmin of the sum as its
-witness.  ``verify`` is the one exact verifier and the home of the
-certificate record ``BMCertificate``: ``cross_check`` re-derives a
-capacity and ``verify_certificate`` a certificate, from ``domains`` and
-``exact`` alone, never with the engine that wrote it; those three modules
-are the trusted base.  Floating point is confined to ``_kernels``, the
-one module that imports numpy: the numeric oracles (no settings), the
-boundary-curve samplers and the Monte Carlo mean-width estimator.  No
-exact module imports it, so an exact computation or its verification
-never loads numpy.
+``minkowski``, the engine, computes every one of them; ``capacity`` takes
+any domain, a ``ProductWithBall`` too.  ``bm`` writes Brunn-Minkowski
+certificates, each with the sum's argmin as its witness;
+``reproduce_theorem`` yields the paper's, one per k, as it is read.
+``verify`` is the one exact verifier and the home of the certificate
+record ``BMCertificate``: ``cross_check`` re-derives a capacity and
+``verify_certificate`` a certificate, from ``domains`` and ``exact``
+alone, never with the engine that wrote it; those three modules are the
+trusted base.  Floating point is confined to ``_kernels``, the one module
+that imports numpy: the numeric oracles (no settings), the boundary-curve
+samplers and the Monte Carlo mean-width estimator.  No exact module
+imports it, so an exact computation or its verification never loads numpy.
 
 The namespace is lazy (PEP 562): importing the package loads none of its
 modules, and each public name loads its module on first access.
@@ -36,7 +36,7 @@ _MODULES = {
         " sum_capacity sum_capacity_with_argmin support_norm"
     ),
     "bm": (
-        "CriterionReport ReproduceRow ReproductionError bm_check cmp_sqrt_combination even_family"
+        "CriterionReport ReproductionError bm_check cmp_sqrt_combination even_family"
         " expected_family_coeff mean_width odd_family ostrover_criterion reproduce_theorem"
     ),
     "verify": "BMCertificate cross_check verify_certificate",

@@ -43,6 +43,7 @@ tests also evaluate them on Fractions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -163,10 +164,16 @@ class ConvexityReport:
 
 
 def _float_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, float]:
-    """The radii a, b, c, d as floats, for the float paths; refuses a proportional pair."""
+    """The radii a, b, c, d as floats, for the float paths; refuses a proportional pair, and radii beyond
+    float range or with a float square below the least normal float, where the formulas lose digits."""
     _require_nonproportional(pair, op)
-    a, b, c, d = pair.radii
-    return float(a), float(b), float(c), float(d)
+    try:
+        radii = tuple(map(float, pair.radii))
+        if min(r * r for r in radii) >= sys.float_info.min:
+            return radii
+    except OverflowError:  # a radius beyond the largest float
+        pass
+    raise ValueError(f"{op} of these radii lies beyond float range")
 
 
 def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
@@ -201,17 +208,18 @@ def convexity_check(pair: EllipsoidPair, grid: int) -> ConvexityReport:
 
     C is the function with C(pi g^2) = pi h^2 along the boundary curve.
     Closed forms are evaluated at psi = j*(pi/2)/(grid+1), j = 1..grid.
-    Besides strict negativity, the structural facts are asserted: C' is a
-    ratio of positive quantities with a leading minus sign, and C'' has
-    the sign of g' (negative on the open quadrant).
+    g' must be negative too, as C'' has its sign.  A non-finite C', C'' or
+    g', or a zero C'', at any angle is an overflow or an underflow of the
+    floats, and raises ValueError: these radii lie beyond float range.
     """
     af, bf, cf, df = _float_radii(pair, "convexity_check")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     psis = 0.5 * math.pi * np.arange(1, grid + 1) / (grid + 1)
     c1, c2, gp = convexity_grid(af, bf, cf, df, psis)
-    signs_match = bool(np.all((c2 < 0) == (gp < 0)))
-    ok = bool(np.all(c1 < 0) and np.all(c2 < 0) and np.all(gp < 0) and signs_match)
+    if not np.isfinite([c1, c2, gp]).all() or not c2.all():  # a zero C'' is an underflow
+        raise ValueError("convexity_check of these radii lies beyond float range")
+    ok = bool(np.all(c1 < 0) and np.all(c2 < 0) and np.all(gp < 0))
     return ConvexityReport(ok=ok, worst_C1=float(c1.max()), worst_C2=float(c2.max()), grid=grid)
 
 
@@ -242,10 +250,9 @@ def golden_max(fn, lo: float, hi: float, iters: int) -> float:
 
 def support_norm_numeric(v: IndexVector, pair: EllipsoidPair) -> float:
     """Numeric maximum of pi (v1 g^2 + v2 h^2) over psi in [0, pi/2]; ValueError beyond float range."""
-    a, b, c, d = _float_radii(pair, "support_norm_numeric")
     try:
-        norm = support_max(v.v1, v.v2, a, b, c, d, _GRID, _GOLDEN_STEPS)
-    except ZeroDivisionError:  # a square of a radius underflows to 0
+        norm = support_max(v.v1, v.v2, *_float_radii(pair, "support_norm_numeric"), _GRID, _GOLDEN_STEPS)
+    except ZeroDivisionError:  # a ratio of squares of the radii underflows to 0
         norm = math.nan
     if not math.isfinite(norm):
         raise ValueError("support_norm_numeric of these radii lies beyond float range")
@@ -321,7 +328,7 @@ def s_derivative_signcheck(v: IndexVector, pair: EllipsoidPair) -> SignCheckRepo
     span = hi - lo
     try:
         s_over_pi, s_prime_over_pi = _s_over_pi(*radii), _s_prime_over_pi(*radii)
-    except ZeroDivisionError:  # a square of a radius underflows to 0
+    except ZeroDivisionError:  # a product of squares of the radii underflows to 0
         raise ValueError("s_derivative_signcheck of these radii lies beyond float range") from None
 
     def S(f):

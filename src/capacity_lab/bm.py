@@ -14,6 +14,7 @@ module or of the engine.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,34 +103,26 @@ def expected_family_coeff(k: int) -> Fraction:
     return Fraction(k + 1, 2) * (2 - Fraction(1, k)) ** 2
 
 
-@dataclass(frozen=True)
-class ReproduceRow:
-    k: int
-    family: str
-    certificate: BMCertificate
-
-
-def _reproduce_one(k: int) -> ReproduceRow:
-    family = "even" if k % 2 == 0 else "odd"
-    pair = even_family(k) if k % 2 == 0 else odd_family(k)
-    cert = bm_check(k, pair)
+def _reproduce_one(k: int) -> BMCertificate:
+    cert = bm_check(k, even_family(k) if k % 2 == 0 else odd_family(k))
     expected = PiRational(expected_family_coeff(k))
     if cert.c_sum != expected:
         raise ReproductionError(f"k={k}: computed c_sum = {cert.c_sum}, closed form expects {expected}")
     if cert.verdict is not Verdict.VIOLATES:
         raise ReproductionError(f"k={k}: expected verdict Violates, got {cert.verdict}")
-    return ReproduceRow(k=k, family=family, certificate=cert)
+    return cert
 
 
-def reproduce_theorem(k_max: int) -> list[ReproduceRow]:
-    """One violating certificate per k in {2, ..., k_max}, ordered by k.
+def reproduce_theorem(k_max: int) -> Iterator[BMCertificate]:
+    """An iterator of one violating certificate per k in {2, ..., k_max}, ordered by k.
 
-    Each row is checked against its closed form; any Satisfies verdict or
-    closed-form mismatch raises ReproductionError.
+    k_max is checked at the call.  Each certificate is built, and checked
+    against its closed form, as the iterator reaches its k; a Satisfies
+    verdict or a closed-form mismatch raises ReproductionError there.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    return [_reproduce_one(k) for k in range(2, k_max + 1)]
+    return map(_reproduce_one, range(2, k_max + 1))
 
 
 def mean_width(domain: DomainSpec) -> Fraction:

@@ -222,20 +222,18 @@ def cmd_reproduce(k_max, fmt, verify):
         raise CliError(f"K_MAX must be >= 2, got {k_max}")
     _check_k(k_max)
     from .bm import ReproductionError, reproduce_theorem
+    from .verify import verify_certificate  # loaded by bm already
 
+    table = []
     try:
-        rows = reproduce_theorem(k_max)
+        for cert in reproduce_theorem(k_max):
+            if verify and not verify_certificate(cert, reasons := []):
+                print(f"reproduction FAILED: verify_certificate rejects k={cert.k}: {reasons[0]}", file=sys.stderr)
+                return 3
+            table.append(_certificate_row(cert, "even" if cert.k % 2 == 0 else "odd"))
     except ReproductionError as exc:
         print(f"reproduction FAILED: {exc}", file=sys.stderr)
         return 3
-    if verify:
-        from .verify import verify_certificate
-
-        for row in rows:
-            if not verify_certificate(row.certificate, reasons := []):
-                print(f"reproduction FAILED: verify_certificate rejects k={row.k}: {reasons[0]}", file=sys.stderr)
-                return 3
-    table = [_certificate_row(row.certificate, row.family) for row in rows]
     _emit(fmt, lambda: table, ["k", "family", "c_sum", "c1", "c2", "verdict"], lambda: table, lambda: [
         *(f"k={r['k']:>4} {r['family']:<5} c_sum={r['c_sum']:<14} c1={r['c1']:<10} c2={r['c2']:<10} {r['verdict']}"
           for r in table),

@@ -175,16 +175,31 @@ class TestReproduce:
         assert expected_family_coeff(4) == F(41, 4)
 
     def test_small_run(self):
-        rows = reproduce_theorem(12)
-        assert [r.k for r in rows] == list(range(2, 13))
-        for row in rows:
-            assert row.certificate.verdict is Verdict.VIOLATES
-            assert row.certificate.c_sum.coeff == expected_family_coeff(row.k)
-            assert row.family == ("even" if row.k % 2 == 0 else "odd")
+        certs = list(reproduce_theorem(12))
+        assert [c.k for c in certs] == list(range(2, 13))
+        for cert in certs:
+            assert cert.verdict is Verdict.VIOLATES
+            assert cert.c_sum.coeff == expected_family_coeff(cert.k)
 
     def test_k_max_validated(self):
-        with pytest.raises(ValueError):
+        # by the call itself, before any next()
+        with pytest.raises(ValueError, match="^k_max must be >= 2, got 1$"):
             reproduce_theorem(1)
+
+    def test_certificates_are_built_as_they_are_read(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(bm, "bm_check", lambda k, pair: built.append(k) or bm_check(k, pair))
+        certs = reproduce_theorem(10**6)
+        assert iter(certs) is certs and built == []
+        assert next(certs).k == 2 and next(certs).k == 3
+        assert built == [2, 3]
+
+    def test_a_failure_surfaces_at_its_k(self, monkeypatch):
+        monkeypatch.setattr(bm, "expected_family_coeff", lambda k: expected_family_coeff(k) + (k == 4))
+        certs = reproduce_theorem(5)
+        assert [next(certs).k, next(certs).k] == [2, 3]
+        with pytest.raises(ReproductionError, match="^k=4: computed c_sum = 41/4·π, closed form expects 45/4·π$"):
+            next(certs)
 
 
 class TestCertificates:

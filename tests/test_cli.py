@@ -14,7 +14,7 @@ import pytest
 
 import capacity_lab
 import cli_golden
-from capacity_lab import BMCertificate, Ellipsoid, EllipsoidPair, Verdict, __version__, bm_check, cli, minkowski
+from capacity_lab import BMCertificate, Ellipsoid, EllipsoidPair, Verdict, __version__, bm, bm_check, cli, minkowski, verify
 from capacity_lab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -320,6 +320,29 @@ class TestReproduce:
 
     def test_verify_mode(self, runner):
         assert invoke(runner, "reproduce", "5", "--verify").exit_code == 0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_a_closed_form_miss_at_the_last_k_prints_nothing(self, monkeypatch, fmt):
+        expected = bm.expected_family_coeff
+        monkeypatch.setattr(bm, "expected_family_coeff", lambda k: expected(k) + (k == 6))
+        got = cli_golden.run(["reproduce", "6", "--format", fmt])
+        assert (got["exit"], got["stdout"]) == (3, "")
+        assert got["stderr"] == "reproduction FAILED: k=6: computed c_sum = 85/6·π, closed form expects 91/6·π\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_a_rejection_at_the_last_k_prints_nothing(self, monkeypatch, fmt):
+        verify_certificate = verify.verify_certificate
+
+        def reject_the_last(cert, reasons=None):
+            if cert.k == 6:
+                reasons.append("forged rejection")
+                return False
+            return verify_certificate(cert, reasons)
+
+        monkeypatch.setattr(verify, "verify_certificate", reject_the_last)
+        got = cli_golden.run(["reproduce", "6", "--verify", "--format", fmt])
+        assert (got["exit"], got["stdout"]) == (3, "")
+        assert got["stderr"] == "reproduction FAILED: verify_certificate rejects k=6: forged rejection\n"
 
 
 class TestOmega:

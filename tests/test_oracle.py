@@ -15,6 +15,7 @@ from capacity_lab import (
     SignCheckReport,
     StabilizationError,
     capacity,
+    convexity_check,
     cross_check,
     even_family,
     odd_family,
@@ -79,15 +80,16 @@ class TestFloatRange:
 
     # 10^77: the finite differences overflow (max_abs_err was inf); 10^80:
     # K = c^2 d^2 / (a^2 b^2) is inf/inf, so S' is NaN (the report passed with
-    # max_abs_err 0.0); 10^-160: a^2 b^2 underflows to 0 (ZeroDivisionError)
+    # max_abs_err 0.0); 10^-160: a^2 is subnormal (a^2 b^2 underflowed to 0)
     @pytest.mark.parametrize("e", [77, 80, 168, -160])
     def test_signcheck_refuses(self, e):
         with pytest.raises(ValueError, match="^s_derivative_signcheck of these radii lies beyond float range$"):
             s_derivative_signcheck(IndexVector(3, 4), power_pair(e))
 
     # 10^160: f^2 = (c/a)^2 ... is inf/inf (the norm was NaN); 10^-170: the
-    # golden-section objective divides by a^2 = 0 (ZeroDivisionError)
-    @pytest.mark.parametrize("e", [160, -170])
+    # golden-section objective divided by a^2 = 0 (ZeroDivisionError); 10^-160:
+    # a^2 is subnormal, and the norm lost digits (2.01058e-318 for 2.01061e-318)
+    @pytest.mark.parametrize("e", [160, -170, -160])
     def test_support_norm_numeric_refuses(self, e):
         with pytest.raises(ValueError, match="^support_norm_numeric of these radii lies beyond float range$"):
             support_norm_numeric(IndexVector(3, 4), power_pair(e))
@@ -99,6 +101,25 @@ class TestFloatRange:
 
     def test_signcheck_in_range(self):
         assert s_derivative_signcheck(IndexVector(3, 4), power_pair(70)).ok
+
+    # float(10^400) raised OverflowError
+    @pytest.mark.parametrize("op", ["convexity_check", "support_norm_numeric", "s_derivative_signcheck"])
+    def test_radius_beyond_the_largest_float_refused(self, op):
+        pair = EllipsoidPair.normalized(Ellipsoid(F(10) ** 400, 1), Ellipsoid(1, 2))
+        args = (pair, 64) if op == "convexity_check" else (IndexVector(3, 4), pair)
+        with pytest.raises(ValueError, match=f"^{op} of these radii lies beyond float range$"):
+            getattr(_kernels, op)(*args)
+
+    # convexity does not depend on scale, yet the report failed: 10^-90, C'' was NaN;
+    # 10^-80, C'' was -inf at every angle (the true C'' is about -3e157); 10^60, C'' was -0.0
+    @pytest.mark.parametrize("e", [-90, -80, 60])
+    def test_convexity_check_refuses(self, e):
+        with pytest.raises(ValueError, match="^convexity_check of these radii lies beyond float range$"):
+            convexity_check(power_pair(e), 64)
+
+    @pytest.mark.parametrize("e", [-52, 0, 50])
+    def test_convexity_check_in_range(self, e):
+        assert convexity_check(power_pair(e), 64).ok
 
 
 class TestSupportNormNumeric:
@@ -137,26 +158,6 @@ class TestSupportNormNumeric:
 
 
 class TestCrossCheck:
-    DOMAINS = [
-        Ellipsoid(F(3, 2), 1),
-        Polydisk(2, 3),
-        EVEN2,
-        ODD3,
-        EllipsoidPair.normalized(Ellipsoid(1, 2), Ellipsoid(2, 4)),
-        ProductWithBall(Ellipsoid(1, 1), 2, 10),
-    ]
-
-    @pytest.mark.parametrize("domain", DOMAINS)
-    def test_accepts_exact_values(self, domain):
-        for k in (1, 2, 3, 7, 40):
-            cross_check(k, domain, capacity(k, domain))
-
-    @pytest.mark.parametrize("domain", DOMAINS)
-    def test_rejects_forged_value(self, domain):
-        forged = PiRational(capacity(5, domain).coeff + F(1, 1000))
-        with pytest.raises(ValueError):
-            cross_check(5, domain, forged)
-
     @pytest.mark.parametrize(
         "k, R, stabilized",
         [(7, F(1, 10), False), (7, 2, False), (7, F(2 * 10**9 + 1, 10**9), True), (3, 10, True)],

@@ -11,6 +11,7 @@ from capacity_lab import (
     IndexVector,
     PiRational,
     Polydisk,
+    ProductWithBall,
     bm_check,
     capacity,
     cross_check,
@@ -127,8 +128,28 @@ class TestIntegerSMax:
 
 
 class TestCrossCheck:
-    """``verify.cross_check``: its witness paths and the engine faults it catches; its other tests
-    are in test_oracle.py."""
+    """``verify.cross_check``: exact and forged values on each kind of domain, its witness paths and
+    the engine faults it catches; its other tests are in test_oracle.py."""
+
+    DOMAINS = [
+        Ellipsoid(F(3, 2), 1),
+        Polydisk(2, 3),
+        EVEN2,
+        ODD3,
+        EllipsoidPair.normalized(Ellipsoid(1, 2), Ellipsoid(2, 4)),
+        ProductWithBall(Ellipsoid(1, 1), 2, 10),
+    ]
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_accepts_exact_values(self, domain):
+        for k in (1, 2, 3, 7, 40):
+            cross_check(k, domain, capacity(k, domain))
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_rejects_forged_value(self, domain):
+        forged = PiRational(capacity(5, domain).coeff + F(1, 1000))
+        with pytest.raises(ValueError):
+            cross_check(5, domain, forged)
 
     def test_witness_less_sums_run_no_engine(self, monkeypatch):
         # the verifier finds v1 with its own norms, so an engine that fails on every call goes unnoticed
