@@ -16,28 +16,20 @@ pair, it is traced by
     h(psi)   = sin psi * (b + d^2 / (b f))
 
 and the moment-map image of the sum is the region under the curve
-psi -> (pi g^2, pi h^2).  ``gh_profiles`` is the one array form of these
-formulas, and ``_fgh`` is its body, which takes cos psi and sin psi
-rather than psi; the only other copy is the scalar golden-section
-objective inside ``support_max``, where numpy on a single float costs
-several times more than ``math``.  The dense scan of ``support_max`` is
-always over the same angles j (pi/2) / grid, j = 0..grid, so their
-cosines and sines are computed once per grid and kept, read-only, in a
-small bounded cache (``_angle_table``): 16 (grid+1) bytes per table,
-64 KB at the oracles' grid of 4096.  The pair's g and h at those
-angles do not depend on the index vector, so the last pair's profile is
-kept too, read-only, in a one-entry cache (``_profile``) keyed by
-(a, b, c, d, grid): the oracle's neighbour check, the norms at v-1, v
-and v+1 of one pair, builds it once.  It holds 16 (grid+1) bytes, 64 KB
-at grid 4096.  No table or profile is built at import.
+psi -> (pi g^2, pi h^2), which ``gh_profiles`` samples.
 
-``support_norm_numeric`` maximizes the boundary objective over psi on a
-dense grid of 4096 angles refined by 80 steps of ``golden_max``, and
-``s_derivative_signcheck`` compares, at 4096 points f, the closed form of
-S'(f), the derivative of the profile S of ``verify``'s module docstring,
-with finite differences; both raise ValueError beyond float range.
-``_s_over_pi`` and ``_s_prime_over_pi`` are S and S' in closed form; the
-tests also evaluate them on Fractions.
+The numeric norm maximizes the profile S of ``verify``'s module docstring
+over [c/a, d/b] as S / pi = v1 X + v2 Y, X = (1 - t) (a + c^2 / (a f))^2,
+Y = t (b + d^2 / (b f))^2, with t = sin^2 psi = (f^2 - r2) / (s2 - r2),
+r2 = (c/a)^2, s2 = (d/b)^2: ``_s_over_pi`` with nothing divided by
+s2 - r2, so nothing cancels for a nearly proportional pair.  Its grid+1
+points t have log-spaced f, which resolves the maximizer at any radius
+ratio.  X and Y do not depend on v, so the last pair's columns are kept
+read-only in a one-entry cache (``_columns``): the norms at v-1, v and
+v+1 of one pair build them once.  They hold 24 (grid+1) bytes, 96 KB at
+grid 4096; nothing is built at import.  ``_s_over_pi`` and
+``_s_prime_over_pi``, S and S' in closed form, serve
+``s_derivative_signcheck``; the tests also evaluate them on Fractions.
 """
 
 from __future__ import annotations
@@ -50,10 +42,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domains import DomainSpec, Ellipsoid, EllipsoidPair, IndexVector, Polydisk, format_domain
+from .domains import DomainSpec, Ellipsoid, EllipsoidPair, IndexVector, Polydisk, _common_denominator, format_domain
 from .minkowski import _require_nonproportional
-
-_HALF_PI = 0.5 * math.pi
 
 
 def backend_name() -> str:
@@ -64,59 +54,54 @@ def gh_profiles(a: float, b: float, c: float, d: float, psis):
     """(cos psi, sin psi, f, g, h) at the angles psis."""
     cp = np.cos(psis)
     sp = np.sin(psis)
-    return cp, sp, *_fgh(a, b, c, d, cp, sp)
-
-
-def _fgh(a: float, b: float, c: float, d: float, cp, sp):
-    """(f, g, h) from cp = cos psi and sp = sin psi."""
     f = np.sqrt((c * c) / (a * a) * cp * cp + (d * d) / (b * b) * sp * sp)
     g = cp * (a + c * c / (a * f))
     h = sp * (b + d * d / (b * f))
-    return f, g, h
-
-
-@lru_cache(maxsize=4)
-def _angle_table(grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (cos psi, sin psi) at psi = j (pi/2) / grid, j = 0..grid."""
-    psis = _HALF_PI * np.arange(grid + 1) / grid
-    cp, sp = np.cos(psis), np.sin(psis)
-    cp.flags.writeable = sp.flags.writeable = False
-    return cp, sp
+    return cp, sp, f, g, h
 
 
 @lru_cache(maxsize=1)
-def _profile(a: float, b: float, c: float, d: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (g, h) of the radii a, b, c, d at the angles of ``_angle_table(grid)``."""
-    _, g, h = _fgh(a, b, c, d, *_angle_table(grid))
-    g.flags.writeable = h.flags.writeable = False
-    return g, h
+def _columns(a: float, b: float, c: float, d: float, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable]:
+    """Read-only t, X and Y at the grid+1 points t whose f are log-spaced, and the closure t -> (X, Y)."""
+    r2, s2 = c * c / (a * a), d * d / (b * b)
+    dp, c2a, d2b = s2 - r2, c * c / a, d * d / b
+
+    def xy(t):  # a float, or a numpy array updated in place: the build holds five arrays at most
+        f = dp * t
+        f += r2
+        f **= 0.5
+        x, y = c2a / f + a, d2b / f + b
+        x *= x
+        x *= 1.0 - t
+        y *= y
+        y *= t
+        return x, y
+
+    # f_j^2 = r2 (s2/r2)^(j/grid): t_j = expm1(j/grid ln(s2/r2)) / expm1(ln(s2/r2)), uniform as s2/r2 -> 1
+    t = np.expm1(np.arange(grid + 1) * (max(math.log(s2 / r2), sys.float_info.epsilon) / grid))
+    t /= t[-1]
+    x, y = xy(t)
+    x[0], y[-1] = (a + c) ** 2, (b + d) ** 2
+    t.flags.writeable = x.flags.writeable = y.flags.writeable = False
+    return t, x, y, xy
 
 
 def support_max(v1: int, v2: int, a: float, b: float, c: float, d: float, grid: int, iters: int) -> float:
-    """Maximum of pi*(v1 g^2 + v2 h^2) over psi in [0, pi/2].
-
-    A dense scan over the grid+1 angles of ``_angle_table``, with the
-    pair's g and h from ``_profile``, then golden-section ascent on the
-    bracket around the best grid point.
-    """
+    """Maximum of pi S = pi (v1 X + v2 Y) over [c/a, d/b]: a scan of ``_columns``, then ``golden_max``
+    in t around the best point, on the radii divided by the 2^e that brings the largest into [1/2, 1)
+    (exact for normal floats); the maximum is multiplied back by 4^e."""
+    e = math.frexp(max(a, b, c, d))[1]
+    t, x, y, xy = _columns(*(math.ldexp(r, -e) for r in (a, b, c, d)), grid)
     v1, v2 = float(v1), float(v2)
-    g, h = _profile(a, b, c, d, grid)
-    vals = np.pi * (v1 * g * g + v2 * h * h)
-    besti = int(np.argmax(vals))
-    r2 = (c * c) / (a * a)
-    s2 = (d * d) / (b * b)
+    vals = v1 * x + v2 * y
+    i = int(vals.argmax())
 
-    def objective(psi: float) -> float:
-        cp = math.cos(psi)
-        sp = math.sin(psi)
-        f = math.sqrt(r2 * cp * cp + s2 * sp * sp)
-        g = cp * (a + c * c / (a * f))
-        h = sp * (b + d * d / (b * f))
-        return math.pi * (v1 * g * g + v2 * h * h)
+    def S(u: float) -> float:
+        xu, yu = xy(u)
+        return v1 * xu + v2 * yu
 
-    lo = _HALF_PI * max(besti - 1, 0) / grid
-    hi = _HALF_PI * min(besti + 1, grid) / grid
-    return max(float(vals[besti]), golden_max(objective, lo, hi, iters))
+    best = golden_max(S, float(t[max(i - 1, 0)]), float(t[min(i + 1, grid)]), iters)
+    return math.ldexp(math.pi * max(float(vals[i]), best), 2 * e)
 
 
 def omega_xy(a: float, b: float, c: float, d: float, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +208,7 @@ def convexity_check(pair: EllipsoidPair, grid: int) -> ConvexityReport:
     return ConvexityReport(ok=ok, worst_C1=float(c1.max()), worst_C2=float(c2.max()), grid=grid)
 
 
-# the oracles' one grid size (angles psi, points f) and the numeric norm's golden-section steps
+# the oracles' one grid size (points f) and the numeric norm's golden-section steps
 _GRID = 4096
 _GOLDEN_STEPS = 80
 
@@ -231,12 +216,15 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_max(fn, lo: float, hi: float, iters: int) -> float:
-    """Golden-section maximum of a unimodal fn on [lo, hi], endpoints included."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
+    """Golden-section maximum of a unimodal fn on [lo, hi], endpoints included: the largest value fn
+    took at the ends or a probe.  Every probe lies in the bracket, whose ends were evaluated, so the
+    loop stops early once no float lies strictly inside it; no later step could change the result."""
+    x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
     best = max(fn(lo), fn(hi))
     for _ in range(iters):
+        if math.nextafter(lo, hi) >= hi:
+            break
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
@@ -248,15 +236,24 @@ def golden_max(fn, lo: float, hi: float, iters: int) -> float:
     return max(best, f1, f2)
 
 
+# the numeric norm's largest radius / smallest: s2/r2 <= ratio^4 stays below 2^1024, where expm1 overflows
+_RATIO_BITS = 255
+
+
 def support_norm_numeric(v: IndexVector, pair: EllipsoidPair) -> float:
-    """Numeric maximum of pi (v1 g^2 + v2 h^2) over psi in [0, pi/2]; ValueError beyond float range."""
-    try:
-        norm = support_max(v.v1, v.v2, *_float_radii(pair, "support_norm_numeric"), _GRID, _GOLDEN_STEPS)
-    except ZeroDivisionError:  # a ratio of squares of the radii underflows to 0
-        norm = math.nan
-    if not math.isfinite(norm):
-        raise ValueError("support_norm_numeric of these radii lies beyond float range")
-    return norm
+    """Numeric maximum of pi S over [c/a, d/b]: ``support_max`` of the radii divided, as Fractions, by
+    the 2^e that brings the largest into (1/2, 2), times 4^e.  ValueError when the largest radius
+    exceeds 2^255 times the smallest, or when the norm is not a finite normal float."""
+    _require_nonproportional(pair, "support_norm_numeric")
+    nums, den = _common_denominator(*pair.radii)
+    top = max(nums)
+    if top <= min(nums) << _RATIO_BITS:
+        e = top.bit_length() - den.bit_length()
+        floats = [(n << max(-e, 0)) / (den << max(e, 0)) for n in nums]  # n / den / 2^e, correctly rounded
+        norm = support_max(v.v1, v.v2, *floats, _GRID, _GOLDEN_STEPS)
+        if math.isfinite(norm) and sys.float_info.min_exp <= math.frexp(norm)[1] + 2 * e <= sys.float_info.max_exp:
+            return math.ldexp(norm, 2 * e)
+    raise ValueError("support_norm_numeric of these radii lies beyond float range")
 
 
 def _critical(v1, v2, a, b, c, d):
@@ -328,44 +325,44 @@ def s_derivative_signcheck(v: IndexVector, pair: EllipsoidPair) -> SignCheckRepo
     span = hi - lo
     try:
         s_over_pi, s_prime_over_pi = _s_over_pi(*radii), _s_prime_over_pi(*radii)
-    except ZeroDivisionError:  # a product of squares of the radii underflows to 0
+
+        def S(f):
+            return math.pi * s_over_pi(v.v1, v.v2, f)
+
+        n = _GRID
+        f = lo + span * np.arange(1, n + 1) / (n + 1)
+        # step scales with f: S varies on the scale of f near the left end
+        h = np.minimum(1e-3 * f, 0.25 * np.minimum(f - lo, hi - f))
+        keep = h > 0.0
+        if not keep.all():
+            f, h = f[keep], h[keep]
+        fd = _fd_derivative(S, f, h)
+        closed = math.pi * s_prime_over_pi(v.v1, v.v2, f)
+        err = np.abs(fd - closed)
+        allowed = np.maximum(1e-6, 1e-6 * np.abs(closed))
+        sign_mismatches = int(np.count_nonzero((np.abs(closed) > 1e-6) & (fd * closed < 0)))
+        ok = sign_mismatches == 0 and not np.any(err > allowed)
+        max_abs_err = max_allowed = 0.0
+        top = float(err.max()) if err.size else 0.0
+        if not math.isfinite(top):  # an inf or a NaN in S' or in its finite differences
+            raise OverflowError
+        if top > 0.0:
+            worst = int(np.argmax(err))
+            max_abs_err, max_allowed = float(err[worst]), float(allowed[worst])
+
+        D, N = _critical(v.v1, v.v2, *pair.radii)
+        f0 = float(N / D) if D != 0 else None
+        f0_interior = f0 is not None and D < 0 and lo < f0 < hi
+        f0_is_max = False
+        if f0_interior:
+            eps = 1e-5 * span
+            left = max(f0 - eps, lo)
+            right = min(f0 + eps, hi)
+            f0_is_max = S(f0) >= S(left) and S(f0) >= S(right)
+            if not f0_is_max:
+                ok = False
+    except ArithmeticError:  # a square of the radii underflows to 0, or S or S' leaves float range
         raise ValueError("s_derivative_signcheck of these radii lies beyond float range") from None
-
-    def S(f):
-        return math.pi * s_over_pi(v.v1, v.v2, f)
-
-    n = _GRID
-    f = lo + span * np.arange(1, n + 1) / (n + 1)
-    # step scales with f: S varies on the scale of f near the left end
-    h = np.minimum(1e-3 * f, 0.25 * np.minimum(f - lo, hi - f))
-    keep = h > 0.0
-    if not keep.all():
-        f, h = f[keep], h[keep]
-    fd = _fd_derivative(S, f, h)
-    closed = math.pi * s_prime_over_pi(v.v1, v.v2, f)
-    err = np.abs(fd - closed)
-    allowed = np.maximum(1e-6, 1e-6 * np.abs(closed))
-    sign_mismatches = int(np.count_nonzero((np.abs(closed) > 1e-6) & (fd * closed < 0)))
-    ok = sign_mismatches == 0 and not np.any(err > allowed)
-    max_abs_err = max_allowed = 0.0
-    top = float(err.max()) if err.size else 0.0
-    if not math.isfinite(top):  # an inf or a NaN in S' or in its finite differences
-        raise ValueError("s_derivative_signcheck of these radii lies beyond float range")
-    if top > 0.0:
-        worst = int(np.argmax(err))
-        max_abs_err, max_allowed = float(err[worst]), float(allowed[worst])
-
-    D, N = _critical(v.v1, v.v2, *pair.radii)
-    f0 = float(N / D) if D != 0 else None
-    f0_interior = f0 is not None and D < 0 and lo < f0 < hi
-    f0_is_max = False
-    if f0_interior:
-        eps = 1e-5 * span
-        left = max(f0 - eps, lo)
-        right = min(f0 + eps, hi)
-        f0_is_max = S(f0) >= S(left) and S(f0) >= S(right)
-        if not f0_is_max:
-            ok = False
 
     return SignCheckReport(
         ok=ok,

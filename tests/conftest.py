@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -50,3 +51,40 @@ def scale_domain(lam: Fraction, domain):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max_all_steps(fn, lo, hi, iters):
+    """``_kernels.golden_max`` without its early stop, the reference for it: always all iters steps."""
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    best = max(fn(lo), fn(hi))
+    for _ in range(iters):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = fn(x1)
+    return max(best, f1, f2)
+
+
+@pytest.fixture
+def golden_early_stop_checked(monkeypatch):
+    """Every ``golden_max`` call of the test, the numeric norm's included, must return
+    exactly what all of its steps return."""
+    from capacity_lab import _kernels
+
+    early = _kernels.golden_max
+
+    def checked(fn, lo, hi, iters):
+        got = early(fn, lo, hi, iters)
+        assert got == golden_max_all_steps(fn, lo, hi, iters), (lo, hi, iters)
+        return got
+
+    monkeypatch.setattr(_kernels, "golden_max", checked)

@@ -82,7 +82,8 @@ def test_criterion_03_spot_exact_values():
         assert sum_capacity(3, odd_family(3)).coeff == F(50, 9)
 
 
-def test_criterion_04_oracle_agreement():
+def test_criterion_04_oracle_agreement(golden_early_stop_checked):
+    # golden_early_stop_checked: each golden_max call must equal all of its steps
     with criterion(4, "100 random pairs, all v with v1+v2 <= 12: |exact - numeric|/exact <= 1e-9, < 30 s"):
         start = time.perf_counter()
         rng = random.Random(424242)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,9 +23,10 @@ from capacity_lab import (
     verify,
     verify_certificate,
 )
-from capacity_lab import bm, minkowski
+from capacity_lab import BMCertificate, bm, cli, minkowski
 from capacity_lab._kernels import _critical, _s_over_pi
 from capacity_lab.bm import cmp_sqrt_combination
+from capacity_lab.domains import parse_domain
 from capacity_lab.exact import Ordering
 from capacity_lab.verify import _cmp_root_sum
 from conftest import nonprop_pairs_st, random_nonprop_pair
@@ -261,3 +263,29 @@ class TestCrossCheck:
     def test_unsupported_domain(self):
         with pytest.raises(TypeError):
             cross_check(2, "E(1,1)", PiRational(1))
+
+
+ZERO_COMPONENT_WITNESSES = [("E(1,1/3)", "E(1,2/3)", {"v1": 0, "v2": 1}), ("E(1/3,1)", "E(2/3,1)", {"v1": 1, "v2": 0})]
+
+
+class TestZeroComponentWitness:
+    """A witness with a zero component is valid: at k = 1 the argmin can be (0, 1) or (1, 0)."""
+
+    @pytest.mark.parametrize("domain1, domain2, witness", ZERO_COMPONENT_WITNESSES)
+    def test_round_trip_and_check(self, domain1, domain2, witness):
+        cert = bm_check(1, EllipsoidPair.normalized(parse_domain(domain1), parse_domain(domain2)))
+        data = json.loads(json.dumps(cert.to_dict()))
+        assert data["witness"] == witness
+        back = BMCertificate.from_dict(data)
+        assert back == cert and back.witness == IndexVector(**witness)
+        reasons = []
+        assert verify_certificate(back, reasons) and reasons == []
+
+    @pytest.mark.parametrize("domain1, domain2, witness", ZERO_COMPONENT_WITNESSES)
+    def test_check_certificate_exits_0(self, domain1, domain2, witness, tmp_path, capsys):
+        assert cli.main(["bm-check", "1", domain1, domain2]) == 0
+        path = tmp_path / "cert.json"
+        path.write_text(capsys.readouterr().out)
+        assert json.loads(path.read_text())["witness"] == witness
+        assert cli.main(["bm-check", "--check-certificate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
