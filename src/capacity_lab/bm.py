@@ -15,11 +15,10 @@ module or of the engine.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import DomainSpec, Ellipsoid, EllipsoidPair, Polydisk, format_domain
-from .exact import _VERDICTS, Ordering, PiRational, Verdict
+from .exact import _VERDICTS, Ordering, PiRational, Verdict, _Record
 from .minkowski import ellipsoid_capacity, sum_capacity_with_argmin
 from .verify import BMCertificate
 
@@ -150,8 +149,7 @@ def mean_width(domain: DomainSpec) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(_Record):
     """Mean-width criterion at index k: the unit polydisk beats the bound.
 
     A normalized capacity satisfying the Brunn-Minkowski inequality is
@@ -161,12 +159,16 @@ class CriterionReport:
     = 16/9, so some c_k violates the inequality for every such k.
     """
 
-    k: int
-    violating: bool
-    lhs: Fraction
-    rhs: Fraction
-    c_polydisk: PiRational
-    c_ball: PiRational
+    __slots__ = _fields = ("k", "violating", "lhs", "rhs", "c_polydisk", "c_ball")
+
+    def __init__(self, k: int, violating: bool, lhs: Fraction, rhs: Fraction, c_polydisk: PiRational,
+                 c_ball: PiRational):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "violating", violating)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "c_polydisk", c_polydisk)
+        object.__setattr__(self, "c_ball", c_ball)
 
 
 def ostrover_criterion(k: int) -> CriterionReport:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Union
 
-from .exact import format_rational
+from .exact import _Record, format_rational
 
 
 def _as_positive_radius(value, name: str) -> Fraction:
@@ -30,30 +29,30 @@ def _as_positive_radius(value, name: str) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
-class _TwoRadii:
+class _TwoRadii(_Record):
     """A 4-dimensional domain given by two positive rational radii a and b."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_positive_radius(self.a, "a"))
-        object.__setattr__(self, "b", _as_positive_radius(self.b, "b"))
+    def __init__(self, a: Fraction, b: Fraction):
+        object.__setattr__(self, "a", _as_positive_radius(a, "a"))
+        object.__setattr__(self, "b", _as_positive_radius(b, "b"))
 
     def scaled(self, lam: Fraction):
         """The same kind of domain with both radii multiplied by lam."""
         return type(self)(self.a * lam, self.b * lam)
 
 
-@dataclass(frozen=True)
 class Ellipsoid(_TwoRadii):
     """Open symplectic ellipsoid E(a,b) in C^2 with rational radii a, b."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Polydisk(_TwoRadii):
     """Product of two open disks of radii a and b."""
+
+    __slots__ = ()
 
 
 def _order(e1: Ellipsoid, e2: Ellipsoid) -> int:
@@ -63,8 +62,7 @@ def _order(e1: Ellipsoid, e2: Ellipsoid) -> int:
     return cb - a.numerator * d.numerator * c.denominator * b.denominator
 
 
-@dataclass(frozen=True)
-class EllipsoidPair:
+class EllipsoidPair(_Record):
     """The Minkowski sum E(a,b) + E(c,d), as the ordered pair of its summands.
 
     The stored order always satisfies c*b <= a*d, i.e. c/a <= d/b for
@@ -73,25 +71,27 @@ class EllipsoidPair:
     (Minkowski addition is symmetric, so only the labels can flip).
     """
 
-    first: Ellipsoid
-    second: Ellipsoid
-    # True when second = lam * first, so the sum is itself an ellipsoid;
-    # set once here, since every capacity and check of the pair asks
-    proportional: bool = field(init=False, repr=False, compare=False)
+    # proportional is True when second = lam * first, so the sum is itself an
+    # ellipsoid; set once here, since every capacity and check of the pair
+    # asks.  It is no field: equality, hash and repr leave it out.
+    __slots__ = ("first", "second", "proportional")
+    _fields = ("first", "second")
 
-    def __post_init__(self):
-        order = _order(self.first, self.second)
+    def __init__(self, first: Ellipsoid, second: Ellipsoid):
+        order = _order(first, second)
         if order > 0:
             raise ValueError(
                 "EllipsoidPair must satisfy c/a <= d/b; "
                 "use EllipsoidPair.normalized to order the operands"
             )
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
         object.__setattr__(self, "proportional", order == 0)
 
     @classmethod
     def normalized(cls, e1: Ellipsoid, e2: Ellipsoid) -> "EllipsoidPair":
         # _order(e2, e1) == -_order(e1, e2): the order picked here is valid, so
-        # __post_init__, which would compute it again, is bypassed
+        # __init__, which would compute it again, is bypassed
         order = _order(e1, e2)
         pair = object.__new__(cls)
         object.__setattr__(pair, "first", e2 if order > 0 else e1)
@@ -112,40 +112,39 @@ class EllipsoidPair:
         return EllipsoidPair(self.first.scaled(lam), self.second.scaled(lam))
 
 
-@dataclass(frozen=True)
-class ProductWithBall:
+class ProductWithBall(_Record):
     """A domain X x B^m(R) used for dimension stabilization.
 
     Only one ball factor is supported; nesting products raises.
     """
 
-    inner: "DomainSpec"
-    m: int
-    R: Fraction
+    __slots__ = _fields = ("inner", "m", "R")
 
-    def __post_init__(self):
-        if isinstance(self.inner, ProductWithBall):
+    def __init__(self, inner: DomainSpec, m: int, R: Fraction):
+        if isinstance(inner, ProductWithBall):
             raise ValueError("ProductWithBall cannot nest another product")
-        if self.m < 1:
-            raise ValueError(f"ball dimension m must be >= 1, got {self.m}")
-        object.__setattr__(self, "R", _as_positive_radius(self.R, "R"))
+        if m < 1:
+            raise ValueError(f"ball dimension m must be >= 1, got {m}")
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "R", _as_positive_radius(R, "R"))
 
 
-DomainSpec = Union[Ellipsoid, Polydisk, EllipsoidPair, ProductWithBall]
+DomainSpec = Ellipsoid | Polydisk | EllipsoidPair | ProductWithBall
 
 
-@dataclass(frozen=True)
-class IndexVector:
+class IndexVector(_Record):
     """A pair (v1, v2) of nonnegative integers with v1 + v2 >= 1."""
 
-    v1: int
-    v2: int
+    __slots__ = _fields = ("v1", "v2")
 
-    def __post_init__(self):
-        if self.v1 < 0 or self.v2 < 0:
-            raise ValueError(f"index vector components must be nonnegative, got {(self.v1, self.v2)}")
-        if self.v1 + self.v2 < 1:
+    def __init__(self, v1: int, v2: int):
+        if v1 < 0 or v2 < 0:
+            raise ValueError(f"index vector components must be nonnegative, got {(v1, v2)}")
+        if v1 + v2 < 1:
             raise ValueError("index vector (0, 0) is not allowed")
+        object.__setattr__(self, "v1", v1)
+        object.__setattr__(self, "v2", v2)
 
     @property
     def k(self) -> int:

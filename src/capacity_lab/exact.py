@@ -5,13 +5,21 @@ Every scalar that enters a capacity computation is a ``fractions.Fraction``
 (arbitrary precision, always in lowest terms with positive denominator), so
 every value here is exact.  Floating point appears only in rendering
 helpers.
+
+``_Record`` is the base of the immutable value records (``PiRational``,
+the domains, ``IndexVector``, ``BMCertificate``, ``CriterionReport``).  It
+gives what a frozen dataclass gives and no more: the field names in
+``_fields``, equality only within one class, a hash over the fields, the
+dataclass repr, and ``AttributeError`` on assignment or deletion.  Each
+record keeps its fields in ``__slots__`` and sets them in its own
+``__init__``, so that no exact subcommand imports ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -63,19 +71,50 @@ def format_decimal(q: Fraction, factor=1) -> str:
     return f"{val:g}"
 
 
-@dataclass(frozen=True, order=True)
-class PiRational:
+class _Record:
+    """An immutable record with the fields ``_fields``; ``__init__`` sets each with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@functools.total_ordering
+class PiRational(_Record):
     """A value of the form coeff * pi with an exact rational coefficient.
 
     Capacities and dual norms are stored this way; pi is never evaluated
-    numerically except in the rendering helpers.
+    numerically except in the rendering helpers.  Two values compare by
+    their coefficients; a PiRational and a plain number do not compare.
     """
 
-    coeff: Fraction
+    __slots__ = _fields = ("coeff",)
 
-    def __post_init__(self):
-        if type(self.coeff) is not Fraction:
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
+    def __init__(self, coeff: Fraction):
+        object.__setattr__(self, "coeff", coeff if type(coeff) is Fraction else Fraction(coeff))
+
+    def __lt__(self, other):
+        return self.coeff < other.coeff if other.__class__ is self.__class__ else NotImplemented
 
     def __float__(self) -> float:
         return float(self.coeff) * math.pi

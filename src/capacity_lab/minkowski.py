@@ -29,8 +29,8 @@ multiple of pi.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .domains import (
     DomainSpec,

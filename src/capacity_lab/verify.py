@@ -29,10 +29,9 @@ against sqrt(c_1) + sqrt(c_2) apart from ``bm.cmp_sqrt_combination``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable
 
 from .domains import (
     DomainSpec,
@@ -47,7 +46,7 @@ from .domains import (
     format_domain,
     parse_domain,
 )
-from .exact import _PI_DECIMAL, _VERDICTS, Ordering, PiRational, Verdict
+from .exact import _PI_DECIMAL, _VERDICTS, Ordering, PiRational, Verdict, _Record
 
 
 def cross_check(k: int, domain: DomainSpec, value: PiRational, witness: IndexVector | None = None) -> None:
@@ -189,19 +188,25 @@ def _s_max(pair: EllipsoidPair) -> Callable[[int, int], tuple[int, int]]:
     return norm
 
 
-@dataclass(frozen=True)
-class BMCertificate:
-    """Exact record of one comparison sqrt(c_k(K1+K2)) vs sqrt(c_k(K1)) + sqrt(c_k(K2))."""
+class BMCertificate(_Record):
+    """Exact record of one comparison sqrt(c_k(K1+K2)) vs sqrt(c_k(K1)) + sqrt(c_k(K2)).
 
-    k: int
-    domain1: Ellipsoid
-    domain2: Ellipsoid
-    c_sum: PiRational
-    c_1: PiRational
-    c_2: PiRational
-    verdict: Verdict
-    comparison: Ordering
-    witness: IndexVector | None = None  # the sum's argmin over the normalized pair; None if proportional
+    witness is the sum's argmin over the normalized pair, None if the pair is proportional.
+    """
+
+    __slots__ = _fields = ("k", "domain1", "domain2", "c_sum", "c_1", "c_2", "verdict", "comparison", "witness")
+
+    def __init__(self, k: int, domain1: Ellipsoid, domain2: Ellipsoid, c_sum: PiRational, c_1: PiRational,
+                 c_2: PiRational, verdict: Verdict, comparison: Ordering, witness: IndexVector | None = None):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "domain1", domain1)
+        object.__setattr__(self, "domain2", domain2)
+        object.__setattr__(self, "c_sum", c_sum)
+        object.__setattr__(self, "c_1", c_1)
+        object.__setattr__(self, "c_2", c_2)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "comparison", comparison)
+        object.__setattr__(self, "witness", witness)
 
     def margin(self) -> float:
         """Float value of sqrt(c_sum) - sqrt(c_1) - sqrt(c_2); its sign is that of comparison.

@@ -48,6 +48,13 @@ def scale_domain(lam: Fraction, domain):
     raise TypeError(f"unsupported domain: {domain!r}")
 
 
+def replace(record, **changes):
+    """A new record of record's class, built through its constructor, with the fields in changes replaced."""
+    if unknown := changes.keys() - set(record._fields):
+        raise TypeError(f"{type(record).__name__} has no field {sorted(unknown)[0]!r}")
+    return type(record)(**{name: changes.get(name, getattr(record, name)) for name in record._fields})
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

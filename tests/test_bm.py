@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ from capacity_lab import (
     verify_certificate,
 )
 from capacity_lab import _kernels, bm, minkowski
-from conftest import ellipsoids_st, pairs_st, radii_st
+from conftest import ellipsoids_st, pairs_st, radii_st, replace
 
 F = Fraction
 

@@ -671,30 +671,44 @@ def forbidden_imports(path, forbidden):
     return found
 
 
+EXACT_SUBCOMMANDS = [
+    ["capacity", "7", "E(3/2,1)", "--verify"],
+    ["capacity", "5", "sum(E(3/2,1),E(1,3/2))"],
+    ["bm-check", "6", "E(3/2,1)", "E(1,2)"],
+    ["reproduce", "20"],
+    ["criterion", "1..20"],
+    ["search", "2", "2..4"],
+    ["--version"],
+    ["bm-check", "6", "E(3/2,1)", "E(1,2)", "--verify"],
+    ["reproduce", "20", "--verify"],
+    ["capacity", "5", "prod(sum(E(3/2,1),E(1,3/2)),2,10)", "--verify"],
+    ["mean-width", "P(1,1)"],
+    ["mean-width", "E(3/2,1)", "--format", "text"],
+    ["mean-width", "sum(E(1,1),E(2/3,1))", "--format", "csv"],
+]
+
+
 class TestExactPathImports:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["capacity", "7", "E(3/2,1)", "--verify"],
-            ["capacity", "5", "sum(E(3/2,1),E(1,3/2))"],
-            ["bm-check", "6", "E(3/2,1)", "E(1,2)"],
-            ["reproduce", "20"],
-            ["criterion", "1..20"],
-            ["search", "2", "2..4"],
-            ["--version"],
-            ["bm-check", "6", "E(3/2,1)", "E(1,2)", "--verify"],
-            ["reproduce", "20", "--verify"],
-            ["capacity", "5", "prod(sum(E(3/2,1),E(1,3/2)),2,10)", "--verify"],
-            ["mean-width", "P(1,1)"],
-            ["mean-width", "E(3/2,1)", "--format", "text"],
-            ["mean-width", "sum(E(1,1),E(2/3,1))", "--format", "csv"],
-        ],
-    )
+    @pytest.mark.parametrize("args", EXACT_SUBCOMMANDS)
     def test_exact_subcommands_never_import_numpy(self, args):
         res = run_with_importtime(*args)
         assert res.returncode == 0, res.stderr
         assert res.stdout
         assert not imports_numpy(res)
+
+    @pytest.mark.parametrize("args", EXACT_SUBCOMMANDS)
+    def test_exact_subcommands_import_no_dataclasses_or_typing(self, args):
+        # -S: no site module, so no .pth file preloads typing; the last stdout line lists what main loaded
+        script = (
+            "import json, sys\nfrom capacity_lab.cli import main\n"
+            "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+            "print(json.dumps([code, [m for m in ('csv', 'dataclasses', 'inspect', 'typing') if m in sys.modules]]))"
+        )
+        res = run_fresh("-S", "-c", script, *args)
+        assert res.returncode == 0, res.stderr
+        code, loaded = json.loads(res.stdout.splitlines()[-1])
+        assert code in (0, None)
+        assert loaded == (["csv"] if args[-2:] == ["--format", "csv"] else [])
 
     def test_package_import_leaves_float_modules_unloaded(self):
         script = (

@@ -1,6 +1,5 @@
 import heapq
 import math
-from dataclasses import FrozenInstanceError
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
@@ -66,9 +65,9 @@ class TestTypes:
         assert e != p and e == Ellipsoid(F(6, 4), F(2, 2)) and p == Polydisk(F(3, 2), 1)
         assert not isinstance(e, Polydisk) and not isinstance(p, Ellipsoid)
         assert (e.scaled(2), p.scaled(2)) == (Ellipsoid(3, 2), Polydisk(3, 2))
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             e.a = F(1)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             p.c = F(1)
 
     def test_pair_invariant_enforced(self):

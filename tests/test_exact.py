@@ -5,8 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capacity_lab import Ordering, PiRational, format_decimal, format_rational
+from capacity_lab import (
+    BMCertificate,
+    CriterionReport,
+    Ellipsoid,
+    EllipsoidPair,
+    IndexVector,
+    Ordering,
+    PiRational,
+    Polydisk,
+    ProductWithBall,
+    Verdict,
+    format_decimal,
+    format_rational,
+)
 from capacity_lab.bm import cmp_sqrt_combination
+from capacity_lab.domains import _TwoRadii
 from reference_parser import parse_rational
 
 nonneg_st = st.fractions(min_value=0, max_value=Fraction(1000), max_denominator=50)
@@ -131,3 +145,85 @@ class TestPiRational:
         d = PiRational(q).as_dict()
         assert math.gcd(abs(d["num"]), d["den"]) == 1
         assert d["den"] > 0
+
+
+F = Fraction
+E32, E23 = Ellipsoid(F(3, 2), 1), Ellipsoid(1, F(3, 2))
+
+# (record class, positional arguments, the same with one field changed, the repr a frozen dataclass gave)
+RECORDS = [
+    (PiRational, (F(3, 2),), (F(2),), "PiRational(coeff=Fraction(3, 2))"),
+    (_TwoRadii, (F(3, 2), 1), (F(3, 2), 2), "_TwoRadii(a=Fraction(3, 2), b=Fraction(1, 1))"),
+    (Ellipsoid, (F(3, 2), 1), (F(3, 2), 2), "Ellipsoid(a=Fraction(3, 2), b=Fraction(1, 1))"),
+    (Polydisk, (2, F(1, 3)), (2, F(1, 2)), "Polydisk(a=Fraction(2, 1), b=Fraction(1, 3))"),
+    (
+        EllipsoidPair,
+        (Ellipsoid(1, 2), Ellipsoid(2, 4)),
+        (Ellipsoid(1, 2), Ellipsoid(2, 5)),
+        "EllipsoidPair(first=Ellipsoid(a=Fraction(1, 1), b=Fraction(2, 1)), "
+        "second=Ellipsoid(a=Fraction(2, 1), b=Fraction(4, 1)))",
+    ),
+    (
+        ProductWithBall,
+        (E32, 2, 10),
+        (E32, 2, 11),
+        "ProductWithBall(inner=Ellipsoid(a=Fraction(3, 2), b=Fraction(1, 1)), m=2, R=Fraction(10, 1))",
+    ),
+    (IndexVector, (1, 2), (1, 3), "IndexVector(v1=1, v2=2)"),
+    (
+        BMCertificate,
+        (2, E32, E23, PiRational(F(13, 2)), PiRational(2), PiRational(2), Verdict.VIOLATES, Ordering.LESS,
+         IndexVector(1, 1)),
+        (2, E32, E23, PiRational(F(13, 2)), PiRational(2), PiRational(2), Verdict.VIOLATES, Ordering.LESS, None),
+        "BMCertificate(k=2, domain1=Ellipsoid(a=Fraction(3, 2), b=Fraction(1, 1)), "
+        "domain2=Ellipsoid(a=Fraction(1, 1), b=Fraction(3, 2)), c_sum=PiRational(coeff=Fraction(13, 2)), "
+        "c_1=PiRational(coeff=Fraction(2, 1)), c_2=PiRational(coeff=Fraction(2, 1)), "
+        "verdict=<Verdict.VIOLATES: 'Violates'>, comparison=<Ordering.LESS: -1>, witness=IndexVector(v1=1, v2=1))",
+    ),
+    (
+        CriterionReport,
+        (3, False, F(3, 2), F(16, 9), PiRational(3), PiRational(2)),
+        (3, False, F(3, 2), F(16, 9), PiRational(3), PiRational(1)),
+        "CriterionReport(k=3, violating=False, lhs=Fraction(3, 2), rhs=Fraction(16, 9), "
+        "c_polydisk=PiRational(coeff=Fraction(3, 1)), c_ball=PiRational(coeff=Fraction(2, 1)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, args, changed, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, args, changed, text):
+    """What a frozen dataclass gave each value record, now from ``exact._Record``."""
+    record = cls(*args)
+    by_name = cls(**dict(zip(cls._fields, args)))
+    assert [getattr(record, name) for name in cls._fields] == list(args)
+    assert by_name == record and hash(by_name) == hash(record) and {by_name: 1}[record] == 1
+    assert record != cls(*changed) and not record == cls(*changed)
+    assert repr(record) == repr(by_name) == text
+    # equal only to a record of the same class
+    for other in (tuple(args), args[0], object()):
+        assert record != other and other != record
+    if cls in (_TwoRadii, Ellipsoid, Polydisk):
+        assert all(record != other(*args) for other in {_TwoRadii, Ellipsoid, Polydisk} - {cls})
+    for name in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, args[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    if cls is EllipsoidPair:
+        # proportional is set by the constructor, and equality, hash and repr leave it out
+        assert record.proportional and not cls(*changed).proportional
+        with pytest.raises(AttributeError):
+            record.proportional = False
+        flipped = object.__new__(cls)
+        for name, value in (("first", args[0]), ("second", args[1]), ("proportional", False)):
+            object.__setattr__(flipped, name, value)
+        assert flipped == record and hash(flipped) == hash(record) and repr(flipped) == text
+    if cls is PiRational:
+        low, high = record, cls(*changed)
+        assert low < high and low <= high and low <= by_name and high > low and high >= low and low >= by_name
+        assert not (high < low or high <= low or low > high or low >= high)
+        assert PiRational(1) != F(1)
+        for compare in (lambda x, y: x < y, lambda x, y: x <= y, lambda x, y: x > y, lambda x, y: x >= y):
+            for x, y in ((record, F(2)), (F(2), record)):
+                with pytest.raises(TypeError):
+                    compare(x, y)

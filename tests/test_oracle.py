@@ -10,14 +10,8 @@ from capacity_lab import (
     Ellipsoid,
     EllipsoidPair,
     IndexVector,
-    PiRational,
-    Polydisk,
-    ProductWithBall,
     SignCheckReport,
-    StabilizationError,
-    capacity,
     convexity_check,
-    cross_check,
     even_family,
     odd_family,
     s_derivative_signcheck,
@@ -226,49 +220,6 @@ class TestSupportNormNumeric:
             exact = float(support_norm(v, pair))
             numeric = support_norm_numeric(v, pair)
             assert abs(exact - numeric) / exact <= 1e-9
-
-
-class TestCrossCheck:
-    @pytest.mark.parametrize(
-        "k, R, stabilized",
-        [(7, F(1, 10), False), (7, 2, False), (7, F(2 * 10**9 + 1, 10**9), True), (3, 10, True)],
-    )
-    def test_product_needs_the_stabilization_condition(self, k, R, stabilized):
-        # c_7(E(1,1)) = 4 pi and c_3(E(1,1)) = 2 pi: R = 2 sits on the boundary R^2 = c and is refused
-        domain, value = ProductWithBall(Ellipsoid(1, 1), 1, R), capacity(k, Ellipsoid(1, 1))
-        if stabilized:
-            assert capacity(k, domain) == value
-            cross_check(k, domain, value)
-        else:
-            with pytest.raises(StabilizationError):
-                capacity(k, domain)
-            with pytest.raises(ValueError, match="stabilization condition unmet"):
-                cross_check(k, domain, value)
-
-    @pytest.mark.parametrize(
-        "k, domain, coeff",
-        [
-            (0, Ellipsoid(1, 1), 0),
-            (-2, Ellipsoid(1, 1), -1),
-            (0, Polydisk(1, 1), 0),
-            (0, EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(2, 2)), 0),
-        ],
-    )
-    def test_nonpositive_k_refused(self, k, domain, coeff):
-        with pytest.raises(ValueError) as exc:
-            cross_check(k, domain, PiRational(coeff))
-        assert str(exc.value) == f"capacity index k must be a positive integer, got {k}"
-
-    @pytest.mark.parametrize(
-        "domain",
-        [even_family(10**6), EVEN2, Ellipsoid(F(3, 2), 1), Polydisk(F(3, 2), 1)],
-    )
-    def test_accepts_exact_values_at_the_cli_cap(self, domain):
-        k = 10**6
-        value = capacity(k, domain)
-        cross_check(k, domain, value)
-        with pytest.raises(ValueError):
-            cross_check(k, domain, PiRational(value.coeff + F(1, k)))
 
 
 class TestSProfile:

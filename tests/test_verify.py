@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,7 @@ from capacity_lab import (
     PiRational,
     Polydisk,
     ProductWithBall,
+    StabilizationError,
     bm_check,
     capacity,
     cross_check,
@@ -29,7 +29,7 @@ from capacity_lab.bm import cmp_sqrt_combination
 from capacity_lab.domains import parse_domain
 from capacity_lab.exact import Ordering
 from capacity_lab.verify import _cmp_root_sum
-from conftest import nonprop_pairs_st, random_nonprop_pair
+from conftest import nonprop_pairs_st, random_nonprop_pair, replace
 
 F = Fraction
 
@@ -130,8 +130,8 @@ class TestIntegerSMax:
 
 
 class TestCrossCheck:
-    """``verify.cross_check``: exact and forged values on each kind of domain, its witness paths and
-    the engine faults it catches; its other tests are in test_oracle.py."""
+    """``verify.cross_check``: exact and forged values on each kind of domain, its witness paths,
+    the stabilization condition, nonpositive k and the engine faults it catches."""
 
     DOMAINS = [
         Ellipsoid(F(3, 2), 1),
@@ -263,6 +263,47 @@ class TestCrossCheck:
     def test_unsupported_domain(self):
         with pytest.raises(TypeError):
             cross_check(2, "E(1,1)", PiRational(1))
+
+    @pytest.mark.parametrize(
+        "k, R, stabilized",
+        [(7, F(1, 10), False), (7, 2, False), (7, F(2 * 10**9 + 1, 10**9), True), (3, 10, True)],
+    )
+    def test_product_needs_the_stabilization_condition(self, k, R, stabilized):
+        # c_7(E(1,1)) = 4 pi and c_3(E(1,1)) = 2 pi: R = 2 sits on the boundary R^2 = c and is refused
+        domain, value = ProductWithBall(Ellipsoid(1, 1), 1, R), capacity(k, Ellipsoid(1, 1))
+        if stabilized:
+            assert capacity(k, domain) == value
+            cross_check(k, domain, value)
+        else:
+            with pytest.raises(StabilizationError):
+                capacity(k, domain)
+            with pytest.raises(ValueError, match="stabilization condition unmet"):
+                cross_check(k, domain, value)
+
+    @pytest.mark.parametrize(
+        "k, domain, coeff",
+        [
+            (0, Ellipsoid(1, 1), 0),
+            (-2, Ellipsoid(1, 1), -1),
+            (0, Polydisk(1, 1), 0),
+            (0, EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(2, 2)), 0),
+        ],
+    )
+    def test_nonpositive_k_refused(self, k, domain, coeff):
+        with pytest.raises(ValueError) as exc:
+            cross_check(k, domain, PiRational(coeff))
+        assert str(exc.value) == f"capacity index k must be a positive integer, got {k}"
+
+    @pytest.mark.parametrize(
+        "domain",
+        [even_family(10**6), EVEN2, Ellipsoid(F(3, 2), 1), Polydisk(F(3, 2), 1)],
+    )
+    def test_accepts_exact_values_at_the_cli_cap(self, domain):
+        k = 10**6
+        value = capacity(k, domain)
+        cross_check(k, domain, value)
+        with pytest.raises(ValueError):
+            cross_check(k, domain, PiRational(value.coeff + F(1, k)))
 
 
 ZERO_COMPONENT_WITNESSES = [("E(1,1/3)", "E(1,2/3)", {"v1": 0, "v2": 1}), ("E(1/3,1)", "E(2/3,1)", {"v1": 1, "v2": 0})]
