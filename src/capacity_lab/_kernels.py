@@ -8,8 +8,8 @@ never loads numpy.  Disagreement with the exact engine is a test
 failure, never a fallback.
 
 The boundary of E(a,b) + E(c,d) respects the two complex factors.  With
-psi in [0, pi/2] and plain float radii (a, b, c, d) of a normalized
-pair, it is traced by
+psi in [0, pi/2] and float radii (a, b, c, d) of a normalized pair, it
+is traced by
 
     f(psi)^2 = (c/a)^2 cos^2 psi + (d/b)^2 sin^2 psi
     g(psi)   = cos psi * (a + c^2 / (a f))
@@ -30,6 +30,9 @@ v+1 of one pair build them once.  They hold 24 (grid+1) bytes, 96 KB at
 grid 4096; nothing is built at import.  ``_s_over_pi`` and
 ``_s_prime_over_pi``, S and S' in closed form, serve
 ``s_derivative_signcheck``; the tests also evaluate them on Fractions.
+
+The three oracles of a pair take its floats from ``_scaled_radii`` alone,
+and ``_unscaled`` multiplies each result that carries scale back exactly.
 """
 
 from __future__ import annotations
@@ -88,10 +91,8 @@ def _columns(a: float, b: float, c: float, d: float, grid: int) -> tuple[np.ndar
 
 def support_max(v1: int, v2: int, a: float, b: float, c: float, d: float, grid: int, iters: int) -> float:
     """Maximum of pi S = pi (v1 X + v2 Y) over [c/a, d/b]: a scan of ``_columns``, then ``golden_max``
-    in t around the best point, on the radii divided by the 2^e that brings the largest into [1/2, 1)
-    (exact for normal floats); the maximum is multiplied back by 4^e."""
-    e = math.frexp(max(a, b, c, d))[1]
-    t, x, y, xy = _columns(*(math.ldexp(r, -e) for r in (a, b, c, d)), grid)
+    in t around the best point."""
+    t, x, y, xy = _columns(a, b, c, d, grid)
     v1, v2 = float(v1), float(v2)
     vals = v1 * x + v2 * y
     i = int(vals.argmax())
@@ -101,7 +102,7 @@ def support_max(v1: int, v2: int, a: float, b: float, c: float, d: float, grid: 
         return v1 * xu + v2 * yu
 
     best = golden_max(S, float(t[max(i - 1, 0)]), float(t[min(i + 1, grid)]), iters)
-    return math.ldexp(math.pi * max(float(vals[i]), best), 2 * e)
+    return math.pi * max(float(vals[i]), best)
 
 
 def omega_xy(a: float, b: float, c: float, d: float, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,26 +111,24 @@ def omega_xy(a: float, b: float, c: float, d: float, psis: np.ndarray) -> tuple[
     return np.pi * g * g, np.pi * h * h
 
 
-def convexity_grid(a: float, b: float, c: float, d: float, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C', C'', g') arrays at the given interior angles.
-
-    Closed forms of the first and second derivative of the curve
-    x2 = C(x1) traced by (pi g^2, pi h^2):
+def convexity_grid(a: float, b: float, c: float, d: float, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C', C'') arrays at the given interior angles: the first and second derivative of the curve
+    x2 = C(x1) traced by (pi g^2, pi h^2), in the f of each angle alone,
 
         C'  = -(b^2 f + d^2) / (a^2 f + c^2)
-        C'' = a^2 b^2 (r2 - s2)^2 sin cos / (2 pi g g' f (a^2 f + c^2)^2)
+        C'' = -f^3 (a^2 d^2 - b^2 c^2)^2 / (2 pi (a^2 f + c^2)^3 (a^2 b^2 f^3 + c^2 d^2)),
 
-    with r2 = (c/a)^2, s2 = (d/b)^2 and
-    g' = -sin (a + c^2/(a f)) + cos^2 sin (c^2/(a f^3)) (r2 - s2).
-    """
-    cp, sp, f, g, _ = gh_profiles(a, b, c, d, psis)
-    r2 = (c * c) / (a * a)
-    s2 = (d * d) / (b * b)
-    gprime = -sp * (a + c * c / (a * f)) + cp * cp * sp * (c * c / (a * f ** 3)) * (r2 - s2)
-    denom = a * a * f + c * c
-    c1 = -(b * b * f + d * d) / denom
-    c2 = (a * a * b * b * (r2 - s2) ** 2 * sp * cp) / (2.0 * np.pi * g * gprime * f * denom ** 2)
-    return c1, c2, gprime
+    so C'' < 0 exactly when ad != bc.  With r2 = (c/a)^2 and s2 = (d/b)^2, C'' is the product of
+    u = b/a^2, B = (s2 - r2)/(f + r2) and q = 1/(1 + r2 s2/f^3), which stay in float range while
+    C'' does; the form above can underflow on the way to a normal C''."""
+    r2, s2, u = (c * c) / (a * a), (d * d) / (b * b), b / a / a
+    cp, sp = np.cos(psis), np.sin(psis)
+    f = np.sqrt(r2 * cp * cp + s2 * sp * sp)
+    c1 = -(b * b * f + d * d) / (a * a * f + c * c)
+    fr = f + r2
+    B = (s2 - r2) / fr
+    q = 1.0 / (1.0 + r2 / f * (s2 / f) / f)
+    return c1, -(u / (2.0 * np.pi)) * (q * B) * (u * (B / fr))
 
 
 class OmegaSample(NamedTuple):
@@ -148,16 +147,23 @@ class ConvexityReport:
     grid: int
 
 
-def _float_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, float]:
-    """The radii a, b, c, d as floats, for the float paths; refuses a proportional pair, and radii beyond
-    float range or with a float square below the least normal float, where the formulas lose digits."""
+def _scaled_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, float, int]:
+    """The radii a, b, c, d divided by the 2^e that brings the largest into (1/2, 2), correctly rounded
+    from the integers over their common denominator, and e.  Refuses a proportional pair, and radii with
+    a scaled square below the least normal float, where the formulas lose digits."""
     _require_nonproportional(pair, op)
-    try:
-        radii = tuple(map(float, pair.radii))
-        if min(r * r for r in radii) >= sys.float_info.min:
-            return radii
-    except OverflowError:  # a radius beyond the largest float
-        pass
+    nums, den = _common_denominator(*pair.radii)
+    e = max(nums).bit_length() - den.bit_length()
+    radii = [(n << max(-e, 0)) / (den << max(e, 0)) for n in nums]
+    if min(radii) ** 2 < sys.float_info.min:
+        raise ValueError(f"{op} of these radii lies beyond float range")
+    return (*radii, e)
+
+
+def _unscaled(x: float, exp: int, op: str) -> float:
+    """x * 2^exp, exactly; ValueError unless that is 0 or a finite normal float."""
+    if x == 0.0 or (math.isfinite(x) and sys.float_info.min_exp <= math.frexp(x)[1] + exp <= sys.float_info.max_exp):
+        return math.ldexp(x, exp)
     raise ValueError(f"{op} of these radii lies beyond float range")
 
 
@@ -189,23 +195,19 @@ def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
 
 
 def convexity_check(pair: EllipsoidPair, grid: int) -> ConvexityReport:
-    """Verify C' < 0 and C'' < 0 at grid interior angles.
-
-    C is the function with C(pi g^2) = pi h^2 along the boundary curve.
-    Closed forms are evaluated at psi = j*(pi/2)/(grid+1), j = 1..grid.
-    g' must be negative too, as C'' has its sign.  A non-finite C', C'' or
-    g', or a zero C'', at any angle is an overflow or an underflow of the
-    floats, and raises ValueError: these radii lie beyond float range.
-    """
-    af, bf, cf, df = _float_radii(pair, "convexity_check")
+    """Verify C' < 0 and C'' < 0 for the C with C(pi g^2) = pi h^2 along the boundary curve, by the
+    closed forms of ``convexity_grid`` on ``_scaled_radii`` at psi = j*(pi/2)/(grid+1), j = 1..grid;
+    worst_C2 is multiplied back by 4^-e.  A non-finite C' or C'', or a zero C'', at any angle is an
+    overflow or an underflow of the floats, and raises ValueError: these radii lie beyond float range."""
+    a, b, c, d, e = _scaled_radii(pair, "convexity_check")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     psis = 0.5 * math.pi * np.arange(1, grid + 1) / (grid + 1)
-    c1, c2, gp = convexity_grid(af, bf, cf, df, psis)
-    if not np.isfinite([c1, c2, gp]).all() or not c2.all():  # a zero C'' is an underflow
+    c1, c2 = convexity_grid(a, b, c, d, psis)
+    if not np.isfinite([c1, c2]).all() or not c2.all():  # a zero C'' is an underflow
         raise ValueError("convexity_check of these radii lies beyond float range")
-    ok = bool(np.all(c1 < 0) and np.all(c2 < 0) and np.all(gp < 0))
-    return ConvexityReport(ok=ok, worst_C1=float(c1.max()), worst_C2=float(c2.max()), grid=grid)
+    ok = bool(np.all(c1 < 0) and np.all(c2 < 0))
+    return ConvexityReport(ok, float(c1.max()), _unscaled(float(c2.max()), -2 * e, "convexity_check"), grid)
 
 
 # the oracles' one grid size (points f) and the numeric norm's golden-section steps
@@ -241,19 +243,14 @@ _RATIO_BITS = 255
 
 
 def support_norm_numeric(v: IndexVector, pair: EllipsoidPair) -> float:
-    """Numeric maximum of pi S over [c/a, d/b]: ``support_max`` of the radii divided, as Fractions, by
-    the 2^e that brings the largest into (1/2, 2), times 4^e.  ValueError when the largest radius
-    exceeds 2^255 times the smallest, or when the norm is not a finite normal float."""
-    _require_nonproportional(pair, "support_norm_numeric")
-    nums, den = _common_denominator(*pair.radii)
-    top = max(nums)
-    if top <= min(nums) << _RATIO_BITS:
-        e = top.bit_length() - den.bit_length()
-        floats = [(n << max(-e, 0)) / (den << max(e, 0)) for n in nums]  # n / den / 2^e, correctly rounded
-        norm = support_max(v.v1, v.v2, *floats, _GRID, _GOLDEN_STEPS)
-        if math.isfinite(norm) and sys.float_info.min_exp <= math.frexp(norm)[1] + 2 * e <= sys.float_info.max_exp:
-            return math.ldexp(norm, 2 * e)
-    raise ValueError("support_norm_numeric of these radii lies beyond float range")
+    """Numeric maximum of pi S over [c/a, d/b]: ``support_max`` of ``_scaled_radii``, times 4^e.
+    ValueError when the largest radius exceeds 2^255 times the smallest, or when the norm is not a
+    finite normal float."""
+    a, b, c, d, e = _scaled_radii(pair, "support_norm_numeric")
+    # the largest scaled radius lies in (1/2, 2), so only a smallest below 2^-254 can break the rule
+    if min(a, b, c, d) < 2.0**-250 and max(pair.radii) > min(pair.radii) * (1 << _RATIO_BITS):
+        raise ValueError("support_norm_numeric of these radii lies beyond float range")
+    return _unscaled(support_max(v.v1, v.v2, a, b, c, d, _GRID, _GOLDEN_STEPS), 2 * e, "support_norm_numeric")
 
 
 def _critical(v1, v2, a, b, c, d):
@@ -313,18 +310,21 @@ def s_derivative_signcheck(v: IndexVector, pair: EllipsoidPair) -> SignCheckRepo
     """Cross-check the closed-form S' against finite differences.
 
     Samples 4096 interior points of (c/a, d/b), all at once as numpy
-    arrays.  At each point the five-point finite difference must match the
-    closed form within max(1e-6, 1e-6 |S'|), and the signs must agree
-    wherever |S'| > 1e-6.  max_abs_err is the largest error (at its first
-    point, with that point's allowance), or 0.0 when no error is positive.
-    When f0 = N/D is interior with D < 0, also verifies S(f0) >= S(f0 +- eps).
-    Radii whose S or S' leaves float range raise ValueError.
+    arrays, on ``_scaled_radii``.  At each point the five-point finite
+    difference must match the closed form within max(1e-6, 1e-6 |S'|), and
+    the signs must agree wherever |S'| > 1e-6, 1e-6 in the units of the
+    given radii.  max_abs_err is the largest error (at its first point, with
+    that point's allowance), or 0.0 when no error is positive.  When
+    f0 = N/D is interior with D < 0, also verifies S(f0) >= S(f0 +- eps).
+    Radii whose S, S', floor or errors leave float range raise ValueError.
     """
-    a, b, c, d = radii = _float_radii(pair, "s_derivative_signcheck")
+    op = "s_derivative_signcheck"
+    a, b, c, d, e = _scaled_radii(pair, op)
+    floor = _unscaled(1e-6, -2 * e, op)  # the floor 1e-6 of the given radii, in the scaled units
     lo, hi = c / a, d / b
     span = hi - lo
     try:
-        s_over_pi, s_prime_over_pi = _s_over_pi(*radii), _s_prime_over_pi(*radii)
+        s_over_pi, s_prime_over_pi = _s_over_pi(a, b, c, d), _s_prime_over_pi(a, b, c, d)
 
         def S(f):
             return math.pi * s_over_pi(v.v1, v.v2, f)
@@ -339,8 +339,8 @@ def s_derivative_signcheck(v: IndexVector, pair: EllipsoidPair) -> SignCheckRepo
         fd = _fd_derivative(S, f, h)
         closed = math.pi * s_prime_over_pi(v.v1, v.v2, f)
         err = np.abs(fd - closed)
-        allowed = np.maximum(1e-6, 1e-6 * np.abs(closed))
-        sign_mismatches = int(np.count_nonzero((np.abs(closed) > 1e-6) & (fd * closed < 0)))
+        allowed = np.maximum(floor, 1e-6 * np.abs(closed))
+        sign_mismatches = int(np.count_nonzero((np.abs(closed) > floor) & (fd * closed < 0)))
         ok = sign_mismatches == 0 and not np.any(err > allowed)
         max_abs_err = max_allowed = 0.0
         top = float(err.max()) if err.size else 0.0
@@ -361,19 +361,11 @@ def s_derivative_signcheck(v: IndexVector, pair: EllipsoidPair) -> SignCheckRepo
             f0_is_max = S(f0) >= S(left) and S(f0) >= S(right)
             if not f0_is_max:
                 ok = False
-    except ArithmeticError:  # a square of the radii underflows to 0, or S or S' leaves float range
-        raise ValueError("s_derivative_signcheck of these radii lies beyond float range") from None
+    except ArithmeticError:  # S or S' leaves float range
+        raise ValueError(f"{op} of these radii lies beyond float range") from None
 
-    return SignCheckReport(
-        ok=ok,
-        points=n,
-        sign_mismatches=sign_mismatches,
-        max_abs_err=max_abs_err,
-        max_allowed_err=max_allowed,
-        f0=f0,
-        f0_interior=f0_interior,
-        f0_is_max=f0_is_max,
-    )
+    max_abs_err, max_allowed = _unscaled(max_abs_err, 2 * e, op), _unscaled(max_allowed, 2 * e, op)
+    return SignCheckReport(ok, n, sign_mismatches, max_abs_err, max_allowed, f0, f0_interior, f0_is_max)
 
 
 def polydisk_support_split(p: np.ndarray, a: float, b: float, out=None, rest=None) -> np.ndarray:

@@ -438,6 +438,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"Error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help and --version print, then argparse exits with 0
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -516,6 +516,23 @@ class TestOptionsAndErrors:
         res = runner.invoke(main, ["--version"], catch_exceptions=False)
         assert res.output == f"capacity-lab, version {__version__}\n"
 
+    def test_numpy_is_an_optional_extra(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        assert project["dependencies"] == []
+        extras = project["optional-dependencies"]
+        assert extras["float"] == ["numpy>=1.24"] and "numpy>=1.24" in extras["test"]
+
+    @pytest.mark.parametrize("args", [["--version"], ["--help"], ["reproduce", "--help"]])
+    def test_help_and_version_return_0(self, args, capsys):
+        # argparse exits after printing them; main returns that exit code like any other
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        if args == ["--version"]:
+            assert out == f"capacity-lab, version {__version__}\n"
+        else:
+            assert out.startswith("usage: capacity-lab")
+
     @pytest.mark.parametrize(
         "args, names",
         [

@@ -3,16 +3,30 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import capacity_lab
-from capacity_lab import _kernels
+from capacity_lab import (
+    Ellipsoid,
+    EllipsoidPair,
+    IndexVector,
+    _kernels,
+    even_family,
+    odd_family,
+    s_derivative_signcheck,
+    support_norm,
+    support_norm_numeric,
+)
 from conftest import golden_max_all_steps, random_nonprop_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+F = Fraction
+EVEN2 = even_family(2)
+ODD3 = odd_family(3)
 
 
 def _support_max_reference(v1, v2, a, b, c, d, grid, iters):
@@ -62,6 +76,19 @@ def _support_max_psi(v1, v2, a, b, c, d, grid, iters):
     lo = 0.5 * math.pi * max(besti - 1, 0) / grid
     hi = 0.5 * math.pi * min(besti + 1, grid) / grid
     return max(float(vals[besti]), golden_max_all_steps(objective, lo, hi, iters))
+
+
+def _convexity_grid_psi(a, b, c, d, psis):
+    # convexity_grid as it was in the psi form, the reference of the f form: C'' through
+    # g and g', with the g' it also returned and that convexity_check required negative
+    cp, sp, f, g, _ = _kernels.gh_profiles(a, b, c, d, psis)
+    r2 = (c * c) / (a * a)
+    s2 = (d * d) / (b * b)
+    gprime = -sp * (a + c * c / (a * f)) + cp * cp * sp * (c * c / (a * f**3)) * (r2 - s2)
+    denom = a * a * f + c * c
+    c1 = -(b * b * f + d * d) / denom
+    c2 = (a * a * b * b * (r2 - s2) ** 2 * sp * cp) / (2.0 * np.pi * g * gprime * f * denom**2)
+    return c1, c2, gprime
 
 
 def _support_max_cold(*args):
@@ -136,6 +163,16 @@ class TestAgainstScalarReference:
             grid = grids[i % len(grids)]
             got = _kernels.support_max(v1, v2, a, b, c, d, grid, 80)
             assert got == _support_max_cold(v1, v2, a, b, c, d, grid, 80)
+
+    def test_convexity_grid_agrees_with_the_psi_form(self, rng):
+        psis = 0.5 * np.pi * np.arange(1, 1001) / 1001
+        for _ in range(100):
+            a, b, c, d = (float(x) for x in random_nonprop_pair(rng).radii)
+            c1, c2 = _kernels.convexity_grid(a, b, c, d, psis)
+            want1, want2, gprime = _convexity_grid_psi(a, b, c, d, psis)
+            assert np.array_equal(c1, want1)
+            assert np.allclose(c2, want2, rtol=1e-12, atol=0)
+            assert np.all(gprime < 0)
 
     def test_support_splits(self):
         p = np.linspace(0.0, 1.0, 1001)
@@ -277,3 +314,85 @@ class TestGoldenMax:
         calls = []
         _kernels.golden_max(lambda x: calls.append(x) or -((x - 0.3) ** 2), 0.0, 1.0, 10**6)
         assert len(calls) < 100
+
+
+# moved from tests/test_oracle.py, where every test ran under golden_early_stop_checked
+@pytest.mark.usefixtures("golden_early_stop_checked")
+class TestOracleConstants:
+    def test_grid_4096_and_80_golden_steps(self, rng, monkeypatch):
+        # 60 golden-section steps give the same floats as 80 here, so the call itself is checked too
+        calls, support_max = [], _kernels.support_max
+        monkeypatch.setattr(_kernels, "support_max", lambda *args: calls.append(args[-2:]) or support_max(*args))
+        support_norm_numeric(IndexVector(1, 1), EVEN2)
+        assert calls == [(4096, 80)]
+        monkeypatch.undo()
+        for _ in range(50):
+            pair = random_nonprop_pair(rng)
+            k = rng.randint(1, 200)
+            v1 = rng.randint(0, k)
+            v = IndexVector(v1, k - v1)
+            floats = [float(x) for x in pair.radii]
+            assert support_norm_numeric(v, pair) == _kernels.support_max(v1, k - v1, *floats, 4096, 80)
+            assert s_derivative_signcheck(v, pair).points == 4096
+
+
+@pytest.mark.usefixtures("golden_early_stop_checked")
+class TestSupportNormNumeric:
+    def test_even_family_value(self):
+        got = support_norm_numeric(IndexVector(1, 1), EVEN2)
+        assert got == pytest.approx(6.5 * math.pi, rel=1e-9)
+
+    def test_odd_family_value(self):
+        got = support_norm_numeric(IndexVector(2, 1), ODD3)
+        assert got == pytest.approx(float(F(50, 9)) * math.pi, rel=1e-9)
+
+    def test_endpoint_vectors_tight(self, rng):
+        for _ in range(10):
+            pair = random_nonprop_pair(rng)
+            a, b, c, d = pair.radii
+            k = rng.randint(1, 10)
+            lo = support_norm_numeric(IndexVector(k, 0), pair)
+            hi = support_norm_numeric(IndexVector(0, k), pair)
+            assert lo == pytest.approx(k * math.pi * float((a + c) ** 2), rel=1e-12)
+            assert hi == pytest.approx(k * math.pi * float((b + d) ** 2), rel=1e-12)
+
+    def test_proportional_rejected(self):
+        prop = EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(2, 2))
+        with pytest.raises(ValueError):
+            support_norm_numeric(IndexVector(1, 1), prop)
+
+    def test_random_agreement_with_exact(self, rng):
+        for _ in range(30):
+            pair = random_nonprop_pair(rng)
+            k = rng.randint(1, 10)
+            v1 = rng.randint(0, k)
+            v = IndexVector(v1, k - v1)
+            exact = float(support_norm(v, pair))
+            numeric = support_norm_numeric(v, pair)
+            assert abs(exact - numeric) / exact <= 1e-9
+
+
+@pytest.mark.usefixtures("golden_early_stop_checked")
+class TestUnimodality:
+    def test_objective_has_single_peak(self, rng):
+        # the psi-grid profile must rise to one bracket and fall after it;
+        # tolerance absorbs float noise on near-flat stretches
+        for _ in range(25):
+            pair = random_nonprop_pair(rng)
+            k = rng.randint(1, 12)
+            v1 = rng.randint(0, k)
+            v = IndexVector(v1, k - v1)
+            a, b, c, d = (float(x) for x in pair.radii)
+            n = 512
+            vals = []
+            for j in range(n + 1):
+                psi = 0.5 * math.pi * j / n
+                cp, sp = math.cos(psi), math.sin(psi)
+                f = math.sqrt((c / a) ** 2 * cp * cp + (d / b) ** 2 * sp * sp)
+                g = cp * (a + c * c / (a * f))
+                h = sp * (b + d * d / (b * f))
+                vals.append(math.pi * (v.v1 * g * g + v.v2 * h * h))
+            peak = max(range(n + 1), key=vals.__getitem__)
+            slack = 1e-9 * vals[peak]
+            assert all(vals[j + 1] >= vals[j] - slack for j in range(peak))
+            assert all(vals[j + 1] <= vals[j] + slack for j in range(peak, n))

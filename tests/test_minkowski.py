@@ -154,7 +154,7 @@ class TestConvexityCheck:
         a, b, c, d = (float(x) for x in ODD3.radii)
         f0 = c / a
         expected = -(b * b * f0 + d * d) / (a * a * f0 + c * c)
-        c1, _, _ = _kernels.convexity_grid(a, b, c, d, np.array([1e-9]))
+        c1, _ = _kernels.convexity_grid(a, b, c, d, np.array([1e-9]))
         assert c1[0] == pytest.approx(expected, rel=1e-9)
 
     def test_c2_matches_finite_difference_of_c1(self, rng):
@@ -164,7 +164,7 @@ class TestConvexityCheck:
         for psi in [0.3, 0.7, 1.1, 1.4]:
             eps = 1e-6
             grid = np.array([psi - eps, psi, psi + eps])
-            c1, c2, _ = _kernels.convexity_grid(a, b, c, d, grid)
+            c1, c2 = _kernels.convexity_grid(a, b, c, d, grid)
             x1, _ = _kernels.omega_xy(a, b, c, d, grid)
             fd = (c1[2] - c1[0]) / (x1[2] - x1[0])
             assert c2[1] == pytest.approx(fd, rel=1e-5)
