@@ -1,11 +1,8 @@
 """All floating point of the package: numpy kernels, the boundary
 samplers, the numeric cross-checks of the exact support norms and the
-Monte Carlo mean-width estimator.
-
-This is the only module that imports numpy, and no exact module or
-``verify`` imports it, so an exact computation or its verification
-never loads numpy.  Disagreement with the exact engine is a test
-failure, never a fallback.
+Monte Carlo mean-width estimator.  It is the only module that imports
+numpy, and no exact module or ``verify`` imports it.  Disagreement with
+the exact engine is a test failure, never a fallback.
 
 The boundary of E(a,b) + E(c,d) respects the two complex factors.  With
 psi in [0, pi/2] and float radii (a, b, c, d) of a normalized pair, it
@@ -33,12 +30,16 @@ grid 4096; nothing is built at import.  ``_s_over_pi`` and
 
 The three oracles of a pair take its floats from ``_scaled_radii`` alone,
 and ``_unscaled`` multiplies each result that carries scale back exactly.
+Every float oracle but the numeric norm computes inside one guard,
+``_float_range``: numpy raises on overflow, and the guard refuses with the
+beyond-float-range ValueError.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -160,6 +161,18 @@ def _scaled_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, fl
     return (*radii, e)
 
 
+@contextmanager
+def _float_range(message: str):
+    """Run the block with numpy raising on overflow, division by zero and invalid operations, and turn
+    any ArithmeticError (numpy's FloatingPointError, Python's OverflowError or ZeroDivisionError) into
+    ValueError(message).  Underflow passes, and so does a Python float product or sum that overflows."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except ArithmeticError:
+        raise ValueError(message) from None
+
+
 def _unscaled(x: float, exp: int, op: str) -> float:
     """x * 2^exp, exactly; ValueError unless that is 0 or a finite normal float."""
     if x == 0.0 or (math.isfinite(x) and sys.float_info.min_exp <= math.frexp(x)[1] + exp <= sys.float_info.max_exp):
@@ -168,26 +181,17 @@ def _unscaled(x: float, exp: int, op: str) -> float:
 
 
 def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
-    """samples+1 moment-image boundary points at uniformly spaced psi.
-
-    The first and last entries are exactly (pi (a+c)^2, 0) and
-    (0, pi (b+d)^2) as floats of the rational radii.  Radii whose curve
-    leaves float range raise ValueError.
-    """
+    """samples+1 moment-image boundary points at uniformly spaced psi; the first and last are exactly
+    (pi (a+c)^2, 0) and (0, pi (b+d)^2) as floats of the rational radii.  Radii whose curve leaves
+    float range raise ValueError."""
     _require_nonproportional(pair, "omega_curve")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     a, b, c, d = pair.radii
     psis = 0.5 * math.pi * np.arange(samples + 1) / samples
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            x1, x2 = omega_xy(float(a), float(b), float(c), float(d), psis)
-        ends = math.pi * float((a + c) ** 2), math.pi * float((b + d) ** 2)
-        finite = math.isfinite(max(ends)) and np.isfinite(x1).all() and np.isfinite(x2).all()
-    except ArithmeticError:  # a radius or an intermediate beyond float range, or a division by zero
-        finite = False
-    if not finite:
-        raise ValueError("omega_curve samples of these radii lie beyond float range")
+    with _float_range("omega_curve samples of these radii lie beyond float range"):
+        x1, x2 = omega_xy(float(a), float(b), float(c), float(d), psis)
+        ends = (np.pi * np.array([float((a + c) ** 2), float((b + d) ** 2)])).tolist()
     out = list(map(OmegaSample, psis.tolist(), x1.tolist(), x2.tolist()))
     out[0] = OmegaSample(0.0, ends[0], 0.0)
     out[-1] = OmegaSample(float(psis[-1]), 0.0, ends[1])
@@ -197,14 +201,15 @@ def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
 def convexity_check(pair: EllipsoidPair, grid: int) -> ConvexityReport:
     """Verify C' < 0 and C'' < 0 for the C with C(pi g^2) = pi h^2 along the boundary curve, by the
     closed forms of ``convexity_grid`` on ``_scaled_radii`` at psi = j*(pi/2)/(grid+1), j = 1..grid;
-    worst_C2 is multiplied back by 4^-e.  A non-finite C' or C'', or a zero C'', at any angle is an
-    overflow or an underflow of the floats, and raises ValueError: these radii lie beyond float range."""
+    worst_C2 is multiplied back by 4^-e.  An overflow of the floats (``_float_range``), or a zero C''
+    at any angle, an underflow, raises ValueError: these radii lie beyond float range."""
     a, b, c, d, e = _scaled_radii(pair, "convexity_check")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     psis = 0.5 * math.pi * np.arange(1, grid + 1) / (grid + 1)
-    c1, c2 = convexity_grid(a, b, c, d, psis)
-    if not np.isfinite([c1, c2]).all() or not c2.all():  # a zero C'' is an underflow
+    with _float_range("convexity_check of these radii lies beyond float range"):
+        c1, c2 = convexity_grid(a, b, c, d, psis)
+    if not c2.all():  # a zero C'' is an underflow, which errstate does not raise
         raise ValueError("convexity_check of these radii lies beyond float range")
     ok = bool(np.all(c1 < 0) and np.all(c2 < 0))
     return ConvexityReport(ok, float(c1.max()), _unscaled(float(c2.max()), -2 * e, "convexity_check"), grid)
@@ -245,7 +250,8 @@ _RATIO_BITS = 255
 def support_norm_numeric(v: IndexVector, pair: EllipsoidPair) -> float:
     """Numeric maximum of pi S over [c/a, d/b]: ``support_max`` of ``_scaled_radii``, times 4^e.
     ValueError when the largest radius exceeds 2^255 times the smallest, or when the norm is not a
-    finite normal float."""
+    finite normal float.  It runs outside ``_float_range``: that rule and ``_scaled_radii`` bound every
+    intermediate, and no sweep of radii has seen it warn."""
     a, b, c, d, e = _scaled_radii(pair, "support_norm_numeric")
     # the largest scaled radius lies in (1/2, 2), so only a smallest below 2^-254 can break the rule
     if min(a, b, c, d) < 2.0**-250 and max(pair.radii) > min(pair.radii) * (1 << _RATIO_BITS):
@@ -323,7 +329,7 @@ def s_derivative_signcheck(v: IndexVector, pair: EllipsoidPair) -> SignCheckRepo
     floor = _unscaled(1e-6, -2 * e, op)  # the floor 1e-6 of the given radii, in the scaled units
     lo, hi = c / a, d / b
     span = hi - lo
-    try:
+    with _float_range(f"{op} of these radii lies beyond float range"):
         s_over_pi, s_prime_over_pi = _s_over_pi(a, b, c, d), _s_prime_over_pi(a, b, c, d)
 
         def S(f):
@@ -343,10 +349,7 @@ def s_derivative_signcheck(v: IndexVector, pair: EllipsoidPair) -> SignCheckRepo
         sign_mismatches = int(np.count_nonzero((np.abs(closed) > floor) & (fd * closed < 0)))
         ok = sign_mismatches == 0 and not np.any(err > allowed)
         max_abs_err = max_allowed = 0.0
-        top = float(err.max()) if err.size else 0.0
-        if not math.isfinite(top):  # an inf or a NaN in S' or in its finite differences
-            raise OverflowError
-        if top > 0.0:
+        if err.size and err.max() > 0.0:
             worst = int(np.argmax(err))
             max_abs_err, max_allowed = float(err[worst]), float(allowed[worst])
 
@@ -356,13 +359,10 @@ def s_derivative_signcheck(v: IndexVector, pair: EllipsoidPair) -> SignCheckRepo
         f0_is_max = False
         if f0_interior:
             eps = 1e-5 * span
-            left = max(f0 - eps, lo)
-            right = min(f0 + eps, hi)
-            f0_is_max = S(f0) >= S(left) and S(f0) >= S(right)
-            if not f0_is_max:
-                ok = False
-    except ArithmeticError:  # S or S' leaves float range
-        raise ValueError(f"{op} of these radii lies beyond float range") from None
+            # on np.float64, so that an overflow of S raises as it does on the arrays
+            s0, left, right = (S(np.float64(x)) for x in (f0, max(f0 - eps, lo), min(f0 + eps, hi)))
+            f0_is_max = bool(s0 >= left and s0 >= right)
+            ok = ok and f0_is_max
 
     max_abs_err, max_allowed = _unscaled(max_abs_err, 2 * e, op), _unscaled(max_allowed, 2 * e, op)
     return SignCheckReport(ok, n, sign_mismatches, max_abs_err, max_allowed, f0, f0_interior, f0_is_max)
@@ -431,21 +431,23 @@ def mean_width_estimate(domain: DomainSpec, samples: int, seed: int) -> MeanWidt
             f"mean width supports only 4-dimensional ellipsoids and polydisks, got {format_domain(domain)}"
         )
     split = ellipsoid_support_split if isinstance(domain, Ellipsoid) else polydisk_support_split
-    a, b = float(domain.a), float(domain.b)
     rng = np.random.default_rng(seed)
     size = min(_CHUNK, samples)
     buffers = np.empty(size), np.empty(size), np.empty(size)
-    count, mean, m2 = 0, 0.0, 0.0
-    while count < samples:
-        n = min(_CHUNK, samples - count)
-        chunk_mean, chunk_m2 = _chunk_moments(rng, n, split, a, b, buffers)
-        total = count + n
-        delta = chunk_mean - mean
-        mean += delta * (n / total)
-        m2 += chunk_m2 + delta * delta * (count * n / total)
-        count = total
+    with _float_range("mean_width_estimate of these radii lies beyond float range"):
+        # on np.float64, so that an a^2 - b^2 or a moment that overflows raises
+        a, b = np.float64(domain.a), np.float64(domain.b)
+        count, mean, m2 = 0, np.float64(0.0), np.float64(0.0)
+        while count < samples:
+            n = min(_CHUNK, samples - count)
+            chunk_mean, chunk_m2 = _chunk_moments(rng, n, split, a, b, buffers)
+            total = count + n
+            delta = chunk_mean - mean
+            mean += delta * (n / total)
+            m2 += chunk_m2 + delta * delta * (count * n / total)
+            count = total
     sd = math.sqrt(m2 / (samples - 1))
-    return MeanWidthEstimate(mean=mean, stderr=sd / math.sqrt(samples), samples=samples, seed=seed)
+    return MeanWidthEstimate(mean=float(mean), stderr=sd / math.sqrt(samples), samples=samples, seed=seed)
 
 
 def _chunk_moments(rng: np.random.Generator, n: int, split, a: float, b: float, buffers) -> tuple[float, float]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from capacity_lab import Ellipsoid, EllipsoidPair, Polydisk, ProductWithBall
+from capacity_lab import Ellipsoid, EllipsoidPair, IndexVector, Polydisk, ProductWithBall
 
 MAX_HEIGHT = 20
 
@@ -34,6 +34,18 @@ def random_nonprop_pair(rng: random.Random, max_height: int = MAX_HEIGHT) -> Ell
         pair = random_pair(rng, max_height)
         if not pair.proportional:
             return pair
+
+
+def float_radii(pair: EllipsoidPair) -> tuple[float, float, float, float]:
+    """The radii a, b, c, d as plain floats, unscaled."""
+    return tuple(map(float, pair.radii))
+
+
+def s_prime_float(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
+    """Closed-form S'(f) in floats, straight from ``_s_prime_over_pi``."""
+    from capacity_lab._kernels import _s_prime_over_pi
+
+    return math.pi * _s_prime_over_pi(*float_radii(pair))(v.v1, v.v2, f)
 
 
 def scale_domain(lam: Fraction, domain):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capacity_lab import (
@@ -165,6 +165,23 @@ class TestBmCheck:
     @settings(max_examples=150, deadline=None)
     def test_k1_never_violates(self, pair):
         assert bm_check(1, pair).verdict is not Verdict.VIOLATES
+
+    # The moment image of E1 + E2 contains the Minkowski sum of the summands' images: add two
+    # points whose phases are aligned, and the image is downward closed.  So the support norms
+    # add up, |v|*_sum >= |v|*_1 + |v|*_2, and so do their minima over v1 + v2 = k.  Hence
+    # d = c_sum - c_1 - c_2 >= 0 on every certificate the engine writes, and
+    # verify._cancellation_free_margin's d < 0 branch serves only hand-made records
+    @given(pairs_st, st.integers(1, 10**6))
+    @example(EllipsoidPair.normalized(Ellipsoid(F(3, 2), 1), Ellipsoid(3, 2)), 10**6)
+    @settings(max_examples=200, deadline=None)
+    def test_capacities_are_superadditive(self, pair, k):
+        cert = bm_check(k, pair)
+        assert cert.c_sum.coeff >= cert.c_1.coeff + cert.c_2.coeff
+
+    def test_reproduced_certificates_are_superadditive(self):
+        certs = list(reproduce_theorem(2000))
+        assert len(certs) == 1999
+        assert all(c.c_sum.coeff >= c.c_1.coeff + c.c_2.coeff for c in certs)
 
 
 class TestReproduce:

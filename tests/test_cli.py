@@ -16,6 +16,7 @@ import capacity_lab
 import cli_golden
 from capacity_lab import BMCertificate, Ellipsoid, EllipsoidPair, Verdict, __version__, bm, bm_check, cli, minkowski, verify
 from capacity_lab.cli import main
+from capacity_lab.exact import Ordering
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -343,6 +344,13 @@ class TestReproduce:
         got = cli_golden.run(["reproduce", "6", "--verify", "--format", fmt])
         assert (got["exit"], got["stdout"]) == (3, "")
         assert got["stderr"] == "reproduction FAILED: verify_certificate rejects k=6: forged rejection\n"
+
+    def test_a_verdict_that_does_not_violate_prints_nothing(self, monkeypatch):
+        # every comparison reads sqrt(c_sum) > sqrt(c_1) + sqrt(c_2): the first certificate satisfies
+        monkeypatch.setattr(bm, "cmp_sqrt_combination", lambda s, t, u: Ordering.GREATER)
+        got = cli_golden.run(["reproduce", "5"])
+        assert (got["exit"], got["stdout"]) == (3, "")
+        assert got["stderr"] == "reproduction FAILED: k=2: expected verdict Violates, got Satisfies\n"
 
 
 class TestOmega:

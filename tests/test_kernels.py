@@ -8,20 +8,34 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capacity_lab
 from capacity_lab import (
     Ellipsoid,
     EllipsoidPair,
     IndexVector,
+    MeanWidthEstimate,
+    Polydisk,
+    SignCheckReport,
     _kernels,
+    convexity_check,
     even_family,
+    mean_width_estimate,
     odd_family,
     s_derivative_signcheck,
     support_norm,
     support_norm_numeric,
 )
-from conftest import golden_max_all_steps, random_nonprop_pair
+from capacity_lab._kernels import (
+    _critical,
+    _fd_derivative,
+    _s_over_pi,
+    _s_prime_over_pi,
+    golden_max,
+)
+from conftest import float_radii, golden_max_all_steps, random_nonprop_pair, s_prime_float
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 F = Fraction
@@ -115,6 +129,11 @@ def _omega_curve_reference(pair, samples):
     out[0] = _DataclassSample(0.0, ends[0], 0.0)
     out[-1] = _DataclassSample(float(psis[-1]), 0.0, ends[1])
     return out
+
+
+def s_float(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
+    """S(f) in floats, straight from ``_s_over_pi``."""
+    return math.pi * _s_over_pi(*float_radii(pair))(v.v1, v.v2, f)
 
 
 def _cases(rng, n):
@@ -396,3 +415,313 @@ class TestUnimodality:
             slack = 1e-9 * vals[peak]
             assert all(vals[j + 1] >= vals[j] - slack for j in range(peak))
             assert all(vals[j + 1] <= vals[j] + slack for j in range(peak, n))
+
+
+@pytest.mark.usefixtures("golden_early_stop_checked")
+class TestSProfile:
+    def test_lower_endpoint(self, rng):
+        for _ in range(10):
+            pair = random_nonprop_pair(rng)
+            a, b, c, d = pair.radii
+            v = IndexVector(rng.randint(0, 5), rng.randint(1, 5))
+            got = s_float(v, pair, float(c) / float(a))
+            assert got == pytest.approx(v.v1 * math.pi * float((a + c) ** 2), rel=1e-10, abs=1e-10)
+
+    def test_upper_endpoint(self, rng):
+        for _ in range(10):
+            pair = random_nonprop_pair(rng)
+            a, b, c, d = pair.radii
+            v = IndexVector(rng.randint(1, 5), rng.randint(0, 5))
+            got = s_float(v, pair, float(d) / float(b))
+            assert got == pytest.approx(v.v2 * math.pi * float((b + d) ** 2), rel=1e-10, abs=1e-10)
+
+    def test_interior_critical_value_matches_exact(self):
+        # even family at v = (1,1): f0 = 1 is interior, S(f0) = 13 pi / 2
+        assert s_float(IndexVector(1, 1), EVEN2, 1.0) == pytest.approx(6.5 * math.pi, rel=1e-10)
+
+    def test_f_domain_max_equals_psi_domain_max(self, rng):
+        for _ in range(15):
+            pair = random_nonprop_pair(rng)
+            a, b, c, d = pair.radii
+            k = rng.randint(1, 8)
+            v1 = rng.randint(0, k)
+            v = IndexVector(v1, k - v1)
+            lo, hi = float(c) / float(a), float(d) / float(b)
+            grid = [lo + (hi - lo) * j / 512 for j in range(513)]
+            best_f = max(grid, key=lambda f: s_float(v, pair, f))
+            j = grid.index(best_f)
+            blo, bhi = grid[max(j - 1, 0)], grid[min(j + 1, 512)]
+            f_max = golden_max(lambda f: s_float(v, pair, f), blo, bhi, 80)
+            psi_max = support_norm_numeric(v, pair)
+            assert f_max == pytest.approx(psi_max, rel=1e-9)
+
+
+@pytest.mark.usefixtures("golden_early_stop_checked")
+class TestSDerivative:
+    def test_even_family_sign_change_at_one(self):
+        report = s_derivative_signcheck(IndexVector(1, 1), EVEN2)
+        assert report.ok
+        assert report.f0 == pytest.approx(1.0)
+        assert report.f0_interior and report.f0_is_max
+        assert report.sign_mismatches == 0
+        # the array reductions come back as plain Python scalars
+        assert type(report.ok) is bool and type(report.sign_mismatches) is int
+        assert type(report.max_abs_err) is float and type(report.max_allowed_err) is float
+        # increasing before f0, decreasing after
+        assert s_prime_float(IndexVector(1, 1), EVEN2, 0.9) > 0
+        assert s_prime_float(IndexVector(1, 1), EVEN2, 1.1) < 0
+
+    def test_axis_vector_constant_sign(self):
+        report = s_derivative_signcheck(IndexVector(3, 0), EVEN2)
+        assert report.ok
+        assert not report.f0_interior
+        a, b, c, d = (float(x) for x in EVEN2.radii)
+        lo, hi = c / a, d / b
+        samples = [lo + (hi - lo) * j / 40 for j in range(1, 40)]
+        signs = {s_prime_float(IndexVector(3, 0), EVEN2, f) > 0 for f in samples}
+        assert len(signs) == 1
+
+    def test_finite_difference_agreement_random(self, rng):
+        for _ in range(25):
+            pair = random_nonprop_pair(rng)
+            k = rng.randint(1, 12)
+            v1 = rng.randint(0, k)
+            report = s_derivative_signcheck(IndexVector(v1, k - v1), pair)
+            assert report.ok, (pair, v1, k, report)
+
+    def test_proportional_rejected(self):
+        prop = EllipsoidPair.normalized(Ellipsoid(2, 1), Ellipsoid(4, 2))
+        with pytest.raises(ValueError):
+            s_derivative_signcheck(IndexVector(1, 1), prop)
+
+
+def reference_signcheck(v: IndexVector, pair: EllipsoidPair, n: int = 4096) -> SignCheckReport:
+    """Cross-check the closed-form S' against finite differences.
+
+    Samples n interior points of (c/a, d/b).  At each point the
+    five-point finite difference must match the closed form within
+    max(1e-6, 1e-6 |S'|), and the signs must agree wherever |S'| > 1e-6.
+    When f0 = N/D is interior with D < 0, also verifies S(f0) >= S(f0 +- eps).
+    """
+    # The scalar loop that the array form of s_derivative_signcheck replaced, kept verbatim.
+    a, b, c, d = radii = float_radii(pair)
+    lo, hi = c / a, d / b
+    span = hi - lo
+    s_over_pi, s_prime_over_pi = _s_over_pi(*radii), _s_prime_over_pi(*radii)
+
+    def S(f: float) -> float:
+        return math.pi * s_over_pi(v.v1, v.v2, f)
+
+    def Sp(f: float) -> float:
+        return math.pi * s_prime_over_pi(v.v1, v.v2, f)
+
+    sign_mismatches = 0
+    max_abs_err = 0.0
+    max_allowed = 0.0
+    ok = True
+    for j in range(1, n + 1):
+        f = lo + span * j / (n + 1)
+        # step scales with f: S varies on the scale of f near the left end
+        h = min(1e-3 * f, 0.25 * min(f - lo, hi - f))
+        if h <= 0.0:
+            continue
+        fd = _fd_derivative(S, f, h)
+        closed = Sp(f)
+        err = abs(fd - closed)
+        allowed = max(1e-6, 1e-6 * abs(closed))
+        if err > max_abs_err:
+            max_abs_err = err
+            max_allowed = allowed
+        if err > allowed:
+            ok = False
+        if abs(closed) > 1e-6 and fd * closed < 0:
+            sign_mismatches += 1
+            ok = False
+
+    D, N = _critical(v.v1, v.v2, *pair.radii)
+    f0 = float(N / D) if D != 0 else None
+    f0_interior = f0 is not None and D < 0 and lo < f0 < hi
+    f0_is_max = False
+    if f0_interior:
+        eps = 1e-5 * span
+        left = max(f0 - eps, lo)
+        right = min(f0 + eps, hi)
+        f0_is_max = S(f0) >= S(left) and S(f0) >= S(right)
+        if not f0_is_max:
+            ok = False
+
+    return SignCheckReport(
+        ok=ok,
+        points=n,
+        sign_mismatches=sign_mismatches,
+        max_abs_err=max_abs_err,
+        max_allowed_err=max_allowed,
+        f0=f0,
+        f0_interior=f0_interior,
+        f0_is_max=f0_is_max,
+    )
+
+
+def reference_array_signcheck(v: IndexVector, pair: EllipsoidPair, n: int = 4096) -> SignCheckReport:
+    # s_derivative_signcheck before f**3 was shared in S' and the filter on
+    # h > 0 became conditional, kept verbatim with its own S'.
+    import numpy as np
+
+    a, b, c, d = radii = float_radii(pair)
+    lo, hi = c / a, d / b
+    span = hi - lo
+    s_over_pi = _s_over_pi(*radii)
+    dp = (d / b) ** 2 - (c / a) ** 2
+    K = (c * c * d * d) / (a * a * b * b)
+
+    def s_prime_over_pi(v1, v2, f):
+        D, N = _critical(v1, v2, a, b, c, d)
+        return 2 / (dp * f**3) * (f**3 + K) * (D * f - N)
+
+    def S(f):
+        return math.pi * s_over_pi(v.v1, v.v2, f)
+
+    f = lo + span * np.arange(1, n + 1) / (n + 1)
+    h = np.minimum(1e-3 * f, 0.25 * np.minimum(f - lo, hi - f))
+    keep = h > 0.0
+    f, h = f[keep], h[keep]
+    fd = _fd_derivative(S, f, h)
+    closed = math.pi * s_prime_over_pi(v.v1, v.v2, f)
+    err = np.abs(fd - closed)
+    allowed = np.maximum(1e-6, 1e-6 * np.abs(closed))
+    sign_mismatches = int(np.count_nonzero((np.abs(closed) > 1e-6) & (fd * closed < 0)))
+    ok = sign_mismatches == 0 and not np.any(err > allowed)
+    max_abs_err = max_allowed = 0.0
+    if err.size and err.max() > 0.0:
+        worst = int(np.argmax(err))
+        max_abs_err, max_allowed = float(err[worst]), float(allowed[worst])
+
+    D, N = _critical(v.v1, v.v2, *pair.radii)
+    f0 = float(N / D) if D != 0 else None
+    f0_interior = f0 is not None and D < 0 and lo < f0 < hi
+    f0_is_max = False
+    if f0_interior:
+        eps = 1e-5 * span
+        left = max(f0 - eps, lo)
+        right = min(f0 + eps, hi)
+        f0_is_max = S(f0) >= S(left) and S(f0) >= S(right)
+        if not f0_is_max:
+            ok = False
+
+    return SignCheckReport(
+        ok=ok,
+        points=n,
+        sign_mismatches=sign_mismatches,
+        max_abs_err=max_abs_err,
+        max_allowed_err=max_allowed,
+        f0=f0,
+        f0_interior=f0_interior,
+        f0_is_max=f0_is_max,
+    )
+
+
+# radii p/q with p, q <= 20, as random_nonprop_pair draws them
+small_radius_st = st.builds(F, st.integers(1, 20), st.integers(1, 20))
+small_ellipsoid_st = st.builds(Ellipsoid, small_radius_st, small_radius_st)
+small_nonprop_pairs_st = st.builds(EllipsoidPair.normalized, small_ellipsoid_st, small_ellipsoid_st).filter(
+    lambda p: not p.proportional
+)
+
+
+@pytest.mark.usefixtures("golden_early_stop_checked")
+class TestSignCheckAgainstReference:
+    @pytest.mark.parametrize("grid", [4096])
+    @settings(max_examples=100, deadline=None)
+    @given(pair=small_nonprop_pairs_st, k=st.integers(1, 200), data=st.data())
+    def test_array_form_matches_the_scalar_loop(self, grid, pair, k, data):
+        v1 = data.draw(st.integers(0, k))
+        v = IndexVector(v1, k - v1)
+        got, want = s_derivative_signcheck(v, pair), reference_signcheck(v, pair, grid)
+        fields = ("ok", "points", "sign_mismatches", "f0", "f0_interior", "f0_is_max")
+        assert [getattr(got, x) for x in fields] == [getattr(want, x) for x in fields]
+        # the sums and powers round differently, so the largest error may move by round-off
+        assert abs(got.max_abs_err - want.max_abs_err) <= 1e-3 * want.max_allowed_err
+
+
+@pytest.mark.usefixtures("golden_early_stop_checked")
+class TestSignCheckAgainstArrayReference:
+    def test_report_equals_the_pre_change_array_form(self, rng):
+        for _ in range(60):
+            pair = random_nonprop_pair(rng)
+            k = rng.randint(1, 200)
+            v1 = rng.randint(0, k)
+            v = IndexVector(v1, k - v1)
+            assert s_derivative_signcheck(v, pair) == reference_array_signcheck(v, pair)
+
+    @pytest.mark.parametrize("gap", [F(1, 10**15), F(1, 10**16)])
+    def test_report_equals_the_pre_change_array_form_with_zero_steps(self, gap):
+        # c/a and d/b so close in float that some grid points (1e-15) or all of
+        # them (1e-16) round onto an end: their step is 0 and they are dropped
+        pair = EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(1, 1 + gap))
+        a, b, c, d = float_radii(pair)
+        lo, hi = c / a, d / b
+        f = [lo + (hi - lo) * j / 4097 for j in range(1, 4097)]
+        dropped = {F(1, 10**15): 818, F(1, 10**16): 4096}[gap]
+        assert sum(min(1e-3 * x, 0.25 * min(x - lo, hi - x)) <= 0.0 for x in f) == dropped
+        for v1, v2 in [(1, 1), (3, 0), (2, 5)]:
+            v = IndexVector(v1, v2)
+            assert s_derivative_signcheck(v, pair) == reference_array_signcheck(v, pair)
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloatGuard:
+    """``_float_range``: numpy raises on overflow, division by zero and invalid operations inside
+    it, and every ArithmeticError leaves it as the caller's ValueError, with no warning on the way."""
+
+    @pytest.mark.parametrize("error", [FloatingPointError, OverflowError, ZeroDivisionError])
+    def test_each_arithmetic_error_becomes_the_value_error(self, error):
+        with pytest.raises(ValueError, match="^op of these radii lies beyond float range$") as info:
+            with _kernels._float_range("op of these radii lies beyond float range"):
+                raise error
+        assert info.value.__suppress_context__
+
+    def test_numpy_raises_inside_and_the_error_state_is_restored(self):
+        before = np.geterr()
+        for operation in (lambda: np.float64(1e300) * 1e300, lambda: np.ones(2) / 0.0, lambda: np.sqrt(-np.ones(2))):
+            with pytest.raises(ValueError, match="^beyond$"):
+                with _kernels._float_range("beyond"):
+                    operation()
+            assert np.geterr() == before
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(KeyError):
+            with _kernels._float_range("beyond"):
+                raise KeyError("k")
+
+    def test_convexity_check_refuses_an_overflow_without_a_warning(self):
+        # the parent warned "overflow encountered in multiply" here before its isfinite test refused
+        pair = EllipsoidPair.normalized(Ellipsoid(1, 2**340), Ellipsoid(1, 1))
+        with pytest.raises(ValueError, match="^convexity_check of these radii lies beyond float range$"):
+            convexity_check(pair, 64)
+
+    def test_convexity_check_refuses_an_empty_grid(self):
+        with pytest.raises(ValueError, match="^grid must be >= 1, got 0$"):
+            convexity_check(EVEN2, 0)
+
+    def test_signcheck_refuses_inside_its_own_arithmetic(self):
+        # _scaled_radii takes the ratio 2^300; then a^2 b^2 underflows to 0 and K divides by it
+        pair = EllipsoidPair.normalized(Ellipsoid(1, 2**300), Ellipsoid(1, 1))
+        with pytest.raises(ValueError, match="^s_derivative_signcheck of these radii lies beyond float range$"):
+            s_derivative_signcheck(IndexVector(3, 4), pair)
+
+    def test_signcheck_refuses_where_the_closed_form_overflowed_to_zero(self):
+        # dp f^3 overflowed, 2 / inf made the closed-form S' 0 at every point, and the report read
+        # ok=False with max_abs_err 8.2e65 for a valid pair
+        pair = EllipsoidPair.normalized(Ellipsoid(F(4, 7), F(3, 7)), Ellipsoid(F(9, 8), F(3, 7) * 2**248))
+        with pytest.raises(ValueError, match="^s_derivative_signcheck of these radii lies beyond float range$"):
+            s_derivative_signcheck(IndexVector(3, 4), pair)
+
+    # a^2 - b^2 was inf - inf in Python floats (mean and stderr NaN, no warning), the squared
+    # deviations overflowed (stderr NaN), and float(10^400) raised OverflowError
+    @pytest.mark.parametrize("domain", [Ellipsoid(10**160, 10**160), Polydisk(10**200, 1), Ellipsoid(10**400, 1)])
+    def test_mean_width_estimate_refuses(self, domain):
+        with pytest.raises(ValueError, match="^mean_width_estimate of these radii lies beyond float range$"):
+            mean_width_estimate(domain, 200, 0)
+
+    def test_mean_width_estimate_of_a_large_ball(self):
+        assert mean_width_estimate(Ellipsoid(10**150, 10**150), 200, 0) == MeanWidthEstimate(1e150, 0.0, 200, 0)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +28,6 @@ from capacity_lab import (
     verify_certificate,
 )
 from capacity_lab import BMCertificate, bm, cli, minkowski
-from capacity_lab._kernels import _critical, _s_over_pi
 from capacity_lab.bm import cmp_sqrt_combination
 from capacity_lab.domains import parse_domain
 from capacity_lab.exact import Ordering
@@ -72,6 +75,23 @@ class TestRootSumComparison:
     )
     def test_branches(self, s, t, u, expected):
         assert _cmp_root_sum(s, t, u) is expected
+
+
+def _critical(v1, v2, a, b, c, d):
+    """(D, N) of ``verify``'s module docstring; f0 = N/D."""
+    return v2 * b * b - v1 * a * a, v1 * c * c - v2 * d * d
+
+
+def _s_over_pi(a, b, c, d):
+    """(v1, v2, f) -> S(f) / pi, exact for Fractions: the profile of ``verify``'s module docstring,
+    term by term, with Dp = d^2/b^2 - c^2/a^2."""
+    dp = d * d / (b * b) - c * c / (a * a)
+
+    def S(v1, v2, f):
+        first = v1 * a * a * (d * d / (b * b) - f * f) * (1 + c * c / (a * a * f)) ** 2
+        return (first + v2 * b * b * (f * f - c * c / (a * a)) * (1 + d * d / (b * b * f)) ** 2) / dp
+
+    return S
 
 
 def reference_s_max(pair: EllipsoidPair):
@@ -330,3 +350,49 @@ class TestZeroComponentWitness:
         assert json.loads(path.read_text())["witness"] == witness
         assert cli.main(["bm-check", "--check-certificate", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+class TestCertificateDomains:
+    """A certificate is about two ellipsoids; any other domain is a bad certificate file."""
+
+    def test_from_dict_refuses_a_polydisk(self):
+        data = bm_check(2, EVEN2).to_dict()
+        data["domain2"] = "P(1,3/2)"
+        with pytest.raises(ValueError, match="^certificate domains must be ellipsoids$"):
+            BMCertificate.from_dict(data)
+
+    def test_check_certificate_exits_2(self, tmp_path, capsys):
+        data = bm_check(2, EVEN2).to_dict()
+        data["domain1"] = "P(3/2,1)"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["bm-check", "--check-certificate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "Error: bad certificate file: certificate domains must be ellipsoids\n")
+
+
+# numpy made unimportable by a finder at the front of sys.meta_path, not by None in sys.modules,
+# under which hypothesis would try to import numpy.random
+_WITHOUT_NUMPY = """
+import sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, NoNumpy())
+import pytest
+code = pytest.main(sys.argv[1:])
+sys.exit(code or "numpy" in sys.modules)
+"""
+
+
+def test_trusted_base_tests_collect_without_numpy():
+    # the full run of these modules without numpy is the no-numpy CI job; here they must collect
+    tests = Path(__file__).resolve().parent
+    modules = [str(tests / name) for name in ("test_exact.py", "test_domains.py", "test_verify.py")]
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    args = [sys.executable, "-c", _WITHOUT_NUMPY, "--collect-only", "-q", "-p", "no:cacheprovider", *modules]
+    res = subprocess.run(args, capture_output=True, text=True, env=env, cwd=tests.parent, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
