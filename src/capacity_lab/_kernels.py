@@ -19,14 +19,14 @@ The numeric norm maximizes the profile S of ``verify``'s module docstring
 over [c/a, d/b] as S / pi = v1 X + v2 Y, X = (1 - t) (a + c^2 / (a f))^2,
 Y = t (b + d^2 / (b f))^2, with t = sin^2 psi = (f^2 - r2) / (s2 - r2),
 r2 = (c/a)^2, s2 = (d/b)^2: ``_s_over_pi`` with nothing divided by
-s2 - r2, so nothing cancels for a nearly proportional pair.  Its grid+1
-points t have log-spaced f, which resolves the maximizer at any radius
-ratio.  X and Y do not depend on v, so the last pair's columns are kept
-read-only in a one-entry cache (``_columns``): the norms at v-1, v and
-v+1 of one pair build them once.  They hold 24 (grid+1) bytes, 96 KB at
-grid 4096; nothing is built at import.  ``_s_over_pi`` and
-``_s_prime_over_pi``, S and S' in closed form, serve
-``s_derivative_signcheck``; the tests also evaluate them on Fractions.
+s2 - r2, so nothing cancels for a nearly proportional pair.  S has one
+interior critical point at most, so a scan of 257 log-spaced f only
+brackets the maximizer: as s2/r2 < 2^1024, two cells span at most
+2^(2048/256) in f^2, and 80 golden-section steps leave 2^-95 relative error.
+X and Y do not depend on v: the last pair's columns, 6 KB, stay read-only
+in a one-entry cache (``_columns``), built once for the norms at v-1, v
+and v+1 of one pair, not at import.  ``_s_over_pi`` and ``_s_prime_over_pi``
+serve ``s_derivative_signcheck``; the tests also evaluate them on Fractions.
 
 The three oracles of a pair take its floats from ``_scaled_radii`` alone,
 and ``_unscaled`` multiplies each result that carries scale back exactly.
@@ -42,6 +42,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -192,7 +193,8 @@ def omega_curve(pair: EllipsoidPair, samples: int) -> list[OmegaSample]:
     with _float_range("omega_curve samples of these radii lie beyond float range"):
         x1, x2 = omega_xy(float(a), float(b), float(c), float(d), psis)
         ends = (np.pi * np.array([float((a + c) ** 2), float((b + d) ** 2)])).tolist()
-    out = list(map(OmegaSample, psis.tolist(), x1.tolist(), x2.tolist()))
+    # tuple.__new__ builds each OmegaSample in C; calling the class runs its generated Python __new__
+    out = list(map(tuple.__new__, repeat(OmegaSample), zip(psis.tolist(), x1.tolist(), x2.tolist())))
     out[0] = OmegaSample(0.0, ends[0], 0.0)
     out[-1] = OmegaSample(float(psis[-1]), 0.0, ends[1])
     return out
@@ -215,8 +217,9 @@ def convexity_check(pair: EllipsoidPair, grid: int) -> ConvexityReport:
     return ConvexityReport(ok, float(c1.max()), _unscaled(float(c2.max()), -2 * e, "convexity_check"), grid)
 
 
-# the oracles' one grid size (points f) and the numeric norm's golden-section steps
+# the sign check's points f, and the numeric norm's scan (cells of log f) and golden-section steps
 _GRID = 4096
+_SCAN = 256
 _GOLDEN_STEPS = 80
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -256,7 +259,7 @@ def support_norm_numeric(v: IndexVector, pair: EllipsoidPair) -> float:
     # the largest scaled radius lies in (1/2, 2), so only a smallest below 2^-254 can break the rule
     if min(a, b, c, d) < 2.0**-250 and max(pair.radii) > min(pair.radii) * (1 << _RATIO_BITS):
         raise ValueError("support_norm_numeric of these radii lies beyond float range")
-    return _unscaled(support_max(v.v1, v.v2, a, b, c, d, _GRID, _GOLDEN_STEPS), 2 * e, "support_norm_numeric")
+    return _unscaled(support_max(v.v1, v.v2, a, b, c, d, _SCAN, _GOLDEN_STEPS), 2 * e, "support_norm_numeric")
 
 
 def _critical(v1, v2, a, b, c, d):

@@ -36,6 +36,12 @@ def random_nonprop_pair(rng: random.Random, max_height: int = MAX_HEIGHT) -> Ell
             return pair
 
 
+def power_pair(e: int) -> EllipsoidPair:
+    """E(r,r) + E(2r,3r) with r = 10^e."""
+    r = Fraction(10) ** e
+    return EllipsoidPair.normalized(Ellipsoid(r, r), Ellipsoid(2 * r, 3 * r))
+
+
 def float_radii(pair: EllipsoidPair) -> tuple[float, float, float, float]:
     """The radii a, b, c, d as plain floats, unscaled."""
     return tuple(map(float, pair.radii))

@@ -35,7 +35,14 @@ from capacity_lab._kernels import (
     _s_prime_over_pi,
     golden_max,
 )
-from conftest import float_radii, golden_max_all_steps, random_nonprop_pair, s_prime_float
+from conftest import (
+    float_radii,
+    golden_max_all_steps,
+    power_pair,
+    random_nonprop_pair,
+    random_radius,
+    s_prime_float,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 F = Fraction
@@ -129,6 +136,11 @@ def _omega_curve_reference(pair, samples):
     out[0] = _DataclassSample(0.0, ends[0], 0.0)
     out[-1] = _DataclassSample(float(psis[-1]), 0.0, ends[1])
     return out
+
+
+def ratio_pair(j: int) -> EllipsoidPair:
+    """E(1, 9/7 2^-j) + E(11/7, 13/7): radius ratio about 2^j."""
+    return EllipsoidPair.normalized(Ellipsoid(1, F(9, 7) / 2**j), Ellipsoid(F(11, 7), F(13, 7)))
 
 
 def s_float(v: IndexVector, pair: EllipsoidPair, f: float) -> float:
@@ -338,12 +350,12 @@ class TestGoldenMax:
 # moved from tests/test_oracle.py, where every test ran under golden_early_stop_checked
 @pytest.mark.usefixtures("golden_early_stop_checked")
 class TestOracleConstants:
-    def test_grid_4096_and_80_golden_steps(self, rng, monkeypatch):
-        # 60 golden-section steps give the same floats as 80 here, so the call itself is checked too
+    def test_scan_256_grid_4096_and_80_golden_steps(self, rng, monkeypatch):
+        # another scan or 60 golden-section steps mostly give the same floats, so the call itself is checked too
         calls, support_max = [], _kernels.support_max
         monkeypatch.setattr(_kernels, "support_max", lambda *args: calls.append(args[-2:]) or support_max(*args))
         support_norm_numeric(IndexVector(1, 1), EVEN2)
-        assert calls == [(4096, 80)]
+        assert calls == [(256, 80)]
         monkeypatch.undo()
         for _ in range(50):
             pair = random_nonprop_pair(rng)
@@ -351,7 +363,7 @@ class TestOracleConstants:
             v1 = rng.randint(0, k)
             v = IndexVector(v1, k - v1)
             floats = [float(x) for x in pair.radii]
-            assert support_norm_numeric(v, pair) == _kernels.support_max(v1, k - v1, *floats, 4096, 80)
+            assert support_norm_numeric(v, pair) == _kernels.support_max(v1, k - v1, *floats, 256, 80)
             assert s_derivative_signcheck(v, pair).points == 4096
 
 
@@ -389,6 +401,98 @@ class TestSupportNormNumeric:
             exact = float(support_norm(v, pair))
             numeric = support_norm_numeric(v, pair)
             assert abs(exact - numeric) / exact <= 1e-9
+
+    def test_the_257_point_scan_is_within_2e_15_of_the_exact_norm(self, rng):
+        # the scan only brackets the one maximizer: a 17-point scan is off by 2.3% on the ratio pairs
+        cases = []
+        for _ in range(300):
+            pair = random_nonprop_pair(rng)
+            k = rng.randint(1, 200)
+            v1 = rng.randint(0, k)
+            cases.append((IndexVector(v1, k - v1), pair))
+        for j in range(0, 251, 10):
+            cases += [(IndexVector(*v), ratio_pair(j)) for v in ((4, 8), (1, 1), (150, 49))]
+        for v, pair in cases:
+            exact = float(support_norm(v, pair))
+            assert abs(support_norm_numeric(v, pair) - exact) <= 2e-15 * exact, (v, pair.radii)
+
+
+# moved from tests/test_oracle.py, where every test ran under golden_early_stop_checked
+@pytest.mark.usefixtures("golden_early_stop_checked")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFloatRange:
+    """The numeric norm agrees with the exact one, or refuses radii whose values leave float range."""
+
+    # the norm itself is not a normal float: about 10^321 at 10^160, and
+    # subnormal (about 10^-319 and 10^-339) at 10^-160 and 10^-170
+    @pytest.mark.parametrize("e", [160, -170, -160])
+    def test_support_norm_numeric_refuses(self, e):
+        with pytest.raises(ValueError, match="^support_norm_numeric of these radii lies beyond float range$"):
+            support_norm_numeric(IndexVector(3, 4), power_pair(e))
+
+    @pytest.mark.parametrize("e", [77, 80, -150, 150, -153])
+    def test_support_norm_numeric_in_range(self, e):
+        v, pair = IndexVector(3, 4), power_pair(e)
+        assert support_norm_numeric(v, pair) == pytest.approx(float(support_norm(v, pair)), rel=1e-9)
+
+    # the psi grid was off by 4.4e-6 at ratio 2^64 and by 6.6% at 2^128, silently
+    @pytest.mark.parametrize("j", [64, 128])
+    def test_support_norm_numeric_at_a_large_radius_ratio(self, j):
+        v, pair = IndexVector(4, 8), ratio_pair(j)
+        assert support_norm_numeric(v, pair) == pytest.approx(float(support_norm(v, pair)), rel=1e-9)
+
+
+# moved from tests/test_oracle.py, where every test ran under golden_early_stop_checked
+@pytest.mark.usefixtures("golden_early_stop_checked")
+class TestRatioAndScale:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ratio_sweep(self, rng):
+        # radius ratios from 1 to past 2^256: within 2^255 the norm agrees with
+        # the exact one, beyond it is refused, and no float warns on the way
+        shapes = [(-1, 1, 1, -1), (0, -1, -1, 0), (1, 0, 0, 1), (0, 1, 1, -1), (1, -1, 0, 0), (0, 0, 0, -1)]
+        agreed = refused = 0
+        for j in [*range(0, 256, 5), 127, 128, 255, 256, 257, 300]:
+            for shape in shapes:
+                radii = [random_radius(rng) * F(2) ** (s * j // 2) for s in shape]
+                pair = EllipsoidPair.normalized(Ellipsoid(*radii[:2]), Ellipsoid(*radii[2:]))
+                if pair.proportional:
+                    continue
+                for v in (IndexVector(4, 8), IndexVector(1, 1), IndexVector(150, 49), IndexVector(0, 5)):
+                    if max(pair.radii) <= min(pair.radii) * 2**255:
+                        exact = float(support_norm(v, pair))
+                        assert abs(support_norm_numeric(v, pair) - exact) <= 1e-9 * exact, (j, shape, v)
+                        agreed += 1
+                    else:
+                        with pytest.raises(ValueError, match="^support_norm_numeric of these radii lies beyond"):
+                            support_norm_numeric(v, pair)
+                        refused += 1
+        assert agreed > 1000 and refused > 20
+
+    def test_nearly_proportional_pairs(self, rng):
+        # c/a and d/b 10^-k apart: the floats f cannot tell them apart for k >= 16
+        for k in (4, 8, 12, 16, 20, 300):
+            for _ in range(5):
+                a, b, lam = random_radius(rng), random_radius(rng), random_radius(rng)
+                pair = EllipsoidPair.normalized(Ellipsoid(a, b), Ellipsoid(lam * a, lam * b * (1 + F(1, 10**k))))
+                for v in (IndexVector(1, 1), IndexVector(3, 4), IndexVector(100, 101)):
+                    exact = float(support_norm(v, pair))
+                    assert abs(support_norm_numeric(v, pair) - exact) <= 1e-12 * exact, (k, pair.radii, v)
+
+    def test_scale_by_a_power_of_two(self, rng):
+        # the radii times 2^j give the same float times 4^j while that is a normal float
+        for _ in range(4):
+            pair = random_nonprop_pair(rng)
+            k = rng.randint(1, 200)
+            v1 = rng.randint(0, k)
+            v = IndexVector(v1, k - v1)
+            norm = support_norm_numeric(v, pair)
+            for j in [*range(-300, 301, 3), -520, -512, 505, 512]:
+                scaled = pair.scaled(F(2) ** j)
+                if sys.float_info.min_exp <= math.frexp(norm)[1] + 2 * j <= sys.float_info.max_exp:
+                    assert support_norm_numeric(v, scaled) == math.ldexp(norm, 2 * j), j
+                else:
+                    with pytest.raises(ValueError, match="^support_norm_numeric of these radii lies beyond"):
+                        support_norm_numeric(v, scaled)
 
 
 @pytest.mark.usefixtures("golden_early_stop_checked")
