@@ -34,6 +34,9 @@ from .domains import DomainSpec, Ellipsoid, EllipsoidPair, format_domain, parse_
 from .exact import Verdict, format_decimal, format_rational
 
 K_CAP = 10**6
+# characters read from a certificate file; the largest that bm-check prints,
+# 14 integers at int's 4300-digit limit, is about 60 KB
+CERT_CAP = 2**20
 SAMPLES_CAP = 10**5
 SEARCH_CAP = 10**6
 
@@ -175,7 +178,10 @@ def cmd_bm_check(k, domain1, domain2, cert_path, fmt, verify):
 
         try:
             with open(cert_path, "r", encoding="utf-8") as fh:
-                cert = BMCertificate.from_dict(json.load(fh))
+                content = fh.read(CERT_CAP + 1)
+            if len(content) > CERT_CAP:
+                raise ValueError(f"more than {CERT_CAP} characters")
+            cert = BMCertificate.from_dict(json.loads(content))
             if not 1 <= cert.k <= K_CAP:
                 raise ValueError(f"k must be in 1..{K_CAP}, got {cert.k}")
         except (KeyError, OSError, RecursionError, TypeError, ValueError, ZeroDivisionError) as exc:

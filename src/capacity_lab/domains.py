@@ -9,7 +9,9 @@ is what ``parse_domain("sum(...)")`` returns and what the capacities of
 ``minkowski``, ``format_domain`` and the verifier take.  This module
 computes no capacity: with ``exact`` and ``verify`` it is the trusted base
 of a checked result, and ``convex_argmin`` is the one search that the
-engine and the verifier share.
+engine and the verifier share.  ``parse_domain`` reads a literal with a
+recursive-descent scanner over its characters, after one regex match that
+takes a whole ``E(a,b)`` or ``P(a,b)``, the form a certificate holds.
 """
 
 from __future__ import annotations
@@ -206,24 +208,14 @@ class DomainParseError(ValueError):
         super().__init__(f"{message} at position {pos} in {_excerpt(text, pos)}")
 
 
-# One token after optional whitespace (\s is str.isspace).  A name applied to
-# two well-formed rationals, as in E(3/2, 1), is a single token, so a canonical
-# ellipsoid or polydisk literal takes one match.  [^\W\d_] takes the letters
-# and also numeric characters that are no decimal digits, such as '²' and '½';
-# _Parser.token splits those off.
+# \s is str.isspace.  A rational token is a run of decimal digits, '/' and
+# '-'; a digit that is no decimal digit, such as '²' (str.isdigit takes it),
+# stays inside the token, which is then reported whole.
+_SPACE_RE, _RUN_RE = re.compile(r"\s*"), re.compile(r"[\d/-]*")
 _RATIONAL = r"(-?\d+)(?:/(\d+))?"
-_TOKEN_RE = re.compile(
-    rf"(\s*)(?:"
-    rf"(([^\W\d_]+)\s*\(\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\))"  # 2 name(a, b): 3 the name, 4-7 a and b
-    rf"|([^\W\d_]+)"  # 8 a name
-    rf"|({_RATIONAL})(?![\d/-])"  # 9 a rational p or p/q: 10 and 11
-    rf"|([\d/-]+)"  # 12 any other run of decimal digits, '/' and '-'
-    rf"|(.)"  # 13 any other character
-    rf")?",
-    re.S,
-)
-# token kinds: the index of the group that matched; 1, the whitespace, at the end of input
-_END, _CALL, _NAME, _RATIONAL_TOKEN, _BAD_RATIONAL, _CHAR = 1, 2, 8, 9, 12, 13
+_RATIONAL_RE = re.compile(_RATIONAL)
+# a whole E(a,b) or P(a,b) literal, the form that a certificate holds
+_LITERAL_RE = re.compile(rf"\s*([EePp])\s*\(\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\)\s*")
 
 
 def _fraction(num: str, den: str | None) -> Fraction | None:
@@ -234,8 +226,8 @@ def _fraction(num: str, den: str | None) -> Fraction | None:
         return None
 
 
-class _Parser:
-    """Recursive descent over the tokens of ``_TOKEN_RE``, read one at a time."""
+class _Scanner:
+    """Recursive descent over the characters of a domain literal."""
 
     __slots__ = ("text", "pos")
 
@@ -243,65 +235,45 @@ class _Parser:
         self.text = text
         self.pos = 0
 
-    def token(self) -> tuple[int, int, object]:
-        """(kind, start, value) of the next token, and move past it.
-
-        value is (name, a, b) for E(a,b) or P(a,b), the text of a name, the
-        Fraction of a rational, and None otherwise.
-        """
-        text = self.text
-        m = _TOKEN_RE.match(text, self.pos)
-        kind, start, self.pos = m.lastindex, m.end(1), m.end()
-        if kind == _CALL:
-            if m[3].lower() in ("e", "p"):
-                a, b = _fraction(m[4], m[5]), _fraction(m[6], m[7])
-                if a is not None and b is not None:
-                    return kind, start, (m[3], a, b)
-            # as in sum(1,2) or E(1/0,1): the name alone, then token by token
-            kind, self.pos = _NAME, m.end(3)
-        if kind == _NAME:
-            if text[start : self.pos].isalpha():
-                return kind, start, text[start : self.pos]
-            end = start
-            while text[end].isalpha():
-                end += 1
-            if end > start:
-                self.pos = end
-                return kind, start, text[start:end]
-            # a digit such as '²' starts a rational token, which it spoils; '½' is a character
-            kind, self.pos = (_BAD_RATIONAL, start) if text[start].isdigit() else (_CHAR, start + 1)
-        if kind == _RATIONAL_TOKEN or kind == _BAD_RATIONAL:
-            # str.isdigit also takes digits such as '²', which stay inside the token
-            while self.pos < len(text) and text[self.pos].isdigit():
-                kind, after = _BAD_RATIONAL, self.pos + 1
-                run = _TOKEN_RE.match(text, after)
-                joins = run.end(1) == after and run.lastindex in (_RATIONAL_TOKEN, _BAD_RATIONAL)
-                self.pos = run.end() if joins else after
-            if kind == _RATIONAL_TOKEN:
-                q = _fraction(m[10], m[11])
-                if q is not None:
-                    return kind, start, q
-                kind = _BAD_RATIONAL
-        return kind, start, None
-
     def fail(self, message: str, pos: int) -> DomainParseError:
         return DomainParseError(message, self.text, pos)
 
-    def found(self, kind: int, start: int) -> str:
-        return repr("end of input" if kind == _END else self.text[start])
+    def skip(self) -> int:
+        self.pos = _SPACE_RE.match(self.text, self.pos).end()
+        return self.pos
+
+    def found(self) -> str:
+        return repr(self.text[self.pos : self.pos + 1] or "end of input")
 
     def expect(self, ch: str) -> None:
-        kind, start, _ = self.token()
-        if kind != _CHAR or self.text[start] != ch:
-            raise self.fail(f"expected {ch!r}, found {self.found(kind, start)}", start)
+        start = self.skip()
+        if self.text[start : start + 1] != ch:
+            raise self.fail(f"expected {ch!r}, found {self.found()}", start)
+        self.pos += 1
+
+    def name(self) -> tuple[str, int]:
+        text = self.text
+        start = end = self.skip()
+        while end < len(text) and text[end].isalpha():
+            end += 1
+        if end == start:
+            raise self.fail(f"expected a domain name, found {self.found()}", start)
+        self.pos = end
+        return text[start:end], start
 
     def rational(self) -> Fraction:
-        kind, start, q = self.token()
-        if kind == _RATIONAL_TOKEN:
-            return q
-        if kind == _BAD_RATIONAL:
-            raise self.fail(f"bad rational token {_excerpt(self.text[start : self.pos])}", start)
-        raise self.fail(f"expected a rational, found {self.found(kind, start)}", start)
+        text, start = self.text, self.skip()
+        end = _RUN_RE.match(text, start).end()
+        while end < len(text) and text[end].isdigit():
+            end = _RUN_RE.match(text, end + 1).end()
+        if end == start:
+            raise self.fail(f"expected a rational, found {self.found()}", start)
+        self.pos = end
+        m = _RATIONAL_RE.fullmatch(text, start, end)
+        q = m and _fraction(m[1], m[2])
+        if q is None:
+            raise self.fail(f"bad rational token {_excerpt(text[start:end])}", start)
+        return q
 
     def radii(self) -> tuple[Fraction, Fraction]:
         self.expect("(")
@@ -311,31 +283,22 @@ class _Parser:
         self.expect(")")
         return a, b
 
-    def head(self) -> tuple[str, int, tuple[Fraction, Fraction] | None]:
-        """A domain name, its position, and the radii when its token carried them."""
-        kind, start, value = self.token()
-        if kind == _CALL:
-            return value[0], start, value[1:]
-        if kind != _NAME:
-            raise self.fail(f"expected a domain name, found {self.found(kind, start)}", start)
-        return value, start, None
-
     def sum_operand(self, sum_start: int) -> Ellipsoid:
-        name, _, radii = self.head()
+        name, _ = self.name()
         if name.lower() != "e":
             raise self.fail("sum(...) takes two ellipsoids", sum_start)
-        return Ellipsoid(*(radii or self.radii()))
+        return Ellipsoid(*self.radii())
 
     def domain(self, prod_start: int | None = None) -> DomainSpec:
         # A sum takes only E(...) literals and a nested prod is refused before
         # its operands are read, so the recursion is at most two levels deep
         # whatever the input; prod_start is the position of an enclosing prod.
-        name, start, radii = self.head()
+        name, start = self.name()
         kind = name.lower()
         if kind == "e":
-            return Ellipsoid(*(radii or self.radii()))
+            return Ellipsoid(*self.radii())
         if kind == "p":
-            return Polydisk(*(radii or self.radii()))
+            return Polydisk(*self.radii())
         if kind == "sum":
             self.expect("(")
             e1 = self.sum_operand(start)
@@ -360,12 +323,18 @@ class _Parser:
 
 
 def parse_domain(text: str) -> DomainSpec:
-    """Parse a domain literal such as ``sum(E(3/2,1),E(1,3/2))``, in one pass over its tokens."""
-    parser = _Parser(text)
-    domain = parser.domain()
-    kind, start, _ = parser.token()
-    if kind != _END:
-        raise parser.fail(f"unexpected trailing input {_excerpt(text[start:])}", start)
+    """Parse a domain literal such as ``sum(E(3/2,1),E(1,3/2))``."""
+    # E(a,b) or P(a,b) whose two rationals int and Fraction take is one match;
+    # anything else, errors included, is read by the scanner
+    m = _LITERAL_RE.fullmatch(text)
+    if m:
+        a, b = _fraction(m[2], m[3]), _fraction(m[4], m[5])
+        if a is not None and b is not None:
+            return (Ellipsoid if m[1] in "Ee" else Polydisk)(a, b)
+    scanner = _Scanner(text)
+    domain = scanner.domain()
+    if scanner.skip() < len(text):
+        raise scanner.fail(f"unexpected trailing input {_excerpt(text[scanner.pos :])}", scanner.pos)
     return domain
 
 

@@ -1,7 +1,8 @@
-"""The character scanner that ``domains.parse_domain`` ran before it read tokens.
+"""A separate copy of the character scanner that ``domains.parse_domain`` runs.
 
-Kept as the reference for the token parser: on any text both give the same
-domain, or raise the same exception type with the same message.
+Kept as the reference for ``parse_domain``, its one-match path for E(a,b)
+and P(a,b) included: on any text both give the same domain, or raise the
+same exception type with the same message.
 """
 
 import re

@@ -264,6 +264,10 @@ class TestBmCheck:
             pytest.param(certificate_text(witness={"v1": 2, "v2": 1}), id="v1+v2!=k"),
             pytest.param(certificate_text(witness={"v1": True, "v2": 1}), id="v1=true"),
             pytest.param(certificate_text(witness={"v1": 1.0, "v2": 1}), id="v1=1.0"),
+            # a domain that is no JSON string: parse_domain raises TypeError, whose wording varies
+            pytest.param(certificate_text(domain1=5), id="domain1=5"),
+            pytest.param(certificate_text(domain2=None), id="domain2=null"),
+            pytest.param(certificate_text(domain1=["E(3/2,1)"]), id="domain1=list"),
         ],
     )
     def test_malformed_certificate_file(self, runner, tmp_path, content):
@@ -273,6 +277,32 @@ class TestBmCheck:
         assert res.exit_code == 2
         assert res.output.startswith("Error: bad certificate file")
         assert len(res.output.strip().splitlines()) == 1
+
+    def test_certificate_file_is_read_up_to_the_cap(self, runner, tmp_path):
+        cert_file = tmp_path / "padded.json"
+        text = certificate_text()
+        cert_file.write_text(text.ljust(cli.CERT_CAP))
+        assert json.loads(invoke(runner, "bm-check", "--check-certificate", str(cert_file)).output)["valid"] is True
+        cert_file.write_text(text.ljust(cli.CERT_CAP + 1))
+        res = runner.invoke(main, ["bm-check", "--check-certificate", str(cert_file)], catch_exceptions=False)
+        assert (res.exit_code, res.output) == (2, f"Error: bad certificate file: more than {cli.CERT_CAP} characters\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_certificate_file_refused(self):
+        # the address-space limit makes an unbounded read fail fast instead of filling memory
+        resource = pytest.importorskip("resource")
+        res = run_fresh(
+            "-m", "capacity_lab.cli", "bm-check", "--check-certificate", "/dev/zero",
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)),
+        )
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == f"Error: bad certificate file: more than {cli.CERT_CAP} characters\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_certificate_from_a_pipe(self):
+        # as with a process substitution, <(cat cert.json): a file that is a pipe
+        res = run_fresh("-m", "capacity_lab.cli", "bm-check", "--check-certificate", "/dev/stdin", input=certificate_text())
+        assert (res.returncode, json.loads(res.stdout)["valid"]) == (0, True)
 
     def test_k_zero_equality_certificate_refused(self, runner, tmp_path):
         # every value 0 and verdict Equality: the library's verifier refuses it too, on c_sum
@@ -657,10 +687,10 @@ class TestOptionsAndErrors:
         assert "verify_certificate rejects k=2" in res.output
 
 
-def run_fresh(*args):
+def run_fresh(*args, **kwargs):
     """Run python with ARGS in a fresh interpreter that imports capacity_lab from the checkout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, **kwargs)
 
 
 def run_with_importtime(*args):

@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capacity_lab import (
+    BMCertificate,
     DomainParseError,
     Ellipsoid,
     EllipsoidPair,
@@ -28,6 +30,8 @@ from capacity_lab import (
     polydisk_capacity,
     sum_capacity,
 )
+from capacity_lab import domains
+from capacity_lab.bm import bm_check
 from capacity_lab.domains import _common_denominator, _require_positive_k, convex_argmin
 from capacity_lab.minkowski import _kth_merged_multiple
 from capacity_lab.verify import _is_kth_merged_multiple
@@ -612,6 +616,7 @@ class TestDomainGrammar:
 
 _LONG_TAIL = "E(1,1)" + "x" * 10**6
 _LONG_TOKEN = "E(" + "1" * 10**6 + ",1)"
+_LONG_RADIUS = "P(1," + "7" * 5000 + ")"  # past int's 4300-digit limit
 
 # Each literal with the domain it parses to, or the exact type and message
 # of the error it raises.  ValueError rows lex and parse but name a value
@@ -634,6 +639,9 @@ PARSE_TABLE = [
         ProductWithBall(EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(F(2, 3), 1)), 4, F(35, 2)),
     ),
     ("prod(P(1,1), 2 , 20/2)", ProductWithBall(Polydisk(1, 1), 2, 10)),
+    ("E (3/2 ,1)", Ellipsoid(F(3, 2), 1)),
+    ("P(٣/٣,1)", Polydisk(1, 1)),
+    ("E(" + "9" * 4300 + ",1)", Ellipsoid(10**4300 - 1, 1)),
     ("E(-1,1)", (ValueError, "a must be a positive rational, got -1")),
     ("P(1,-3/6)", (ValueError, "b must be a positive rational, got -1/2")),
     ("E(0,1)", (ValueError, "a must be a positive rational, got 0")),
@@ -645,6 +653,8 @@ PARSE_TABLE = [
     ("E(①,1)", (DomainParseError, "bad rational token '①' at position 2 in 'E(①,1)'")),
     ("E(½,1)", (DomainParseError, "expected a rational, found '½' at position 2 in 'E(½,1)'")),
     ("E(1/0,1)", (DomainParseError, "bad rational token '1/0' at position 2 in 'E(1/0,1)'")),
+    # the bad token is reported before the negative radius that precedes it
+    ("E(-1,1/0)", (DomainParseError, "bad rational token '1/0' at position 5 in 'E(-1,1/0)'")),
     ("E(--1,1)", (DomainParseError, "bad rational token '--1' at position 2 in 'E(--1,1)'")),
     ("E(1/2/3,1)", (DomainParseError, "bad rational token '1/2/3' at position 2 in 'E(1/2/3,1)'")),
     ("E(3//2,1)", (DomainParseError, "bad rational token '3//2' at position 2 in 'E(3//2,1)'")),
@@ -685,6 +695,10 @@ PARSE_TABLE = [
         _LONG_TOKEN,
         (DomainParseError, f"bad rational token {'1' * 40!r}... at position 2 in {_LONG_TOKEN[:42]!r}..."),
     ),
+    (
+        _LONG_RADIUS,
+        (DomainParseError, f"bad rational token {'7' * 40!r}... at position 4 in {_LONG_RADIUS[:44]!r}..."),
+    ),
 ]
 
 
@@ -708,6 +722,20 @@ literal_text_st = st.lists(
     max_size=16,
 ).map("".join)
 
+# text shaped like E(a,b) or P(a,b): free whitespace, signed runs of decimal
+# digits (some not ASCII), and a denominator that is sometimes zero or empty.
+# Most draws take the one-match path of parse_domain.
+_space_st = st.sampled_from(["", "", " ", "\t\n", "\u3000"])
+_rational_st = st.tuples(
+    st.sampled_from(["", "", "-"]),
+    st.text(st.sampled_from("0123456789٣०"), min_size=1, max_size=4),
+    st.sampled_from(["", "", "", "", "", "/1", "/٣", "/07", "/", "/0"]),
+).map("".join)
+literal_st = st.tuples(
+    *(_space_st, st.sampled_from(["E", "P", "e", "p"]), _space_st, st.just("(")),
+    *(_space_st, _rational_st, _space_st, st.just(","), _space_st, _rational_st, _space_st, st.just(")"), _space_st),
+).map("".join)
+
 
 class TestParseTable:
     @pytest.mark.parametrize("text, expected", PARSE_TABLE, ids=[repr(t[:24]) for t, _ in PARSE_TABLE])
@@ -720,10 +748,26 @@ class TestParseTable:
             parse_domain(text)
         assert (type(exc.value), str(exc.value)) == (kind, message)
 
-    @given(literal_text_st)
-    @settings(max_examples=1500)
+    @given(st.one_of(literal_text_st, literal_st))
+    @settings(max_examples=3000)
     def test_matches_the_reference_scanner(self, text):
         assert _outcome(parse_domain, text) == _outcome(reference_parse_domain, text)
+
+    @pytest.mark.parametrize(
+        "k, pair",
+        [
+            (2, even_family(2)),
+            (3, odd_family(3)),
+            (10**6, even_family(10**6)),
+            (5, EllipsoidPair.normalized(Ellipsoid(1, 1), Ellipsoid(F(2, 3), 1))),
+            (7, EllipsoidPair.normalized(Ellipsoid(F(10**50 + 1, 3), 1), Ellipsoid(1, F(7, 10**40)))),
+        ],
+        ids=["even-2", "odd-3", "even-10**6", "E(1,1)+E(2/3,1)", "long-radii"],
+    )
+    def test_certificate_domains_take_the_one_match_path(self, monkeypatch, k, pair):
+        cert = bm_check(k, pair)
+        monkeypatch.setattr(domains, "_Scanner", lambda text: pytest.fail(f"{text!r} reached the scanner"))
+        assert BMCertificate.from_dict(json.loads(json.dumps(cert.to_dict()))) == cert
 
     @given(pair_operands_st)
     def test_sum_round_trip(self, operands):
