@@ -39,15 +39,16 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .domains import DomainSpec, Ellipsoid, EllipsoidPair, IndexVector, Polydisk, _common_denominator, format_domain
+from .exact import _Record
 from .minkowski import _require_nonproportional
 
 
@@ -133,20 +134,12 @@ def convexity_grid(a: float, b: float, c: float, d: float, psis: np.ndarray) -> 
     return c1, -(u / (2.0 * np.pi)) * (q * B) * (u * (B / fr))
 
 
-class OmegaSample(NamedTuple):
-    """One point (x1, x2) = (pi g^2, pi h^2) of the moment-image boundary curve."""
-
-    psi: float
-    x1: float
-    x2: float
+OmegaSample = namedtuple("OmegaSample", "psi x1 x2")
+OmegaSample.__doc__ = "One point (x1, x2) = (pi g^2, pi h^2) of the moment-image boundary curve."
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    ok: bool
-    worst_C1: float
-    worst_C2: float
-    grid: int
+class ConvexityReport(_Record):
+    __slots__ = _fields = ("ok", "worst_C1", "worst_C2", "grid")
 
 
 def _scaled_radii(pair: EllipsoidPair, op: str) -> tuple[float, float, float, float, int]:
@@ -298,16 +291,10 @@ def _s_prime_over_pi(a, b, c, d) -> Callable:
     return Sp
 
 
-@dataclass(frozen=True)
-class SignCheckReport:
-    ok: bool
-    points: int
-    sign_mismatches: int
-    max_abs_err: float
-    max_allowed_err: float
-    f0: float | None
-    f0_interior: bool
-    f0_is_max: bool
+class SignCheckReport(_Record):
+    __slots__ = _fields = (
+        "ok", "points", "sign_mismatches", "max_abs_err", "max_allowed_err", "f0", "f0_interior", "f0_is_max"
+    )
 
 
 def _fd_derivative(fn, f, h):
@@ -394,12 +381,8 @@ def ellipsoid_support_split(p: np.ndarray, a: float, b: float, out=None, rest=No
     return np.sqrt(out, out=out)
 
 
-@dataclass(frozen=True)
-class MeanWidthEstimate:
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
+class MeanWidthEstimate(_Record):
+    __slots__ = _fields = ("mean", "stderr", "samples", "seed")
 
 
 _CHUNK = 1 << 16
@@ -450,7 +433,7 @@ def mean_width_estimate(domain: DomainSpec, samples: int, seed: int) -> MeanWidt
             m2 += chunk_m2 + delta * delta * (count * n / total)
             count = total
     sd = math.sqrt(m2 / (samples - 1))
-    return MeanWidthEstimate(mean=float(mean), stderr=sd / math.sqrt(samples), samples=samples, seed=seed)
+    return MeanWidthEstimate(float(mean), sd / math.sqrt(samples), samples, seed)
 
 
 def _chunk_moments(rng: np.random.Generator, n: int, split, a: float, b: float, buffers) -> tuple[float, float]:

@@ -80,15 +80,8 @@ def bm_check(k: int, pair: EllipsoidPair) -> BMCertificate:
     c_2 = ellipsoid_capacity(k, pair.second)
     comparison = cmp_sqrt_combination(c_sum.coeff, c_1.coeff, c_2.coeff)
     return BMCertificate(
-        k=k,
-        domain1=pair.first,
-        domain2=pair.second,
-        c_sum=c_sum,
-        c_1=c_1,
-        c_2=c_2,
-        verdict=_VERDICTS[comparison],
-        comparison=comparison,
-        witness=None if pair.proportional else argmin,
+        k, pair.first, pair.second, c_sum, c_1, c_2, _VERDICTS[comparison], comparison,
+        None if pair.proportional else argmin,
     )
 
 
@@ -161,15 +154,6 @@ class CriterionReport(_Record):
 
     __slots__ = _fields = ("k", "violating", "lhs", "rhs", "c_polydisk", "c_ball")
 
-    def __init__(self, k: int, violating: bool, lhs: Fraction, rhs: Fraction, c_polydisk: PiRational,
-                 c_ball: PiRational):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "violating", violating)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "c_polydisk", c_polydisk)
-        object.__setattr__(self, "c_ball", c_ball)
-
 
 def ostrover_criterion(k: int) -> CriterionReport:
     """Exact evaluation of k / floor((k+1)/2) > 16/9."""
@@ -178,11 +162,4 @@ def ostrover_criterion(k: int) -> CriterionReport:
     half = (k + 1) // 2
     lhs = Fraction(k, half)
     rhs = (mean_width(Polydisk(1, 1)) / mean_width(Ellipsoid(1, 1))) ** 2
-    return CriterionReport(
-        k=k,
-        violating=lhs > rhs,
-        lhs=lhs,
-        rhs=rhs,
-        c_polydisk=PiRational(Fraction(k)),
-        c_ball=PiRational(Fraction(half)),
-    )
+    return CriterionReport(k, lhs > rhs, lhs, rhs, PiRational(Fraction(k)), PiRational(Fraction(half)))

@@ -14,10 +14,12 @@ runs: ``capacity`` loads ``minkowski``, the engine.  ``verify``, the
 exact verifier, holds the certificate record, so ``--check-certificate``
 loads it and no engine, and every command that runs ``bm`` loads it too;
 only ``omega`` loads ``_kernels``, the float module.  A CLI process of
-any other subcommand imports neither ``dataclasses`` nor ``typing``: the
-value records are ``__slots__`` classes on ``exact._Record``, and ``csv``
-loads only for ``--format csv``.  That took the median latency of the
-``cli_exact`` benchmark (``perfbench/run.py``) from 98.0 to 80.8 ms on 2 CPUs.
+any other subcommand imports neither ``dataclasses`` nor ``typing``: every
+value record of the package, the float reports included, is a ``__slots__``
+class on ``exact._Record``, and ``csv`` loads only for ``--format csv``.
+That took the median latency of the ``cli_exact`` benchmark
+(``perfbench/run.py``) from 98.0 to 80.8 ms on 2 CPUs.  ``omega`` loads no
+``dataclasses`` either, but numpy imports ``typing``.
 """
 
 from __future__ import annotations

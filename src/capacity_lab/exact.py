@@ -6,13 +6,16 @@ Every scalar that enters a capacity computation is a ``fractions.Fraction``
 every value here is exact.  Floating point appears only in rendering
 helpers.
 
-``_Record`` is the base of the immutable value records (``PiRational``,
-the domains, ``IndexVector``, ``BMCertificate``, ``CriterionReport``).  It
-gives what a frozen dataclass gives and no more: the field names in
-``_fields``, equality only within one class, a hash over the fields, the
-dataclass repr, and ``AttributeError`` on assignment or deletion.  Each
-record keeps its fields in ``__slots__`` and sets them in its own
-``__init__``, so that no exact subcommand imports ``dataclasses``.
+``_Record`` is the base of every immutable value record of the package.
+It gives what a frozen dataclass gives and no more: the fields in
+``_fields`` and ``__slots__``, one constructor that sets them in order and
+then by name with a dataclass's ``TypeError``s, equality only within one
+class, a hash over the fields, the dataclass repr, ``AttributeError`` on
+assignment or deletion, and ``copy``, ``deepcopy`` and ``pickle`` through
+the constructor, so that its checks run again.  No module imports
+``dataclasses``.  The records that check their arguments keep their own
+``__init__``: ``PiRational``, ``_TwoRadii`` (``Ellipsoid``, ``Polydisk``),
+``EllipsoidPair``, ``ProductWithBall`` and ``IndexVector``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections import deque
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
 
 # pi to well beyond 12 significant digits, for decimal rendering of
 # arbitrarily large rational coefficients.
@@ -71,14 +76,42 @@ def format_decimal(q: Fraction, factor=1) -> str:
     return f"{val:g}"
 
 
+def _arguments(record, values: tuple, named: dict) -> tuple:
+    """The field values of record's class from values, then named, or the TypeError a dataclass would raise."""
+    fields, cls = record._fields, type(record).__name__
+    if len(values) > len(fields):
+        raise TypeError(f"{cls}() takes {len(fields)} arguments but {len(values)} were given")
+    for name in named:
+        if name not in fields:
+            raise TypeError(f"{cls}() got an unexpected keyword argument {name!r}")
+        if fields.index(name) < len(values):
+            raise TypeError(f"{cls}() got multiple values for argument {name!r}")
+    if missing := [repr(name) for name in fields[len(values):] if name not in named]:
+        raise TypeError(f"{cls}() missing required arguments: {', '.join(missing)}")
+    return (*values, *[named[name] for name in fields[len(values):]])
+
+
+# drains an iterator in C (the itertools consume recipe): with map, the fields
+# are set at the cost of one object.__setattr__ call each, with no Python loop
+_consume = deque(maxlen=0).extend
+
+
 class _Record:
-    """An immutable record with the fields ``_fields``; ``__init__`` sets each with ``object.__setattr__``."""
+    """An immutable record with the fields ``_fields``, set in order and then by name, as a dataclass sets them."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init__(self, *values, **named):
+        if named or len(values) != len(self._fields):
+            values = _arguments(self, values, named)
+        _consume(map(object.__setattr__, repeat(self), self._fields, values))
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

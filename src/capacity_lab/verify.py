@@ -179,6 +179,7 @@ def _s_max(pair: EllipsoidPair) -> Callable[[int, int], tuple[int, int]]:
         q = L * (v1 * A2 - v2 * B2)
         if q > 0:
             p = v2 * B2 * S2 - v1 * A2 * R2
+            # strict or not, the maximum is the same: at f0 = c/a or d/b, S(f0) is that end's value
             if p > 0 and R2 * q * q < L * p * p < S2 * q * q:
                 X, Y, Z = S(p, q)
                 if _exceeds(inner := (v1 * X + v2 * Y, Z), best):
@@ -195,18 +196,6 @@ class BMCertificate(_Record):
     """
 
     __slots__ = _fields = ("k", "domain1", "domain2", "c_sum", "c_1", "c_2", "verdict", "comparison", "witness")
-
-    def __init__(self, k: int, domain1: Ellipsoid, domain2: Ellipsoid, c_sum: PiRational, c_1: PiRational,
-                 c_2: PiRational, verdict: Verdict, comparison: Ordering, witness: IndexVector | None = None):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "domain1", domain1)
-        object.__setattr__(self, "domain2", domain2)
-        object.__setattr__(self, "c_sum", c_sum)
-        object.__setattr__(self, "c_1", c_1)
-        object.__setattr__(self, "c_2", c_2)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "comparison", comparison)
-        object.__setattr__(self, "witness", witness)
 
     def margin(self) -> float:
         """Float value of sqrt(c_sum) - sqrt(c_1) - sqrt(c_2); its sign is that of comparison.
@@ -235,20 +224,19 @@ class BMCertificate(_Record):
         # bool is an int subclass; int() would truncate a float and parse a string
         if type(d["k"]) is not int:
             raise ValueError(f"k must be an integer, got {d['k']!r}")
-        domain1 = parse_domain(d["domain1"])
-        domain2 = parse_domain(d["domain2"])
+        domain1, domain2 = _domain_from_dict(d, "domain1"), _domain_from_dict(d, "domain2")
         if not isinstance(domain1, Ellipsoid) or not isinstance(domain2, Ellipsoid):
             raise ValueError("certificate domains must be ellipsoids")
         return cls(
-            k=d["k"],
-            domain1=domain1,
-            domain2=domain2,
-            c_sum=PiRational.from_dict(d["c_sum"]),
-            c_1=PiRational.from_dict(d["c1"]),
-            c_2=PiRational.from_dict(d["c2"]),
-            verdict=Verdict(d["verdict"]),
-            comparison=Ordering[d["comparison"]],
-            witness=None if (w := d.get("witness")) is None else _witness_from_dict(w, d["k"]),
+            d["k"],
+            domain1,
+            domain2,
+            PiRational.from_dict(d["c_sum"]),
+            PiRational.from_dict(d["c1"]),
+            PiRational.from_dict(d["c2"]),
+            Verdict(d["verdict"]),
+            Ordering[d["comparison"]],
+            None if (w := d.get("witness")) is None else _witness_from_dict(w, d["k"]),
         )
 
 
@@ -274,6 +262,13 @@ def _cancellation_free_margin(s: Fraction, t: Fraction, u: Fraction) -> float:
     if margin == 0 or math.isinf(margin):
         raise OverflowError("the margin is beyond float range")
     return margin
+
+
+def _domain_from_dict(d: dict, name: str) -> DomainSpec:
+    # parse_domain would let re raise a TypeError whose wording names no field and varies by Python version
+    if type(d[name]) is not str:
+        raise ValueError(f"{name} must be a string, got {type(d[name]).__name__}")
+    return parse_domain(d[name])
 
 
 def _witness_from_dict(w, k: int) -> IndexVector:

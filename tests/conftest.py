@@ -1,11 +1,14 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from capacity_lab import Ellipsoid, EllipsoidPair, IndexVector, Polydisk, ProductWithBall
+from capacity_lab import Ellipsoid, EllipsoidPair, IndexVector, PiRational, Polydisk, ProductWithBall
+from capacity_lab.domains import _TwoRadii
 
 MAX_HEIGHT = 20
 
@@ -64,6 +67,52 @@ def scale_domain(lam: Fraction, domain):
     if isinstance(domain, ProductWithBall):
         return ProductWithBall(scale_domain(lam, domain.inner), domain.m, domain.R * lam)
     raise TypeError(f"unsupported domain: {domain!r}")
+
+
+def record_contract(cls, args, changed, text):
+    """Check what a frozen dataclass gives: fields from positional, keyword and mixed arguments, equality
+    and hash over the fields within one class, the dataclass repr, no assignment or deletion, and copies
+    and pickles equal to the record.  args and changed differ in one field; text is the repr of cls(*args)."""
+    record = cls(*args)
+    by_name = cls(**dict(zip(cls._fields, args)))
+    assert cls(*args[:1], **dict(zip(cls._fields[1:], args[1:]))) == record
+    assert [getattr(record, name) for name in cls._fields] == list(args)
+    assert by_name == record and hash(by_name) == hash(record) and {by_name: 1}[record] == 1
+    assert record != cls(*changed) and not record == cls(*changed)
+    assert repr(record) == repr(by_name) == text
+    # equal only to a record of the same class
+    for other in (tuple(args), args[0], object()):
+        assert record != other and other != record
+    if cls in (_TwoRadii, Ellipsoid, Polydisk):
+        assert all(record != other(*args) for other in {_TwoRadii, Ellipsoid, Polydisk} - {cls})
+    for name in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, args[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    if cls is EllipsoidPair:
+        # proportional is set by the constructor, and equality, hash and repr leave it out
+        assert record.proportional and not cls(*changed).proportional
+        with pytest.raises(AttributeError):
+            record.proportional = False
+        flipped = object.__new__(cls)
+        for name, value in (("first", args[0]), ("second", args[1]), ("proportional", False)):
+            object.__setattr__(flipped, name, value)
+        assert flipped == record and hash(flipped) == hash(record) and repr(flipped) == text
+    if cls is PiRational:
+        low, high = record, cls(*changed)
+        assert low < high and low <= high and low <= by_name and high > low and high >= low and low >= by_name
+        assert not (high < low or high <= low or low > high or low >= high)
+        assert PiRational(1) != Fraction(1)
+        for compare in (lambda x, y: x < y, lambda x, y: x <= y, lambda x, y: x > y, lambda x, y: x >= y):
+            for x, y in ((record, Fraction(2)), (Fraction(2), record)):
+                with pytest.raises(TypeError):
+                    compare(x, y)
+    pickled = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in (copy.copy(record), copy.deepcopy(record), *pickled):
+        assert type(again) is cls and again == record and hash(again) == hash(record) and repr(again) == text
+        if cls is EllipsoidPair:
+            assert again.proportional
 
 
 def replace(record, **changes):

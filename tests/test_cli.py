@@ -117,6 +117,14 @@ def certificate_text(**fields):
     return json.dumps({**cert, **fields})
 
 
+# the error of a certificate whose domain is no JSON string, by file content
+DOMAIN_TYPE_ERRORS = {
+    certificate_text(domain1=5): "domain1 must be a string, got int",
+    certificate_text(domain2=None): "domain2 must be a string, got NoneType",
+    certificate_text(domain1=["E(3/2,1)"]): "domain1 must be a string, got list",
+}
+
+
 class TestBmCheck:
     def test_even_violates(self, runner):
         res = invoke(runner, "bm-check", "2", "E(3/2,1)", "E(1,3/2)", "--format", "text")
@@ -264,7 +272,7 @@ class TestBmCheck:
             pytest.param(certificate_text(witness={"v1": 2, "v2": 1}), id="v1+v2!=k"),
             pytest.param(certificate_text(witness={"v1": True, "v2": 1}), id="v1=true"),
             pytest.param(certificate_text(witness={"v1": 1.0, "v2": 1}), id="v1=1.0"),
-            # a domain that is no JSON string: parse_domain raises TypeError, whose wording varies
+            # a domain that is no JSON string; DOMAIN_TYPE_ERRORS holds the error line of each
             pytest.param(certificate_text(domain1=5), id="domain1=5"),
             pytest.param(certificate_text(domain2=None), id="domain2=null"),
             pytest.param(certificate_text(domain1=["E(3/2,1)"]), id="domain1=list"),
@@ -277,6 +285,8 @@ class TestBmCheck:
         assert res.exit_code == 2
         assert res.output.startswith("Error: bad certificate file")
         assert len(res.output.strip().splitlines()) == 1
+        if content in DOMAIN_TYPE_ERRORS:
+            assert res.output == f"Error: bad certificate file: {DOMAIN_TYPE_ERRORS[content]}\n"
 
     def test_certificate_file_is_read_up_to_the_cap(self, runner, tmp_path):
         cert_file = tmp_path / "padded.json"
@@ -751,8 +761,13 @@ class TestExactPathImports:
         assert res.stdout
         assert not imports_numpy(res)
 
-    @pytest.mark.parametrize("args", EXACT_SUBCOMMANDS)
-    def test_exact_subcommands_import_no_dataclasses_or_typing(self, args):
+    # the last row reads a valid certificate file, written to CERT
+    @pytest.mark.parametrize("args", [*EXACT_SUBCOMMANDS, ["bm-check", "--check-certificate", "CERT"]])
+    def test_exact_subcommands_import_no_dataclasses_or_typing(self, args, tmp_path):
+        if "CERT" in args:
+            cert_file = tmp_path / "cert.json"
+            cert_file.write_text(certificate_text())
+            args = [str(cert_file) if arg == "CERT" else arg for arg in args]
         # -S: no site module, so no .pth file preloads typing; the last stdout line lists what main loaded
         script = (
             "import json, sys\nfrom capacity_lab.cli import main\n"
@@ -764,6 +779,24 @@ class TestExactPathImports:
         code, loaded = json.loads(res.stdout.splitlines()[-1])
         assert code in (0, None)
         assert loaded == (["csv"] if args[-2:] == ["--format", "csv"] else [])
+
+    def test_omega_loads_no_dataclasses(self):
+        # numpy itself imports typing, so only dataclasses is checked; no -S, which would hide numpy
+        pytest.importorskip("numpy")
+        script = (
+            "import sys\nloaded = 'dataclasses' in sys.modules\nfrom capacity_lab.cli import main\n"
+            "code = main(['omega', 'E(1,1)', 'E(2/3,1)'])\n"
+            "print(code, loaded or 'dataclasses' in sys.modules, 'capacity_lab._kernels' in sys.modules)"
+        )
+        res = run_fresh("-c", script)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "0 False True"
+
+    def test_no_module_imports_dataclasses_or_typing(self):
+        paths = sorted((SRC / "capacity_lab").glob("*.py"))
+        assert SRC / "capacity_lab" / "_kernels.py" in paths
+        found = {path.stem: forbidden_imports(path, {"dataclasses", "typing"}) for path in paths}
+        assert found == {path.stem: [] for path in paths}
 
     def test_package_import_leaves_float_modules_unloaded(self):
         script = (

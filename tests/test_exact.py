@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from capacity_lab import (
 )
 from capacity_lab.bm import cmp_sqrt_combination
 from capacity_lab.domains import _TwoRadii
+from conftest import record_contract
 from reference_parser import parse_rational
 
 nonneg_st = st.fractions(min_value=0, max_value=Fraction(1000), max_denominator=50)
@@ -193,37 +196,45 @@ RECORDS = [
 @pytest.mark.parametrize("cls, args, changed, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_record_contract(cls, args, changed, text):
     """What a frozen dataclass gave each value record, now from ``exact._Record``."""
-    record = cls(*args)
-    by_name = cls(**dict(zip(cls._fields, args)))
-    assert [getattr(record, name) for name in cls._fields] == list(args)
-    assert by_name == record and hash(by_name) == hash(record) and {by_name: 1}[record] == 1
-    assert record != cls(*changed) and not record == cls(*changed)
-    assert repr(record) == repr(by_name) == text
-    # equal only to a record of the same class
-    for other in (tuple(args), args[0], object()):
-        assert record != other and other != record
-    if cls in (_TwoRadii, Ellipsoid, Polydisk):
-        assert all(record != other(*args) for other in {_TwoRadii, Ellipsoid, Polydisk} - {cls})
-    for name in (*cls._fields, "extra"):
-        with pytest.raises(AttributeError):
-            setattr(record, name, args[0])
-        with pytest.raises(AttributeError):
-            delattr(record, name)
-    if cls is EllipsoidPair:
-        # proportional is set by the constructor, and equality, hash and repr leave it out
-        assert record.proportional and not cls(*changed).proportional
-        with pytest.raises(AttributeError):
-            record.proportional = False
-        flipped = object.__new__(cls)
-        for name, value in (("first", args[0]), ("second", args[1]), ("proportional", False)):
-            object.__setattr__(flipped, name, value)
-        assert flipped == record and hash(flipped) == hash(record) and repr(flipped) == text
-    if cls is PiRational:
-        low, high = record, cls(*changed)
-        assert low < high and low <= high and low <= by_name and high > low and high >= low and low >= by_name
-        assert not (high < low or high <= low or low > high or low >= high)
-        assert PiRational(1) != F(1)
-        for compare in (lambda x, y: x < y, lambda x, y: x <= y, lambda x, y: x > y, lambda x, y: x >= y):
-            for x, y in ((record, F(2)), (F(2), record)):
-                with pytest.raises(TypeError):
-                    compare(x, y)
+    record_contract(cls, args, changed, text)
+
+
+# the arguments of the BMCertificate and CriterionReport rows above
+CERT_ARGS, CRITERION_ARGS = RECORDS[7][1], RECORDS[8][1]
+# (record class, arguments, keyword arguments, the TypeError message)
+BAD_CALLS = [
+    (BMCertificate, CERT_ARGS[:8], {}, "BMCertificate() missing required arguments: 'witness'"),
+    (
+        CriterionReport,
+        (3, False),
+        {"rhs": F(16, 9)},
+        "CriterionReport() missing required arguments: 'lhs', 'c_polydisk', 'c_ball'",
+    ),
+    (CriterionReport, (*CRITERION_ARGS, None), {}, "CriterionReport() takes 6 arguments but 7 were given"),
+    (CriterionReport, CRITERION_ARGS, {"margin": 0}, "CriterionReport() got an unexpected keyword argument 'margin'"),
+    (
+        CriterionReport,
+        CRITERION_ARGS[:2],
+        {"violating": True},
+        "CriterionReport() got multiple values for argument 'violating'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, named, message", BAD_CALLS, ids=["missing", "missing-by-name", "extra", "unknown", "twice"]
+)
+def test_record_constructor_refuses(cls, args, named, message):
+    with pytest.raises(TypeError) as info:
+        cls(*args, **named)
+    assert str(info.value) == message
+
+
+def test_copies_run_the_constructor_checks():
+    # a record built around its constructor is refused when copied or unpickled
+    bad = object.__new__(IndexVector)
+    object.__setattr__(bad, "v1", -1)
+    object.__setattr__(bad, "v2", 3)
+    for again in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            again(bad)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import capacity_lab
 from capacity_lab import (
+    ConvexityReport,
     Ellipsoid,
     EllipsoidPair,
     IndexVector,
@@ -41,6 +42,7 @@ from conftest import (
     power_pair,
     random_nonprop_pair,
     random_radius,
+    record_contract,
     s_prime_float,
 )
 
@@ -319,6 +321,28 @@ class TestOmegaSamples:
             point.x1 = 0.0
         with pytest.raises(TypeError):
             point[1] = 0.0
+
+
+# (report class, positional arguments, the same with one field changed, the repr a frozen dataclass gave)
+FLOAT_REPORTS = [
+    (ConvexityReport, (True, -0.5, -0.25, 64), (True, -0.5, -0.25, 128),
+     "ConvexityReport(ok=True, worst_C1=-0.5, worst_C2=-0.25, grid=64)"),
+    (
+        SignCheckReport,
+        (False, 4096, 3, 1e-3, 1e-9, None, False, False),
+        (False, 4096, 3, 1e-3, 1e-9, 1.5, False, False),
+        "SignCheckReport(ok=False, points=4096, sign_mismatches=3, max_abs_err=0.001, max_allowed_err=1e-09, "
+        "f0=None, f0_interior=False, f0_is_max=False)",
+    ),
+    (MeanWidthEstimate, (1.5, 0.01, 1000, 3), (1.5, 0.01, 1000, 4),
+     "MeanWidthEstimate(mean=1.5, stderr=0.01, samples=1000, seed=3)"),
+]
+
+
+@pytest.mark.parametrize("cls, args, changed, text", FLOAT_REPORTS, ids=[r[0].__name__ for r in FLOAT_REPORTS])
+def test_float_report_contract(cls, args, changed, text):
+    """The float reports keep what their frozen dataclasses gave, now from ``exact._Record``."""
+    record_contract(cls, args, changed, text)
 
 
 class TestGoldenMax:

@@ -142,11 +142,17 @@ class TestIntegerSMax:
             assert F(num, den) == want(v1, k - v1), (pair.radii, k, v1)
 
     def test_critical_point_on_an_endpoint(self):
+        # S(f0) is the value at that end, so a strict and a non-strict interior test in _s_max give one maximum
         found = endpoint_critical_points()
         assert found["c/a"] and found["d/b"]
-        for cases in found.values():
+        for end, cases in found.items():
             for pair, k, v1 in cases:
-                assert F(*verify._s_max(pair)(v1, k - v1)) == reference_s_max(pair)(v1, k - v1)
+                a, b, c, d = radii = pair.radii
+                D, N = _critical(v1, k - v1, *radii)
+                S = _s_over_pi(*radii)
+                ends = {"c/a": S(v1, k - v1, c / a), "d/b": S(v1, k - v1, d / b)}
+                assert S(v1, k - v1, N / D) == ends[end]
+                assert F(*verify._s_max(pair)(v1, k - v1)) == reference_s_max(pair)(v1, k - v1) == max(ends.values())
 
 
 class TestCrossCheck:
